@@ -119,19 +119,15 @@ constexpr double kBaselineShuffleNsPerTuple = 72.2;
 constexpr double kBaselineShuffleAllocsPerTuple = 2.125;
 
 /// One producer task, `consumers` channels under `grouping`, drained
-/// in the same thread every `consumers * batch` emits (this host is
-/// single-core; interleaving producer and consumer measures the real
-/// per-tuple path without scheduler noise). With `recycle` the drain
-/// side hands empty batch shells back through the channel's return
-/// queue (the engine's BatchPool protocol); without it, shells come
-/// back through the ring slots themselves (reuse_ring_shells), so
-/// both modes are allocation-free in steady state.
+/// in the same thread every `consumers * batch` emits (interleaving
+/// producer and consumer measures the real per-tuple path without
+/// scheduler noise). The drain side hands empty batch shells back
+/// through the channel's return queue (the engine's BatchPool
+/// protocol), so steady state is allocation-free.
 EmitResult RunEmitBench(api::GroupingType grouping, int consumers, int batch,
-                        uint64_t rounds, bool recycle) {
+                        uint64_t rounds) {
   EngineConfig cfg = EngineConfig::Brisk();
   cfg.batch_size = batch;
-  cfg.recycle_batches = recycle;
-  const bool reuse = cfg.reuse_ring_shells && !cfg.recycle_batches;
   Task task(0, 0, cfg, nullptr);
   std::vector<std::unique_ptr<Channel>> channels;
   OutRoute route;
@@ -139,8 +135,7 @@ EmitResult RunEmitBench(api::GroupingType grouping, int consumers, int batch,
   route.grouping = grouping;
   route.key_field = 0;
   for (int c = 0; c < consumers; ++c) {
-    channels.push_back(
-        std::make_unique<Channel>(0, c + 1, cfg.queue_capacity, reuse));
+    channels.push_back(std::make_unique<Channel>(0, c + 1, cfg.queue_capacity));
     route.channels.push_back(channels.back().get());
     route.buffer_index.push_back(task.AddBuffer());
   }
@@ -165,28 +160,17 @@ EmitResult RunEmitBench(api::GroupingType grouping, int consumers, int batch,
     for (auto& ch : channels) {
       while (ch->TryPop(&env)) {
         consumed += env.batch->tuples.size();
-        if (recycle) {
-          env.batch->Reset();
-          ch->Recycle(std::move(env.batch));
-        } else if (reuse) {
-          env.batch->Reset();
-          ch->ReturnShell(std::move(env.batch));  // back via the ring
-        } else {
-          env.batch.reset();  // consumer frees the batch (no pool)
-        }
+        env.batch->Reset();
+        ch->Recycle(std::move(env.batch));
       }
     }
   };
 
   // Warm-up: reach steady-state capacities (staging buffers, queue
-  // slots, pooled batches) before counting anything. The ring-reuse
-  // mode needs one full ring lap — each push lands one slot further,
-  // and a slot only yields a recovered shell after the consumer has
-  // deposited into it once — so warm up past the ring size (the
-  // rounded-up power of two above queue_capacity), one push per
-  // channel per round.
-  const int warmup = 2 * static_cast<int>(cfg.queue_capacity) + 64;
-  for (int r = 0; r < warmup; ++r) {
+  // slots, pooled batches) and warm caches before counting anything.
+  // A 64-round warm-up measures --quick shuffle about 8% low.
+  constexpr int kWarmupRounds = 320;
+  for (int r = 0; r < kWarmupRounds; ++r) {
     emit_round();
     drain();
   }
@@ -238,17 +222,11 @@ int Main(int argc, char** argv) {
                 "zero-allocation jumbo-tuple emit microbenchmark, WC");
 
   const EmitResult shuffle = RunEmitBench(api::GroupingType::kShuffle,
-                                          kConsumers, kBatch, rounds,
-                                          /*recycle=*/true);
-  const EmitResult shuffle_nopool = RunEmitBench(
-      api::GroupingType::kShuffle, kConsumers, kBatch, rounds,
-      /*recycle=*/false);
+                                          kConsumers, kBatch, rounds);
   const EmitResult fields = RunEmitBench(api::GroupingType::kFields,
-                                         kConsumers, kBatch, rounds,
-                                         /*recycle=*/true);
+                                         kConsumers, kBatch, rounds);
   const EmitResult broadcast = RunEmitBench(api::GroupingType::kBroadcast,
-                                            kConsumers, kBatch, rounds / 4,
-                                            /*recycle=*/true);
+                                            kConsumers, kBatch, rounds / 4);
 
   const std::vector<int> widths = {16, 14, 10, 12};
   bench::PrintRule(widths);
@@ -266,8 +244,6 @@ int Main(int argc, char** argv) {
       kBaselineShuffleAllocsPerTuple);
   row("shuffle", shuffle.tuples_per_sec, shuffle.ns_per_tuple,
       shuffle.allocs_per_tuple);
-  row("shuffle-nopool", shuffle_nopool.tuples_per_sec,
-      shuffle_nopool.ns_per_tuple, shuffle_nopool.allocs_per_tuple);
   row("fields", fields.tuples_per_sec, fields.ns_per_tuple,
       fields.allocs_per_tuple);
   row("broadcast", broadcast.tuples_per_sec, broadcast.ns_per_tuple,
@@ -288,7 +264,6 @@ int Main(int argc, char** argv) {
       .Add("quick", quick)
       .Add("baseline_shuffle", baseline)
       .Add("shuffle", ToJson(shuffle))
-      .Add("shuffle_nopool", ToJson(shuffle_nopool))
       .Add("fields", ToJson(fields))
       .Add("broadcast", ToJson(broadcast))
       .Add("speedup_vs_baseline",
@@ -297,16 +272,15 @@ int Main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
 
   // CI gate: the emit path must not touch the allocator in steady
-  // state — pooled (BatchPool) *and* unpooled (ring-shell reuse). A
-  // single alloc per tuple (or per batch) is a regression of the
-  // whole point of this data plane.
+  // state under any grouping. A single alloc per tuple (or per batch)
+  // is a regression of the whole point of this data plane.
   if (shuffle.allocs_per_tuple != 0.0 || fields.allocs_per_tuple != 0.0 ||
-      shuffle_nopool.allocs_per_tuple != 0.0) {
+      broadcast.allocs_per_tuple != 0.0) {
     std::fprintf(stderr,
                  "FAIL: steady-state allocs/tuple nonzero "
-                 "(shuffle %.4f, fields %.4f, shuffle-nopool %.4f)\n",
+                 "(shuffle %.4f, fields %.4f, broadcast %.4f)\n",
                  shuffle.allocs_per_tuple, fields.allocs_per_tuple,
-                 shuffle_nopool.allocs_per_tuple);
+                 broadcast.allocs_per_tuple);
     return 1;
   }
   return 0;

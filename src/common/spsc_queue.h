@@ -26,10 +26,12 @@ inline constexpr size_t kCacheLineSize = 64;
 template <typename T>
 class SpscQueue {
  public:
-  /// Capacity is rounded up to a power of two; usable slots = capacity.
-  /// `memory` backs the slot array (NUMA-aware callers pass the
-  /// consuming socket's arena; it must outlive the queue). Slot
-  /// *contents* are plain T — only the ring storage is placed.
+  /// The ring is the smallest power of two 2^k > `capacity`, and one
+  /// slot always stays empty, so usable slots = capacity() = 2^k - 1
+  /// >= `capacity` (128 requested gives 255). `memory` backs the slot
+  /// array (NUMA-aware callers pass the consuming socket's arena; it
+  /// must outlive the queue). Slot *contents* are plain T — only the
+  /// ring storage is placed.
   explicit SpscQueue(size_t capacity,
                      std::pmr::memory_resource* memory =
                          std::pmr::get_default_resource())
@@ -59,23 +61,6 @@ class SpscQueue {
     return true;
   }
 
-  /// Producer side, recovering variant: on success the pushed value is
-  /// *swapped* with the slot's previous content, so the producer walks
-  /// away with whatever the consumer deposited when it vacated the
-  /// slot (see TryPopSwap) — the ring doubles as the recycling pool.
-  /// On failure `value` is untouched.
-  bool TryPushSwap(T& value) {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    const size_t next = (tail + 1) & mask_;
-    if (next == head_cache_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (next == head_cache_) return false;
-    }
-    std::swap(slots_[tail], value);
-    tail_.store(next, std::memory_order_release);
-    return true;
-  }
-
   /// Consumer side. Returns false when the queue is empty.
   bool TryPop(T* out) {
     const size_t head = head_.load(std::memory_order_relaxed);
@@ -84,23 +69,6 @@ class SpscQueue {
       if (head == tail_cache_) return false;
     }
     *out = std::move(slots_[head]);
-    head_.store((head + 1) & mask_, std::memory_order_release);
-    return true;
-  }
-
-  /// Consumer side, depositing variant: on success the vacated slot is
-  /// refilled with `deposit` *before* the head index is released, so
-  /// the producer's next lap (TryPushSwap) finds it there — never a
-  /// torn slot, because the producer only touches a slot after the
-  /// head store publishes it. On failure `deposit` is untouched.
-  bool TryPopSwap(T* out, T& deposit) {
-    const size_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return false;
-    }
-    *out = std::move(slots_[head]);
-    slots_[head] = std::move(deposit);
     head_.store((head + 1) & mask_, std::memory_order_release);
     return true;
   }

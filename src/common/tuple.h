@@ -210,10 +210,9 @@ struct JumboTuple {
   std::vector<Tuple> tuples;
 
   /// Serialized payload for the legacy (Storm/Flink-like) modes —
-  /// folded into the pooled batch so an Envelope is just the batch
-  /// pointer plus trivially-movable scalars, and the legacy path
-  /// recycles its byte buffers through the same pool. Empty in the
-  /// pass-by-reference mode.
+  /// folded into the batch so an Envelope is just the batch pointer
+  /// plus trivially-movable scalars. Empty in the pass-by-reference
+  /// mode.
   std::vector<uint8_t> bytes;
 
   size_t size() const { return tuples.size(); }
@@ -224,15 +223,6 @@ struct JumboTuple {
     tuples.clear();
     bytes.clear();
   }
-
-  /// Shells route through the calling thread's BatchArena when one is
-  /// installed (pool workers install their socket's NumaArena), else
-  /// the global allocator. Each shell carries a hidden provenance
-  /// header, so delete returns it to the arena that produced it no
-  /// matter which thread — or socket — frees it. Definitions live in
-  /// common/batch_arena.cc.
-  static void* operator new(size_t bytes);
-  static void operator delete(void* p, size_t bytes) noexcept;
 };
 
 using JumboTuplePtr = std::unique_ptr<JumboTuple>;

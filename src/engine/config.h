@@ -55,7 +55,10 @@ struct EngineConfig {
   size_t queue_capacity = 128;
 
   /// Serialize every batch at the producer and deserialize at the
-  /// consumer (what a cross-process runtime must do).
+  /// consumer (what a cross-process runtime must do). Such a runtime
+  /// also allocates a fresh message per transfer, so serializing
+  /// configs bypass the channel's BatchPool; pass-by-reference configs
+  /// always recycle drained batch shells through it.
   bool serialize_tuples = false;
 
   /// Allocate + fill a per-tuple header object (duplicate metadata a
@@ -66,12 +69,6 @@ struct EngineConfig {
   /// footprint §5.1 eliminates (exception scaffolding, config checks).
   bool extra_condition_checks = false;
 
-  /// Recycle drained JumboTuple batches back to the producer through
-  /// the channel's return queue (BatchPool) instead of freeing them on
-  /// the consumer's socket. On by default — off only for measuring the
-  /// allocate-per-flush cost it removes.
-  bool recycle_batches = true;
-
   /// Dispatch whole batches through an operator's compiled pipeline
   /// (api::KernelBolt chains) instead of per-tuple Process calls.
   /// Only effective in the pass-by-reference mode (serialization and
@@ -80,14 +77,6 @@ struct EngineConfig {
   /// interpreted engine bit-for-bit — the differential matrix runs
   /// both.
   bool compile_pipelines = true;
-
-  /// When batch recycling is off, recover drained batch shells through
-  /// the SPSC ring itself (consumer deposits the previous shell into
-  /// the slot it vacates; the producer's push swaps it back out), so
-  /// even the unpooled mode allocates nothing in steady state. Legacy
-  /// modes keep this off — allocating per transfer is the overhead
-  /// they model.
-  bool reuse_ring_shells = true;
 
   /// Charge Formula-2 remote-fetch stalls (busy-wait) for batches that
   /// cross virtual sockets in the plan (hardware substitution — see
@@ -136,39 +125,14 @@ struct EngineConfig {
   /// effective queue cheap, and legacy spinning would burn cores.)
   int pool_inflight_batches = 16;
 
-  /// How long an idle worker parks before re-scanning on its own.
-  /// Producers wake it earlier through the channel Waker hints; the
-  /// timeout covers wakes the hints cannot see (token-bucket refills).
-  int park_timeout_us = 500;
-
   /// Morsel-style work stealing between pool workers: a worker whose
   /// own run queue yields no progress steals the least-recently-polled
   /// task from the deepest sibling in its socket group, and only after
-  /// `steal_patience` consecutive failed intra-socket rounds reaches
-  /// across sockets — RLAS placement stays an affinity, not a
+  /// a few consecutive failed intra-socket rounds reaches across
+  /// sockets — RLAS placement stays an affinity, not a
   /// straitjacket. Off pins every task to the worker the round-robin
   /// distribution gave it (PR-4 behavior, kept for A/B benching).
   bool steal_work = true;
-
-  /// Consecutive idle passes in which no intra-socket victim was found
-  /// before a worker is allowed one cross-socket steal attempt.
-  int steal_patience = 4;
-
-  /// Consecutive idle polls after which a task stolen across sockets
-  /// is repatriated to a worker of its plan socket: a migrant that has
-  /// gone quiet drifts home instead of anchoring remote wake hints.
-  int steal_repatriate_after = 8;
-
-  /// Back channel/batch-shell allocation with per-plan-socket
-  /// hugepage-backed arenas (hw::NumaArena), mbind-placed on real
-  /// multi-node hosts and first-touch everywhere else. Off = global
-  /// allocator for everything (legacy modes keep it off: allocation
-  /// cost is part of what they model).
-  bool numa_arena = true;
-
-  /// Arena reservation granularity per mmap chunk (kibibytes); the
-  /// default matches the x86-64 2 MiB huge page.
-  size_t arena_chunk_kb = 2048;
 
   /// Stop() stops spouts first and lets bolts drain in-flight
   /// envelopes (bounded by drain_timeout_s) before halting, so a
@@ -215,11 +179,8 @@ struct EngineConfig {
     c.serialize_tuples = true;
     c.duplicate_headers = true;
     c.extra_condition_checks = true;
-    c.recycle_batches = false;  // legacy runtimes allocate per transfer
     c.compile_pipelines = false;
-    c.reuse_ring_shells = false;
     c.steal_work = false;  // legacy schedulers hash-pin executors
-    c.numa_arena = false;
     return c;
   }
 
@@ -231,11 +192,8 @@ struct EngineConfig {
     c.queue_capacity = 512;
     c.serialize_tuples = true;
     c.duplicate_headers = true;
-    c.recycle_batches = false;  // legacy runtimes allocate per transfer
     c.compile_pipelines = false;
-    c.reuse_ring_shells = false;
     c.steal_work = false;  // legacy schedulers hash-pin executors
-    c.numa_arena = false;
     return c;
   }
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <optional>
 #include <utility>
 
 #if defined(__linux__)
@@ -11,11 +10,10 @@
 #include <sched.h>
 #endif
 
-#include "common/batch_arena.h"
 #include "common/logging.h"
 #include "engine/spin.h"
 #include "engine/steal_deque.h"
-#include "hardware/numa_arena.h"
+#include "hardware/topology.h"
 
 namespace brisk::engine {
 
@@ -44,6 +42,20 @@ void PinThreadToCpu(std::thread& thread, int cpu) {
 /// Waker until notified or the park timeout elapses.
 constexpr int kSpinPasses = 64;
 constexpr int kYieldPasses = 16;
+
+/// How long an idle worker parks before re-scanning on its own.
+/// Producers wake it earlier through the channel Waker hints; the
+/// timeout covers wakes the hints cannot see (token-bucket refills).
+constexpr auto kParkTimeout = std::chrono::microseconds(500);
+
+/// Consecutive idle passes in which no intra-socket victim was found
+/// before a worker is allowed one cross-socket steal attempt.
+constexpr int kStealPatience = 4;
+
+/// Consecutive idle polls after which a task stolen across sockets is
+/// repatriated to a worker of its plan socket: a migrant that has gone
+/// quiet drifts home instead of anchoring remote wake hints.
+constexpr int kStealRepatriateAfter = 8;
 
 }  // namespace
 
@@ -136,13 +148,13 @@ class ThreadPerTaskExecutor final : public Executor {
 //     intra-group load balancing).
 //   - A worker whose pass made no progress steals from the deepest
 //     same-socket sibling holding >= 2 queued tasks; only after
-//     config.steal_patience consecutive idle rounds without an
+//     kStealPatience consecutive idle rounds without an
 //     intra-socket victim does it reach across sockets. RLAS placement
 //     stays an affinity, not a straitjacket.
 //   - A successful steal from a still-deep victim notifies one of the
 //     victim's parked siblings, so backlog recruits the whole group.
 //   - A task stolen across sockets that then idles for
-//     config.steal_repatriate_after consecutive polls is sent back to
+//     kStealRepatriateAfter consecutive polls is sent back to
 //     the least-loaded worker of its plan socket (and that worker is
 //     woken) — but only once the home group has a worker with no
 //     progressing work, so migrants ride out the skew instead of
@@ -157,12 +169,13 @@ class WorkerPoolExecutor final : public Executor {
   WorkerPoolExecutor(const EngineConfig& config, StopSignals* signals,
                      std::vector<Task*> tasks,
                      std::vector<Channel*> channels,
-                     const hw::MachineSpec* machine, hw::ArenaSet* arenas)
+                     const hw::MachineSpec* machine,
+                     const hw::HostTopology* host)
       : config_(config),
         signals_(signals),
         channels_(std::move(channels)),
         machine_(machine),
-        arenas_(arenas) {
+        host_(host) {
     // Group tasks by their plan socket, preserving instance order.
     std::map<int, std::vector<Task*>> by_socket;
     int max_instance = -1;
@@ -195,9 +208,6 @@ class WorkerPoolExecutor final : public Executor {
         workers_.back()->group = group;
         workers_.back()->deque =
             std::make_unique<StealDeque>(total_tasks);
-        if (arenas_ != nullptr) {
-          workers_.back()->arena = arenas_->ForSocket(socket);
-        }
       }
       for (size_t i = 0; i < socket_tasks.size(); ++i) {
         BRISK_CHECK(
@@ -300,7 +310,6 @@ class WorkerPoolExecutor final : public Executor {
   struct Worker {
     Waker waker;
     std::unique_ptr<StealDeque> deque;
-    hw::NumaArena* arena = nullptr;  // this socket's shell arena
     int socket = 0;
     int index_in_socket = 0;
     int group = 0;  // index into groups_
@@ -338,8 +347,8 @@ class WorkerPoolExecutor final : public Executor {
   int PinCpuFor(const Worker* w, int cps, int host_cores) const {
     // On a detected multi-node host, honor the real topology: plan
     // socket → physical node (round-robin), slot → CPU of that node.
-    if (arenas_ != nullptr && arenas_->topology().real) {
-      const auto& cpus = arenas_->topology().CpusOfNode(w->socket);
+    if (host_ != nullptr && host_->real) {
+      const auto& cpus = host_->CpusOfNode(w->socket);
       if (!cpus.empty()) {
         return cpus[static_cast<size_t>(w->index_in_socket) % cpus.size()];
       }
@@ -392,7 +401,7 @@ class WorkerPoolExecutor final : public Executor {
   void Requeue(Worker* w, Task* t) {
     const int home = GroupOfSocket(t->socket());
     if (config_.steal_work && home >= 0 && home != w->group &&
-        t->sched_idle_streak() >= config_.steal_repatriate_after &&
+        t->sched_idle_streak() >= kStealRepatriateAfter &&
         w->busy_depth.value() > 0 &&
         GroupHasStarvedWorker(groups_[static_cast<size_t>(home)])) {
       Worker* target = ShallowestWorker(groups_[static_cast<size_t>(home)]);
@@ -416,7 +425,7 @@ class WorkerPoolExecutor final : public Executor {
     }
     ++*failed_intra_rounds;
     if (groups_.size() > 1 &&
-        *failed_intra_rounds >= std::max(1, config_.steal_patience)) {
+        *failed_intra_rounds >= kStealPatience) {
       // Last resort: rotate over the other socket groups.
       const size_t n = groups_.size();
       for (size_t i = 1; i < n; ++i) {
@@ -533,14 +542,7 @@ class WorkerPoolExecutor final : public Executor {
   }
 
   void Loop(Worker* w) {
-    // Shell allocations this worker performs (producer-side
-    // FlushBuffer) come from its socket's arena and are first-touched
-    // on this thread.
-    std::optional<BatchArenaScope> arena_scope;
-    if (w->arena != nullptr) arena_scope.emplace(w->arena);
     const int budget = std::max(1, config_.poll_budget);
-    const auto park_timeout =
-        std::chrono::microseconds(std::max(1, config_.park_timeout_us));
     int idle_passes = 0;
     int failed_intra_rounds = 0;
     // The remembered park token: a park that ended by timeout (not
@@ -570,7 +572,7 @@ class WorkerPoolExecutor final : public Executor {
       ++idle_passes;
       if (park_stale || idle_passes > kSpinPasses + kYieldPasses) {
         ++w->parks;
-        if (w->waker.WaitFor(park_timeout)) {
+        if (w->waker.WaitFor(kParkTimeout)) {
           ++w->wakes;
           park_stale = false;
         } else {
@@ -588,7 +590,7 @@ class WorkerPoolExecutor final : public Executor {
   StopSignals* signals_;
   std::vector<Channel*> channels_;
   const hw::MachineSpec* machine_;
-  hw::ArenaSet* arenas_;
+  const hw::HostTopology* host_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<Group> groups_;
   std::vector<int> socket_to_group_;
@@ -604,12 +606,12 @@ std::unique_ptr<Executor> MakeExecutor(const EngineConfig& config,
                                        std::vector<Task*> tasks,
                                        std::vector<Channel*> channels,
                                        const hw::MachineSpec* machine,
-                                       hw::ArenaSet* arenas) {
+                                       const hw::HostTopology* host) {
   if (config.executor == ExecutorKind::kWorkerPool) {
     return std::make_unique<WorkerPoolExecutor>(config, signals,
                                                 std::move(tasks),
                                                 std::move(channels),
-                                                machine, arenas);
+                                                machine, host);
   }
   return std::make_unique<ThreadPerTaskExecutor>(config, signals,
                                                  std::move(tasks), machine);

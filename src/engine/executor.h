@@ -25,7 +25,7 @@
 #include "hardware/machine_spec.h"
 
 namespace brisk::hw {
-class ArenaSet;
+struct HostTopology;
 }  // namespace brisk::hw
 
 namespace brisk::engine {
@@ -110,15 +110,13 @@ class Executor {
 /// Builds the executor selected by `config.executor`. `machine` (the
 /// deployed MachineSpec, nullable) supplies cores-per-socket for
 /// pinning and worker sizing; `channels` get Waker hints wired in pool
-/// mode; `arenas` (nullable) supplies per-socket NumaArenas that pool
-/// workers install thread-locally for batch-shell allocation, plus the
-/// detected host topology for node-aware pinning. All pointers must
-/// outlive the executor.
+/// mode; `host` (nullable) is the detected host topology for
+/// node-aware pinning. All pointers must outlive the executor.
 std::unique_ptr<Executor> MakeExecutor(const EngineConfig& config,
                                        StopSignals* signals,
                                        std::vector<Task*> tasks,
                                        std::vector<Channel*> channels,
                                        const hw::MachineSpec* machine,
-                                       hw::ArenaSet* arenas = nullptr);
+                                       const hw::HostTopology* host = nullptr);
 
 }  // namespace brisk::engine

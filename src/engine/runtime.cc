@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <memory_resource>
 #include <utility>
 
 #include "common/logging.h"
@@ -31,14 +30,12 @@ StatusOr<std::unique_ptr<BriskRuntime>> BriskRuntime::Create(
   rt->config_ = config;
   rt->numa_ = numa;
   rt->retired_op_stats_.resize(topo->num_operators());
-  if (config.numa_arena) {
-    // One hugepage-backed arena per plan socket, bound to a real NUMA
-    // node when the host has several. Channel rings and batch shells
-    // allocate from the consumer's arena, so a task's hot memory sits
-    // on the socket RLAS placed it on.
-    rt->arenas_ = std::make_unique<hw::ArenaSet>(
-        hw::DetectHostTopology(), config.arena_chunk_kb * 1024);
-  }
+  // One hugepage-backed arena per plan socket, bound to a real NUMA
+  // node when the host has several. Channel rings allocate from the
+  // consumer's arena, so the slots a task pops sit on the socket RLAS
+  // placed it on.
+  rt->arenas_ = std::make_unique<hw::ArenaSet>(hw::DetectHostTopology(),
+                                               hw::kArenaChunkBytes);
   BRISK_RETURN_NOT_OK(rt->WireGraph(plan, nullptr));
   return rt;
 }
@@ -128,18 +125,9 @@ Status BriskRuntime::WireGraph(
                                 : plan.replication(e.consumer_op);
       for (int cr = 0; cr < consumers; ++cr) {
         const int cinst = plan.InstanceId(e.consumer_op, cr);
-        // Ring-shell reuse only matters (and is only safe to prefer)
-        // when the recycle queue is off — with recycling on, shells
-        // come back through the BatchPool path instead.
-        std::pmr::memory_resource* ring_memory =
-            arenas_ != nullptr
-                ? static_cast<std::pmr::memory_resource*>(
-                      arenas_->ForSocket(instance_sockets_[cinst]))
-                : std::pmr::get_default_resource();
         channels_.push_back(std::make_unique<Channel>(
             pinst, cinst, config_.queue_capacity,
-            config_.reuse_ring_shells && !config_.recycle_batches,
-            ring_memory));
+            arenas_->ForSocket(instance_sockets_[cinst])));
         Channel* ch = channels_.back().get();
         tasks_[cinst]->AddInput(ch);
         route.channels.push_back(ch);
@@ -192,7 +180,7 @@ Status BriskRuntime::StartExecutor() {
   executor_ = MakeExecutor(config_, &signals_, std::move(task_ptrs),
                            std::move(channel_ptrs),
                            numa_ != nullptr ? &numa_->machine() : nullptr,
-                           arenas_.get());
+                           &arenas_->topology());
   return executor_->Start();
 }
 
@@ -224,7 +212,8 @@ bool BriskRuntime::WaitForDrain(double timeout_s) {
     // across consecutive checks with empty channels and no envelope
     // parked on back-pressure, which only a quiescent engine sustains.
     // (A parked envelope is invisible to the channels — its producer
-    // may be waiting out park_timeout_us, longer than our window.)
+    // may be waiting out the pool's park timeout, longer than our
+    // window.)
     uint64_t consumed = 0;
     size_t parked = 0;
     for (const auto& task : tasks_) {

@@ -266,10 +266,9 @@ class BriskRuntime {
   const api::Topology* topo_ = nullptr;
   EngineConfig config_;
   const hw::NumaEmulator* numa_ = nullptr;
-  /// Per-plan-socket NUMA arenas backing channel rings and batch
-  /// shells (null when EngineConfig::numa_arena is off). Declared
+  /// Per-plan-socket NUMA arenas backing channel rings. Declared
   /// before channels_/tasks_: members destroy in reverse order, so the
-  /// arenas outlive every ring and shell they handed out.
+  /// arenas outlive every ring they handed out.
   std::unique_ptr<hw::ArenaSet> arenas_;
   model::ExecutionPlan plan_;  ///< the plan currently wired/running
   std::vector<int> instance_sockets_;

@@ -114,7 +114,7 @@ std::string Supervisor::DetectFailure(const HealthReport& health) {
   // consecutive probes while the same worker's run queue holds tasks
   // is a wedged scheduler thread. Idle workers stay off this radar —
   // a parked worker keeps heart-beating because the park timeout
-  // (~park_timeout_us) is far below the probe interval, and an empty
+  // (500 us) is far below the probe interval, and an empty
   // queue means its tasks were stolen by siblings, which is progress.
   if (health.worker_heartbeats.size() == health.worker_queue_depths.size() &&
       last_heartbeats_.size() == health.worker_heartbeats.size()) {

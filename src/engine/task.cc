@@ -331,19 +331,13 @@ bool Task::FlushBuffer(int buffer_idx, Channel* channel, bool force) {
   if (!force && static_cast<int>(buf.tuples.size()) < config_.batch_size) {
     return true;
   }
-  // BatchPool: prefer an empty shell the consumer handed back over the
+  // BatchPool: prefer an empty shell a consumer handed back over the
   // allocator. Steady state cycles the same shells (and their tuple /
-  // byte capacity) between producer and consumer forever.
+  // byte capacity) between producer and consumers forever. Consumers
+  // Reset() before recycling.
   JumboTuplePtr batch;
-  if (config_.recycle_batches && channel->TryPopRecycled(&batch)) {
+  if (TakeRecycledShell(channel, &batch)) {
     ++stats_.batches_recycled;
-    batch->Reset();  // consumer already Reset(); cheap belt-and-braces
-  } else if (channel->reuse_shells() &&
-             (batch = channel->TakeProducerShell()) != nullptr) {
-    // Ring-is-the-pool mode: the last push swapped the consumer's
-    // deposited shell out of the ring slot; reuse it here.
-    ++stats_.batches_recycled;
-    batch->Reset();
   } else {
     batch = std::make_unique<JumboTuple>();
   }
@@ -363,6 +357,18 @@ bool Task::FlushBuffer(int buffer_idx, Channel* channel, bool force) {
   env.batch = std::move(batch);
   ++stats_.batches_out;
   return PushEnvelope(std::move(env), channel);
+}
+
+bool Task::TakeRecycledShell(Channel* channel, JumboTuplePtr* batch) {
+  // Serializing configs never recycle (see Consume): skip the probes.
+  if (config_.serialize_tuples) return false;
+  if (channel->TryPopRecycled(batch)) return true;
+  for (const auto& route : routes_) {
+    for (Channel* other : route.channels) {
+      if (other != channel && other->TryPopRecycled(batch)) return true;
+    }
+  }
+  return false;
 }
 
 bool Task::FlushAll(bool force) {
@@ -438,16 +444,13 @@ void Task::Consume(Envelope env, Channel* from) {
   stats_.busy_ns += static_cast<uint64_t>(NowNs() - t0);
   stats_.tuples_in += n_in;
   ++stats_.batches_in;
-  if (config_.recycle_batches && from != nullptr) {
+  if (from != nullptr && !config_.serialize_tuples) {
     // Hand the drained shell back to the producer instead of freeing
     // it here (which, under NUMA, would free remote-socket memory).
+    // A serializing runtime allocates a fresh message per transfer;
+    // its shells are freed here instead.
     env.batch->Reset();
     from->Recycle(std::move(env.batch));
-  } else if (from != nullptr && from->reuse_shells()) {
-    // Unpooled mode with ring reuse: stage the shell so the next pop
-    // deposits it into the slot it vacates.
-    env.batch->Reset();
-    from->ReturnShell(std::move(env.batch));
   }
 }
 

@@ -276,6 +276,12 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   bool FlushBuffer(int buffer_idx, Channel* channel, bool force);
   bool FlushAll(bool force);
 
+  /// BatchPool lookup for a flush into `channel`: its own recycle queue
+  /// first, then those of this task's other output channels. This task
+  /// is the only popper of every one of them, so each stays SPSC, and
+  /// one channel's idle shells cover another's burst.
+  bool TakeRecycledShell(Channel* channel, JumboTuplePtr* batch);
+
   /// Delivers one envelope, honoring the bound back-pressure policy:
   /// legacy spins until space (bailing at stop_all); cooperative parks
   /// the envelope in `pending_` and returns false.

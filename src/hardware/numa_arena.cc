@@ -148,12 +148,6 @@ void NumaArena::Deallocate(void* p, size_t bytes) {
   in_use_ -= std::min(in_use_, cls);
 }
 
-void* NumaArena::AllocateShell(size_t bytes) { return Allocate(bytes); }
-
-void NumaArena::DeallocateShell(void* p, size_t bytes) {
-  Deallocate(p, bytes);
-}
-
 void* NumaArena::do_allocate(size_t bytes, size_t alignment) {
   if (alignment > alignof(std::max_align_t)) {
     // Over-aligned rings are not a case the engine produces; defer to

@@ -1,4 +1,4 @@
-// Per-socket hugepage-backed memory arena.
+// Per-socket hugepage-backed memory arena for channel rings.
 //
 // One NumaArena serves one *plan* socket. It reserves memory in big
 // mmap chunks (MAP_HUGETLB when the host grants it, otherwise a
@@ -9,22 +9,19 @@
 // migration are recycled by the next epoch's WireGraph instead of
 // growing the reservation.
 //
-// The arena is plugged in through two interfaces:
-//   - std::pmr::memory_resource: channel/SPSC ring slot storage
-//     (allocated on the consumer's socket by the runtime);
-//   - brisk::BatchArena: JumboTuple shells, installed thread-locally
-//     on each pool worker so producers allocate socket-local shells.
+// The arena is a std::pmr::memory_resource that backs the slot arrays
+// of every channel's SPSC rings, allocated on the consumer's socket by
+// the runtime. Batch shells do not come from here: they cycle through
+// each channel's BatchPool and are allocated only at warm-up.
 //
 // Thread safety: one mutex per arena. Allocation is not on the
-// steady-state hot path — BatchPool recycling and ring-shell reuse
-// mean shells are allocated at warm-up and recycled thereafter; rings
-// are allocated at (re)wire time only.
+// steady-state hot path — rings are allocated at (re)wire time only.
 //
 // Lifetime rules: an arena never returns memory to the OS before
 // destruction, so pointers into it stay valid for the runtime's whole
 // life. The runtime owns its ArenaSet and declares it before tasks and
 // channels, which makes the arenas the last thing destroyed — after
-// every ring buffer and every shell that could point into them.
+// every ring buffer that could point into them.
 #pragma once
 
 #include <atomic>
@@ -35,13 +32,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/batch_arena.h"
 #include "hardware/topology.h"
 
 namespace brisk::hw {
 
-class NumaArena final : public std::pmr::memory_resource,
-                        public brisk::BatchArena {
+/// Reservation granularity per mmap chunk: the x86-64 2 MiB huge page.
+inline constexpr size_t kArenaChunkBytes = size_t{2} << 20;
+
+class NumaArena final : public std::pmr::memory_resource {
  public:
   /// `numa_node` < 0 skips binding (emulated sockets on a single-node
   /// host); `chunk_bytes` is the reservation granularity, rounded up
@@ -61,12 +59,7 @@ class NumaArena final : public std::pmr::memory_resource,
   /// Outstanding (not yet freed) bytes, size-class rounded.
   size_t bytes_in_use() const;
 
-  // brisk::BatchArena (JumboTuple shells).
-  void* AllocateShell(size_t bytes) override;
-  void DeallocateShell(void* p, size_t bytes) override;
-
  protected:
-  // std::pmr::memory_resource (ring storage).
   void* do_allocate(size_t bytes, size_t alignment) override;
   void do_deallocate(void* p, size_t bytes, size_t alignment) override;
   bool do_is_equal(

@@ -152,11 +152,14 @@ TEST(SpscQueueTest, ConcurrentProducerConsumerTransfersEverything) {
 }
 
 TEST(SpscQueueTest, CapacityRoundsUpToPowerOfTwo) {
+  // A 128-slot ring with one slot kept empty: 2^k - 1 usable slots.
   SpscQueue<int> q(100);
-  EXPECT_GE(q.capacity(), 100u);
+  EXPECT_EQ(q.capacity(), 127u);
   size_t pushed = 0;
   while (q.TryPush(1) && pushed < 1000) ++pushed;
-  EXPECT_GE(pushed, 100u);
+  EXPECT_EQ(pushed, 127u);
+  // An exact power of two still rounds up: 128 requested gives 255.
+  EXPECT_EQ(SpscQueue<int>(128).capacity(), 255u);
 }
 
 }  // namespace

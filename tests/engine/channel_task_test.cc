@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "common/serde.h"
 #include "engine/channel.h"
 #include "engine/config.h"
 #include "engine/task.h"
@@ -128,12 +129,21 @@ class RoutingFixture : public ::testing::Test {
   }
 
   /// Pops every batch from channel `c` and returns the tuples,
-  /// recycling the drained shells like a consumer task would.
+  /// decoding serialized batches and recycling the drained shells
+  /// like a consumer task would.
   std::vector<Tuple> Drain(int c) {
     std::vector<Tuple> out;
     Envelope env;
     while (channels_[c]->TryPop(&env)) {
+      if (!env.batch->bytes.empty()) {
+        auto decoded = DeserializeBatch(env.batch->bytes, env.count);
+        EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+        if (decoded.ok()) {
+          for (auto& t : *decoded) out.push_back(t);
+        }
+      }
       for (auto& t : env.batch->tuples) out.push_back(t);
+      if (config_.serialize_tuples) continue;  // shell freed, not pooled
       env.batch->Reset();
       channels_[c]->Recycle(std::move(env.batch));
     }
@@ -219,10 +229,27 @@ TEST_F(RoutingFixture, FlushReusesRecycledBatchShells) {
   }
 }
 
+TEST_F(RoutingFixture, FlushBorrowsIdleShellsFromSiblingChannels) {
+  Wire(api::GroupingType::kShuffle, 2, /*batch_size=*/1);
+  task_->EmitTo(0, WordTuple("a"));  // -> consumer 0, allocated
+  task_->EmitTo(0, WordTuple("b"));  // -> consumer 1, allocated
+  EXPECT_EQ(Drain(0).size(), 1u);    // consumer 1 stays undrained
+  task_->EmitTo(0, WordTuple("c"));  // -> consumer 0, its own shell
+  EXPECT_EQ(Drain(0).size(), 1u);
+  // Consumer 1 has handed nothing back; the shell idling in consumer
+  // 0's pool serves its flush instead of the allocator.
+  task_->EmitTo(0, WordTuple("d"));  // -> consumer 1
+  EXPECT_EQ(task_->stats().batches_out, 4u);
+  EXPECT_EQ(task_->stats().batches_recycled, 2u);
+  EXPECT_EQ(Drain(1).size(), 2u);
+}
+
 TEST_F(RoutingFixture, RecyclingDisabledStillFlows) {
+  // A serializing runtime allocates a fresh message per transfer: its
+  // consumers free drained shells, so the producer never reuses one.
   config_ = EngineConfig::Brisk();
   config_.batch_size = 2;
-  config_.recycle_batches = false;
+  config_.serialize_tuples = true;
   task_ = std::make_unique<Task>(0, 0, config_, nullptr);
   OutRoute route;
   route.stream_id = 0;
@@ -231,8 +258,15 @@ TEST_F(RoutingFixture, RecyclingDisabledStillFlows) {
   route.channels.push_back(channels_.back().get());
   route.buffer_index.push_back(task_->AddBuffer());
   task_->AddOutRoute(std::move(route));
-  for (int i = 0; i < 6; ++i) task_->EmitTo(0, WordTuple("c"));
-  EXPECT_EQ(Drain(0).size(), 6u);
+  // Drain between flushes: a pooled config would reuse the shell from
+  // the second flush on.
+  size_t delivered = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 2; ++i) task_->EmitTo(0, WordTuple("c"));
+    delivered += Drain(0).size();
+  }
+  EXPECT_EQ(delivered, 6u);
+  EXPECT_EQ(task_->stats().batches_out, 3u);
   EXPECT_EQ(task_->stats().batches_recycled, 0u);  // pool bypassed
 }
 

@@ -80,6 +80,40 @@ TEST_F(EngineTest, StormLikeModeIsSlowerThanBrisk) {
   EXPECT_GT(brisk, storm);
 }
 
+TEST_F(EngineTest, PassByReferenceRecyclesShellsAndLegacyDoesNot) {
+  struct Shells {
+    uint64_t out = 0;
+    uint64_t recycled = 0;
+  };
+  auto RunMode = [&](EngineConfig cfg) -> Shells {
+    auto app = App(apps::AppId::kWordCount);
+    EXPECT_TRUE(app.ok());
+    auto plan = ExecutionPlan::CreateDefault(app->topology_ptr.get());
+    EXPECT_TRUE(plan.ok());
+    plan->PlaceAllOn(0);
+    auto rt = BriskRuntime::Create(app->topology_ptr.get(), *plan, cfg);
+    EXPECT_TRUE(rt.ok()) << rt.status();
+    auto stats = (*rt)->RunFor(0.3);
+    EXPECT_TRUE(stats.ok());
+    Shells s;
+    for (const TaskStats& t : stats->tasks) {
+      s.out += t.batches_out;
+      s.recycled += t.batches_recycled;
+    }
+    return s;
+  };
+  // Saturated Brisk run on the worker pool: after warm-up every flush
+  // reuses a shell the consumer handed back through the BatchPool.
+  const Shells brisk = RunMode(EngineConfig::Brisk());
+  ASSERT_GT(brisk.out, 1000u);
+  EXPECT_GE(static_cast<double>(brisk.recycled),
+            0.9 * static_cast<double>(brisk.out));
+  // The serializing legacy preset allocates a fresh batch per transfer.
+  const Shells storm = RunMode(EngineConfig::StormLike());
+  EXPECT_GT(storm.out, 0u);
+  EXPECT_EQ(storm.recycled, 0u);
+}
+
 TEST_F(EngineTest, RateLimitedSpoutApproximatesTargetRate) {
   auto app = App(apps::AppId::kFraudDetection);
   ASSERT_TRUE(app.ok());

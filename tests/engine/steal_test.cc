@@ -145,8 +145,7 @@ TEST(WorkStealingTest, IdleWorkerStealsBacklogExactlyOnce) {
     task->SetIdentity(/*op=*/0, /*replica=*/i, "count");
     task->SetBolt(
         std::make_unique<CountingSpinBolt>(&processed, /*spin_ns=*/20000));
-    channels.push_back(
-        std::make_unique<Channel>(i, i, kEnvelopes * 2, false));
+    channels.push_back(std::make_unique<Channel>(i, i, kEnvelopes * 2));
     task->AddInput(channels.back().get());
     tasks.push_back(std::move(task));
   }
@@ -216,7 +215,7 @@ TEST(WorkStealingTest, StealsOffKeepsTasksHome) {
     auto task = std::make_unique<Task>(i, 0, cfg, nullptr);
     task->SetIdentity(0, i, "count");
     task->SetBolt(std::make_unique<CountingSpinBolt>(&processed, 1000));
-    channels.push_back(std::make_unique<Channel>(i, i, 128, false));
+    channels.push_back(std::make_unique<Channel>(i, i, 128));
     task->AddInput(channels.back().get());
     tasks.push_back(std::move(task));
   }

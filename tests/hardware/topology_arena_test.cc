@@ -1,16 +1,12 @@
 // Host topology detection + NUMA arena allocation tests: cpulist
 // parsing, the detection fallback chain, size-class freelist reuse,
-// the pmr ring interface, and JumboTuple shell provenance (a shell
-// returns to the arena that produced it no matter which thread frees
-// it).
+// the pmr ring interface, and cross-thread frees.
 #include <cstring>
 #include <memory_resource>
 #include <thread>
 #include <vector>
 
-#include "common/batch_arena.h"
 #include "common/spsc_queue.h"
-#include "common/tuple.h"
 #include "gtest/gtest.h"
 #include "hardware/numa_arena.h"
 #include "hardware/topology.h"
@@ -52,7 +48,7 @@ TEST(DetectHostTopologyTest, AlwaysYieldsAUsableView) {
 TEST(NumaArenaTest, AllocateWriteFreeAndReuse) {
   NumaArena arena(/*socket=*/0, /*numa_node=*/-1,
                   /*chunk_bytes=*/256 * 1024);
-  void* a = arena.AllocateShell(200);
+  void* a = arena.allocate(200);
   ASSERT_NE(a, nullptr);
   std::memset(a, 0xAB, 200);  // must be writable
   const size_t in_use = arena.bytes_in_use();
@@ -61,21 +57,21 @@ TEST(NumaArenaTest, AllocateWriteFreeAndReuse) {
 
   // Freelist recycling: freeing and re-allocating the same size class
   // hands the same block back instead of growing the bump region.
-  arena.DeallocateShell(a, 200);
+  arena.deallocate(a, 200);
   EXPECT_LT(arena.bytes_in_use(), in_use);
-  void* b = arena.AllocateShell(180);  // same pow2 class as 200
+  void* b = arena.allocate(180);  // same pow2 class as 200
   EXPECT_EQ(a, b);
-  arena.DeallocateShell(b, 180);
+  arena.deallocate(b, 180);
 }
 
 TEST(NumaArenaTest, OversizedRequestGrowsTheChunk) {
   NumaArena arena(0, -1, /*chunk_bytes=*/64 * 1024);
   // Bigger than the configured chunk: the arena doubles the mapping
   // rather than failing.
-  void* p = arena.AllocateShell(512 * 1024);
+  void* p = arena.allocate(512 * 1024);
   ASSERT_NE(p, nullptr);
   std::memset(p, 1, 512 * 1024);
-  arena.DeallocateShell(p, 512 * 1024);
+  arena.deallocate(p, 512 * 1024);
 }
 
 TEST(NumaArenaTest, ServesPmrContainers) {
@@ -102,54 +98,19 @@ TEST(NumaArenaTest, SpscRingOnArenaStorage) {
   EXPECT_GT(arena.bytes_in_use(), 0u);
 }
 
-TEST(BatchArenaTest, ShellProvenanceRoutesDeleteToProducingArena) {
+TEST(NumaArenaTest, CrossThreadFreeReturnsToTheArena) {
   NumaArena arena(0, -1, 256 * 1024);
-  JumboTuple* shell = nullptr;
-  {
-    BatchArenaScope scope(&arena);
-    EXPECT_EQ(CurrentBatchArena(), &arena);
-    shell = new JumboTuple();
-    EXPECT_GT(arena.bytes_in_use(), 0u);
-  }
-  // Scope gone (no arena installed), but the provenance header still
-  // routes the free back to the producing arena.
-  EXPECT_EQ(CurrentBatchArena(), nullptr);
-  shell->tuples.emplace_back();
-  delete shell;
-  EXPECT_EQ(arena.bytes_in_use(), 0u);
-}
-
-TEST(BatchArenaTest, NoArenaInstalledFallsBackToGlobalAllocator) {
-  ASSERT_EQ(CurrentBatchArena(), nullptr);
-  JumboTuple* shell = new JumboTuple();
-  shell->tuples.emplace_back();
-  delete shell;  // null provenance header -> global delete, no crash
-}
-
-TEST(BatchArenaTest, CrossThreadFreeReturnsToProducer) {
-  NumaArena arena(0, -1, 256 * 1024);
-  JumboTuple* shell = nullptr;
-  std::thread producer([&] {
-    BatchArenaScope scope(&arena);
-    shell = new JumboTuple();
-  });
+  void* block = nullptr;
+  std::thread producer([&] { block = arena.allocate(256); });
   producer.join();
-  ASSERT_NE(shell, nullptr);
+  ASSERT_NE(block, nullptr);
   EXPECT_GT(arena.bytes_in_use(), 0u);
-  std::thread consumer([&] { delete shell; });
+  std::thread consumer([&] { arena.deallocate(block, 256); });
   consumer.join();
   EXPECT_EQ(arena.bytes_in_use(), 0u);
-}
-
-TEST(BatchArenaTest, ScopesNest) {
-  NumaArena outer(0, -1, 256 * 1024);
-  NumaArena inner(1, -1, 256 * 1024);
-  BatchArenaScope a(&outer);
-  {
-    BatchArenaScope b(&inner);
-    EXPECT_EQ(CurrentBatchArena(), &inner);
-  }
-  EXPECT_EQ(CurrentBatchArena(), &outer);
+  // The freed block is back on its size-class freelist.
+  EXPECT_EQ(arena.allocate(256), block);
+  arena.deallocate(block, 256);
 }
 
 TEST(ArenaSetTest, OneArenaPerPlanSocketGrownOnDemand) {
