@@ -1,7 +1,8 @@
 // Emit-path microbenchmark — the §5.2 jumbo-tuple hot path in
 // isolation: a producer task emitting word_count-style tuples through
-// shuffle/fields/broadcast routes into per-consumer jumbo-tuple
-// buffers, drained (and recycled) by the consumer side.
+// shuffle/fields/broadcast routes, and Linear Road position reports
+// (5 fields) through shuffle, into per-consumer jumbo-tuple buffers,
+// drained (and recycled) by the consumer side.
 //
 // Reports tuples/s, ns/tuple and — via an interposing counting
 // allocator compiled into this binary only — heap allocations per
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/linear_road.h"
 #include "bench_util.h"
 #include "engine/channel.h"
 #include "engine/config.h"
@@ -121,11 +123,13 @@ constexpr double kBaselineShuffleAllocsPerTuple = 2.125;
 /// One producer task, `consumers` channels under `grouping`, drained
 /// in the same thread every `consumers * batch` emits (interleaving
 /// producer and consumer measures the real per-tuple path without
-/// scheduler noise). The drain side hands empty batch shells back
-/// through the channel's return queue (the engine's BatchPool
-/// protocol), so steady state is allocation-free.
+/// scheduler noise). `make_tuple()` builds each emitted tuple. The
+/// drain side hands empty batch shells back through the channel's
+/// return queue (the engine's BatchPool protocol), so steady state is
+/// allocation-free.
+template <typename MakeTuple>
 EmitResult RunEmitBench(api::GroupingType grouping, int consumers, int batch,
-                        uint64_t rounds) {
+                        uint64_t rounds, MakeTuple make_tuple) {
   EngineConfig cfg = EngineConfig::Brisk();
   cfg.batch_size = batch;
   Task task(0, 0, cfg, nullptr);
@@ -141,18 +145,13 @@ EmitResult RunEmitBench(api::GroupingType grouping, int consumers, int batch,
   }
   task.AddOutRoute(std::move(route));
 
-  const std::vector<std::string> words = MakeWords(256);
   const uint64_t tuples_per_round =
       static_cast<uint64_t>(consumers) * static_cast<uint64_t>(batch);
   uint64_t consumed = 0;
-  size_t next_word = 0;
 
   auto emit_round = [&] {
     for (uint64_t i = 0; i < tuples_per_round; ++i) {
-      Tuple t;
-      t.fields.emplace_back(words[next_word]);
-      next_word = (next_word + 1) & 255;
-      task.EmitTo(0, std::move(t));
+      task.EmitTo(0, make_tuple());
     }
   };
   auto drain = [&] {
@@ -219,14 +218,37 @@ int Main(int argc, char** argv) {
   constexpr int kBatch = 64;
 
   bench::Banner("emit path",
-                "zero-allocation jumbo-tuple emit microbenchmark, WC");
+                "zero-allocation jumbo-tuple emit microbenchmark, WC + LR");
 
-  const EmitResult shuffle = RunEmitBench(api::GroupingType::kShuffle,
-                                          kConsumers, kBatch, rounds);
-  const EmitResult fields = RunEmitBench(api::GroupingType::kFields,
-                                         kConsumers, kBatch, rounds);
+  const std::vector<std::string> words = MakeWords(256);
+  size_t next_word = 0;
+  auto word_tuple = [&] {
+    Tuple t;
+    t.fields.emplace_back(words[next_word]);
+    next_word = (next_word + 1) & 255;
+    return t;
+  };
+  // Linear Road position report: [type, vehicle, segment, speed, lane],
+  // built the way LinearRoadSpout builds it.
+  uint64_t next_report = 0;
+  auto position_report = [&] {
+    const auto n = static_cast<int64_t>(next_report++);
+    Tuple t;
+    t.fields = {Field(apps::kLrPosition), Field(n % 20000), Field(n % 100),
+                Field(30.0 + static_cast<double>(n % 70)), Field(n % 4)};
+    return t;
+  };
+
+  const EmitResult shuffle = RunEmitBench(
+      api::GroupingType::kShuffle, kConsumers, kBatch, rounds, word_tuple);
+  const EmitResult fields = RunEmitBench(
+      api::GroupingType::kFields, kConsumers, kBatch, rounds, word_tuple);
   const EmitResult broadcast = RunEmitBench(api::GroupingType::kBroadcast,
-                                            kConsumers, kBatch, rounds / 4);
+                                            kConsumers, kBatch, rounds / 4,
+                                            word_tuple);
+  const EmitResult position = RunEmitBench(api::GroupingType::kShuffle,
+                                           kConsumers, kBatch, rounds,
+                                           position_report);
 
   const std::vector<int> widths = {16, 14, 10, 12};
   bench::PrintRule(widths);
@@ -248,6 +270,8 @@ int Main(int argc, char** argv) {
       fields.allocs_per_tuple);
   row("broadcast", broadcast.tuples_per_sec, broadcast.ns_per_tuple,
       broadcast.allocs_per_tuple);
+  row("position_report", position.tuples_per_sec, position.ns_per_tuple,
+      position.allocs_per_tuple);
   bench::PrintRule(widths);
   std::printf("speedup vs baseline (shuffle): %.2fx\n",
               shuffle.tuples_per_sec / kBaselineShuffleTps);
@@ -260,27 +284,32 @@ int Main(int argc, char** argv) {
   bench::JsonObj doc;
   doc.Add("bench", "emit_path")
       .Add("workload",
-           "word_count emit: 1 producer task, 4 consumer channels, batch 64")
+           "word_count emit (shuffle, fields, broadcast) and Linear Road "
+           "5-field position reports (shuffle): 1 producer task, "
+           "4 consumer channels, batch 64")
       .Add("quick", quick)
       .Add("baseline_shuffle", baseline)
       .Add("shuffle", ToJson(shuffle))
       .Add("fields", ToJson(fields))
       .Add("broadcast", ToJson(broadcast))
+      .Add("position_report", ToJson(position))
       .Add("speedup_vs_baseline",
            shuffle.tuples_per_sec / kBaselineShuffleTps);
   if (!bench::WriteJsonFile(out_path, doc)) return 1;
   std::printf("wrote %s\n", out_path.c_str());
 
   // CI gate: the emit path must not touch the allocator in steady
-  // state under any grouping. A single alloc per tuple (or per batch)
-  // is a regression of the whole point of this data plane.
+  // state under any grouping or bundled-app arity. A single alloc per
+  // tuple (or per batch) is a regression of the whole point of this
+  // data plane.
   if (shuffle.allocs_per_tuple != 0.0 || fields.allocs_per_tuple != 0.0 ||
-      broadcast.allocs_per_tuple != 0.0) {
+      broadcast.allocs_per_tuple != 0.0 || position.allocs_per_tuple != 0.0) {
     std::fprintf(stderr,
                  "FAIL: steady-state allocs/tuple nonzero "
-                 "(shuffle %.4f, fields %.4f, broadcast %.4f)\n",
+                 "(shuffle %.4f, fields %.4f, broadcast %.4f, "
+                 "position_report %.4f)\n",
                  shuffle.allocs_per_tuple, fields.allocs_per_tuple,
-                 broadcast.allocs_per_tuple);
+                 broadcast.allocs_per_tuple, position.allocs_per_tuple);
     return 1;
   }
   return 0;

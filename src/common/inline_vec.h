@@ -5,12 +5,15 @@
 // small arities, so constructing/moving a tuple touches no allocator.
 // Beyond `InlineCap` elements the storage spills to one heap block and
 // behaves like a normal vector (correct, just no longer allocation-
-// free) — apps with wide tuples keep working unchanged.
+// free) — apps with wide tuples keep working unchanged. Size and
+// capacity are 32-bit, so the bookkeeping after the inline slots is
+// one pointer plus 8 bytes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -22,6 +25,8 @@ class InlineVec {
   static_assert(InlineCap > 0, "inline capacity must be nonzero");
   static_assert(alignof(T) <= alignof(std::max_align_t),
                 "spill storage uses plain operator new");
+  static_assert(InlineCap <= std::numeric_limits<uint32_t>::max(),
+                "capacity is stored as uint32_t");
 
  public:
   using value_type = T;
@@ -160,7 +165,7 @@ class InlineVec {
   }
 
   void Grow(size_t needed) {
-    size_t new_cap = cap_ * 2;
+    size_t new_cap = size_t{cap_} * 2;
     if (new_cap < needed) new_cap = needed;
     T* heap = static_cast<T*>(::operator new(new_cap * sizeof(T)));
     for (size_t i = 0; i < size_; ++i) {
@@ -169,13 +174,13 @@ class InlineVec {
     }
     if (on_heap()) ::operator delete(data_);
     data_ = heap;
-    cap_ = new_cap;
+    cap_ = static_cast<uint32_t>(new_cap);
   }
 
   alignas(T) unsigned char inline_storage_[InlineCap * sizeof(T)];
   T* data_;
-  size_t size_ = 0;
-  size_t cap_ = InlineCap;
+  uint32_t size_ = 0;
+  uint32_t cap_ = InlineCap;
 };
 
 }  // namespace brisk

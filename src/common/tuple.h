@@ -7,11 +7,12 @@
 // costs a single queue insertion and one header.
 //
 // The layout is built for zero steady-state allocation on the emit
-// path: a Field is a 32-byte tagged union with small-string
+// path: a Field is a 24-byte tagged value with small-string
 // optimization (strings up to Field::kInlineStringCap chars live
-// inside the field), and a Tuple keeps up to kInlineTupleFields fields
-// inline (spilling to the heap only beyond that). Constructing, moving
-// and routing a typical word_count/fraud tuple therefore touches no
+// inside the field), and a Tuple keeps up to kInlineTupleFields (5)
+// fields inline (spilling to the heap only beyond that). Constructing,
+// copying, moving and routing any tuple the bundled apps emit, Linear
+// Road's 5-field position reports included, therefore touches no
 // allocator.
 #pragma once
 
@@ -32,14 +33,20 @@ namespace brisk {
 /// short keys like words or account ids). The discriminator follows
 /// the old std::variant<int64_t, double, std::string> order, so
 /// index() values and the wire codec are unchanged.
+///
+/// Layout (24 bytes): `bytes_` holds the int64, the double, up to
+/// kInlineStringCap inline chars, or a heap string's {pointer, size};
+/// the kind tag and the inline length sit in the two bytes after it,
+/// which would otherwise be tail padding. Values are read and written
+/// with memcpy, never through a union member.
 class Field {
  public:
   /// Longest string stored inline (no heap). Covers every word_count
   /// word and fraud/LR key; full sentences spill to one heap block.
   static constexpr size_t kInlineStringCap = 22;
 
-  Field() noexcept { payload_.i = 0; }
-  Field(double v) noexcept : kind_(Kind::kDouble) { payload_.d = v; }
+  Field() noexcept { Store<int64_t>(0, 0); }
+  Field(double v) noexcept : kind_(Kind::kDouble) { Store(0, v); }
   /// Any integer or (unscoped) enum type maps to the int64 alternative
   /// (a plain `Field(int64_t)` overload would be ambiguous against
   /// double for literal ints and enums, which the old variant resolved
@@ -48,7 +55,7 @@ class Field {
             std::enable_if_t<std::is_integral_v<I> || std::is_enum_v<I>,
                              int> = 0>
   Field(I v) noexcept {
-    payload_.i = static_cast<int64_t>(v);
+    Store(0, static_cast<int64_t>(v));
   }
   Field(std::string_view s) { InitString(s); }
   Field(const std::string& s) { InitString(s); }
@@ -81,28 +88,33 @@ class Field {
   /// Typed accessors. Unchecked: reading the wrong alternative is a
   /// programming error (the old std::get threw; the hot path cannot
   /// afford the branch).
-  int64_t AsInt() const { return payload_.i; }
-  double AsDouble() const { return payload_.d; }
+  int64_t AsInt() const { return Load<int64_t>(0); }
+  double AsDouble() const { return Load<double>(0); }
   std::string_view AsString() const {
     return small_len_ == kHeapMark
-               ? std::string_view(payload_.heap.data, payload_.heap.size)
-               : std::string_view(payload_.small, small_len_);
+               ? std::string_view(Load<const char*>(kHeapData),
+                                  Load<uint64_t>(kHeapSize))
+               : std::string_view(bytes_, small_len_);
   }
 
  private:
   enum class Kind : uint8_t { kInt = 0, kDouble = 1, kString = 2 };
   static constexpr uint8_t kHeapMark = 0xFF;
+  /// Offsets of a spilled string's {pointer, size} inside bytes_.
+  static constexpr size_t kHeapData = 0;
+  static constexpr size_t kHeapSize = sizeof(char*);
+  static_assert(kHeapSize + sizeof(uint64_t) <= kInlineStringCap);
 
-  struct HeapStr {
-    char* data;
-    uint64_t size;
-  };
-  union Payload {
-    int64_t i;
-    double d;
-    char small[kInlineStringCap];
-    HeapStr heap;
-  };
+  template <typename T>
+  T Load(size_t offset) const noexcept {
+    T v;
+    std::memcpy(&v, bytes_ + offset, sizeof(T));
+    return v;
+  }
+  template <typename T>
+  void Store(size_t offset, T v) noexcept {
+    std::memcpy(bytes_ + offset, &v, sizeof(T));
+  }
 
   bool OwnsHeap() const {
     return kind_ == Kind::kString && small_len_ == kHeapMark;
@@ -112,52 +124,55 @@ class Field {
     kind_ = Kind::kString;
     if (s.size() <= kInlineStringCap) {
       small_len_ = static_cast<uint8_t>(s.size());
-      if (!s.empty()) std::memcpy(payload_.small, s.data(), s.size());
+      if (!s.empty()) std::memcpy(bytes_, s.data(), s.size());
     } else {
       char* block = static_cast<char*>(::operator new(s.size()));
       // Mark heap ownership only once the allocation succeeded, so a
       // throwing `operator new` cannot leave a dangling heap mark.
       small_len_ = kHeapMark;
-      payload_.heap.data = block;
-      payload_.heap.size = s.size();
+      Store(kHeapData, block);
+      Store(kHeapSize, static_cast<uint64_t>(s.size()));
       std::memcpy(block, s.data(), s.size());
     }
+  }
+
+  /// Copies o's bytes and tag verbatim (scalars and inline strings).
+  void CopyBits(const Field& o) noexcept {
+    std::memcpy(bytes_, o.bytes_, sizeof(bytes_));
+    kind_ = o.kind_;
+    small_len_ = o.small_len_;
   }
 
   void CopyFrom(const Field& o) {
     if (o.OwnsHeap()) {
       InitString(o.AsString());
     } else {
-      payload_ = o.payload_;
-      kind_ = o.kind_;
-      small_len_ = o.small_len_;
+      CopyBits(o);
     }
   }
 
   /// Moves o's value in; o is left holding an empty inline string (or
   /// its scalar, which moving cannot invalidate).
   void TakeFrom(Field& o) noexcept {
-    payload_ = o.payload_;
-    kind_ = o.kind_;
-    small_len_ = o.small_len_;
+    CopyBits(o);
     if (o.OwnsHeap()) o.small_len_ = 0;
   }
 
   void Release() noexcept {
     if (OwnsHeap()) {
-      ::operator delete(payload_.heap.data);
+      ::operator delete(Load<char*>(kHeapData));
       // Drop the heap mark so a throw between Release() and the next
       // init (assignment paths) cannot leave a dangling owner.
       small_len_ = 0;
     }
   }
 
-  Payload payload_;
+  alignas(8) char bytes_[kInlineStringCap];
   Kind kind_ = Kind::kInt;
   uint8_t small_len_ = 0;
 };
 
-static_assert(sizeof(Field) == 32, "Field layout regressed");
+static_assert(sizeof(Field) == 24, "Field layout regressed");
 
 /// Returns the logical payload contribution of one field in bytes —
 /// the model's per-tuple N. Independent of the in-memory layout (an
@@ -166,9 +181,9 @@ static_assert(sizeof(Field) == 32, "Field layout regressed");
 /// changes.
 size_t FieldSizeBytes(const Field& f);
 
-/// Inline field slots per tuple; all bundled apps fit except Linear
-/// Road position reports (5 fields), which pay one spill block.
-inline constexpr size_t kInlineTupleFields = 4;
+/// Inline field slots per tuple; every tuple the bundled apps emit
+/// fits, up to Linear Road's 5-field position reports.
+inline constexpr size_t kInlineTupleFields = 5;
 
 /// A single stream tuple: a small inline vector of fields plus
 /// provenance metadata used for latency accounting. Moving a Tuple
@@ -194,6 +209,10 @@ struct Tuple {
   /// Approximate serialized/in-memory size (the model's N).
   size_t SizeBytes() const;
 };
+
+// Five inline 24-byte fields, InlineVec's pointer and 32-bit size and
+// capacity, and the metadata fit in 152 bytes.
+static_assert(sizeof(Tuple) <= 152, "Tuple layout regressed");
 
 /// A batch of tuples sharing one header, from one producer to one
 /// consumer (§5.2). The engine moves JumboTuples through SPSC queues;

@@ -260,6 +260,38 @@ TEST(LinearRoadTest, DispatcherRoutesByType) {
   EXPECT_EQ(out.stream(2).size(), 1u);  // daily
 }
 
+// Every Linear Road tuple, the 5-field position reports included,
+// fits a Tuple's inline field slots: neither the spout nor the
+// dispatcher's forwarding copies touch the allocator for fields.
+TEST(LinearRoadTest, SpoutAndDispatcherTuplesStayInline) {
+  LinearRoadParams params;
+  params.balance_fraction = 0.1;  // enough of every event kind
+  params.daily_fraction = 0.1;
+  LinearRoadSpout spout(params);
+  ASSERT_TRUE(spout.Prepare(api::OperatorContext{}).ok());
+  CaptureCollector raw;
+  ASSERT_EQ(spout.NextBatch(500, &raw), 500u);
+
+  LrDispatcher dispatcher;
+  api::OperatorContext ctx;
+  ctx.operator_name = "dispatcher";
+  ctx.output_streams = {"default", "balance_stream", "daily_exp_request"};
+  ASSERT_TRUE(dispatcher.Prepare(ctx).ok());
+  CaptureCollector routed;
+  for (const Tuple& t : raw.stream(0)) {
+    EXPECT_FALSE(t.fields.on_heap()) << t.fields.size() << " fields";
+    dispatcher.Process(t, &routed);
+  }
+  ASSERT_EQ(routed.total(), 500u);
+  for (uint16_t s = 0; s < 3; ++s) {
+    EXPECT_FALSE(routed.stream(s).empty()) << "stream " << s;
+    for (const Tuple& t : routed.stream(s)) {
+      EXPECT_FALSE(t.fields.on_heap())
+          << "stream " << s << ": " << t.fields.size() << " fields";
+    }
+  }
+}
+
 TEST(LinearRoadTest, AccidentDetectNeedsFourConsecutiveStops) {
   LrAccidentDetect detect;
   CaptureCollector out;

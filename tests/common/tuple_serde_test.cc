@@ -1,6 +1,9 @@
 // Tests for tuple representation, hashing, and the legacy-mode codec.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/serde.h"
 #include "common/tuple.h"
 
@@ -41,7 +44,7 @@ TEST(TupleTest, FieldSizeBytesPerType) {
 }
 
 TEST(FieldTest, SmallStringsStayInline) {
-  // Strings up to the inline cap live inside the 32-byte Field; the
+  // Strings up to the inline cap live inside the 24-byte Field; the
   // whole word_count/fraud key space must qualify.
   const std::string at_cap(Field::kInlineStringCap, 'w');
   Field f(at_cap);
@@ -71,6 +74,58 @@ TEST(FieldTest, LongStringsSpillAndRoundTrip) {
   EXPECT_TRUE(copy.AsString().empty());
 }
 
+// Every alternative, at both ends of the inline-string range and
+// beyond it, survives each special member with its index() and value.
+TEST(FieldTest, LayoutKeepsKindAndValueThroughCopyAndMove) {
+  const std::string at_cap(Field::kInlineStringCap, 'c');
+  const std::string heap(Field::kInlineStringCap + 1, 'h');
+  const std::vector<Field> samples = {Field(int64_t{-1234567890123}),
+                                      Field(-2.5), Field(""), Field(at_cap),
+                                      Field(heap)};
+  auto expect_same = [](const Field& got, const Field& want) {
+    ASSERT_EQ(got.index(), want.index());
+    switch (want.index()) {
+      case 0:
+        EXPECT_EQ(got.AsInt(), want.AsInt());
+        break;
+      case 1:
+        EXPECT_EQ(got.AsDouble(), want.AsDouble());
+        break;
+      case 2:
+        EXPECT_EQ(got.AsString(), want.AsString());
+        break;
+    }
+  };
+  for (size_t i = 0; i < samples.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "sample " << i);
+    const Field& want = samples[i];
+    const Field copied(want);
+    expect_same(copied, want);
+
+    Field source(want);
+    const Field moved(std::move(source));
+    expect_same(moved, want);
+
+    Field copy_assigned(heap);  // frees its own heap string first
+    copy_assigned = want;
+    expect_same(copy_assigned, want);
+
+    Field move_source(want);
+    Field move_assigned(heap);
+    move_assigned = std::move(move_source);
+    expect_same(move_assigned, want);
+
+    Field self(want);
+    Field& alias = self;
+    self = alias;
+    expect_same(self, want);
+    self = std::move(alias);
+    expect_same(self, want);
+  }
+  EXPECT_EQ(samples[3].AsString().size(), Field::kInlineStringCap);
+  EXPECT_EQ(samples[4].AsString().size(), Field::kInlineStringCap + 1);
+}
+
 TEST(FieldTest, VariantCompatibleIndexOrder) {
   EXPECT_EQ(Field(int64_t{3}).index(), 0u);
   EXPECT_EQ(Field(3.0).index(), 1u);
@@ -79,13 +134,18 @@ TEST(FieldTest, VariantCompatibleIndexOrder) {
   EXPECT_EQ(Field().AsInt(), 0);
 }
 
-TEST(TupleTest, FieldsStayInlineUpToFourAndSpillBeyond) {
+TEST(TupleTest, FieldsStayInlineUpToFiveAndSpillBeyond) {
   Tuple t;
-  for (int i = 0; i < 4; ++i) t.fields.emplace_back(int64_t{i});
-  EXPECT_FALSE(t.fields.on_heap());
-  t.fields.emplace_back(int64_t{4});  // LR position-report arity
+  for (int i = 0; i < 5; ++i) t.fields.emplace_back(int64_t{i});
+  EXPECT_FALSE(t.fields.on_heap());  // LR position-report arity fits
+  // Copies of a full inline tuple stay inline too (LrDispatcher
+  // forwards its input by copy).
+  const Tuple copy = t;
+  EXPECT_FALSE(copy.fields.on_heap());
+  t.fields.emplace_back(int64_t{5});
   EXPECT_TRUE(t.fields.on_heap());
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(t.GetInt(i), i);
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(t.GetInt(i), i);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(copy.GetInt(i), i);
 }
 
 TEST(TupleTest, MovingATupleMovesFieldsWithoutCopying) {
@@ -103,10 +163,11 @@ TEST(TupleTest, SizeBytesIsLayoutIndependent) {
   // spilled field storage, all report identical logical sizes.
   const std::string short_key(10, 'k');
   EXPECT_EQ(FieldSizeBytes(Field(short_key)), 10u + sizeof(uint32_t));
-  Tuple wide;  // 5 fields: spilled field storage
-  for (int i = 0; i < 5; ++i) wide.fields.emplace_back(int64_t{i});
+  Tuple wide;  // 6 fields: spilled field storage
+  for (int i = 0; i < 6; ++i) wide.fields.emplace_back(int64_t{i});
+  ASSERT_TRUE(wide.fields.on_heap());
   EXPECT_EQ(wide.SizeBytes(),
-            sizeof(int64_t) + sizeof(uint16_t) + 5 * sizeof(int64_t));
+            sizeof(int64_t) + sizeof(uint16_t) + 6 * sizeof(int64_t));
 }
 
 TEST(TupleTest, HashFieldStableAndTypeSensitive) {

@@ -24,6 +24,7 @@
 #include "engine/runtime.h"
 #include "engine/supervisor.h"
 #include "model/execution_plan.h"
+#include "sanitizer_pacing.h"
 
 namespace brisk::engine {
 namespace {
@@ -62,7 +63,7 @@ Rig MakeWcRig(std::vector<int> replication, EngineConfig config,
 EngineConfig BaseConfig() {
   EngineConfig config;
   config.batch_size = 16;
-  config.spout_rate_tps = 30000;
+  config.spout_rate_tps = SanitizerPacedRate(30000);
   config.seed = 11;
   config.drain_timeout_s = 0.3;  // faulty graphs never drain; stay fast
   return config;

@@ -184,8 +184,13 @@ void CheckInvariants(const WcRun& run, const RunStats& stats,
 }
 
 TEST(MigrationTest, MoveRepinsWithoutLoss) {
+  WordCountParams params;
+  // Bounded so the run ends in a deliberate idle gap (below). At the
+  // paced 30k tps the source needs at least 500 ms for its sentences,
+  // so both migrations still land mid-stream.
+  params.max_sentences = 15000;
   WcRun run = MakeWcRun({1, 1, 2, 2, 1}, TestConfig(ExecutorKind::kWorkerPool),
-                        WordCountParams{});
+                        params);
   ASSERT_TRUE(run.rt->Start().ok());
   SleepMs(150);
   // Executor counters observed live, before any migration: a
@@ -197,7 +202,19 @@ TEST(MigrationTest, MoveRepinsWithoutLoss) {
   SleepMs(150);
   run.Migrate(Move(run.plan, kCounter, 0, 1));
   EXPECT_EQ(run.rt->epoch(), 2);
-  SleepMs(150);
+  // Idle gap before Stop(): let the bounded source run dry and every
+  // word land, then keep the drained job running until a worker has
+  // parked. Whether the paced stream alone leaves gaps idle enough to
+  // park in depends on host load; a drained job parks on any host.
+  const uint64_t expected = 15000 * 10;
+  for (int i = 0; i < 200 && run.telemetry->count() < expected; ++i) {
+    SleepMs(50);
+  }
+  EXPECT_EQ(run.telemetry->count(), expected);
+  for (int i = 0; i < 200 && run.rt->SnapshotStats().executor.parks == 0;
+       ++i) {
+    SleepMs(10);
+  }
   RunStats stats = run.rt->Stop();
   EXPECT_EQ(stats.migrations, 2);
   // Counters survive the migrations: the final cumulative report is
@@ -208,9 +225,8 @@ TEST(MigrationTest, MoveRepinsWithoutLoss) {
   EXPECT_GE(stats.executor.steals_cross, before.steals_cross);
   EXPECT_GE(stats.executor.steal_failures, before.steal_failures);
   EXPECT_GE(stats.executor.repatriations, before.repatriations);
-  // The paced 30k tps stream leaves idle gaps in every epoch; a
-  // zeroed park count after two executor teardowns would mean the
-  // accumulation dropped history.
+  // The idle gap above parked a worker; a zeroed park count after two
+  // executor teardowns would mean the accumulation dropped history.
   EXPECT_GT(stats.executor.parks, 0u);
   CheckInvariants(run, stats, 10);
 }

@@ -40,6 +40,7 @@
 #include "engine/runtime.h"
 #include "engine/supervisor.h"
 #include "model/execution_plan.h"
+#include "sanitizer_pacing.h"
 
 namespace brisk::engine {
 namespace {
@@ -98,7 +99,7 @@ EngineConfig RecoveryConfig(ExecutorKind executor) {
   EngineConfig config;
   config.executor = executor;
   config.batch_size = 16;
-  config.spout_rate_tps = 30000;
+  config.spout_rate_tps = SanitizerPacedRate(30000);
   config.seed = 23;
   config.drain_timeout_s = 2.0;
   return config;

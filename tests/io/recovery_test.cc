@@ -28,6 +28,7 @@
 #include "engine/supervisor.h"
 #include "io/codec.h"
 #include "model/execution_plan.h"
+#include "sanitizer_pacing.h"
 
 namespace brisk::io {
 namespace {
@@ -113,7 +114,7 @@ EngineConfig FileRecoveryConfig(ExecutorKind executor) {
   EngineConfig config;
   config.executor = executor;
   config.batch_size = 16;
-  config.spout_rate_tps = 30000;
+  config.spout_rate_tps = SanitizerPacedRate(30000);
   config.drain_timeout_s = 2.0;
   return config;
 }
