@@ -2,7 +2,7 @@
 // stall the pipeline? The protocol is pause-and-migrate (quiesce at a
 // batch boundary, residual sweep, rebuild, resume), so the pause is
 // the price of zero tuple loss — this bench measures it end-to-end on
-// a live word_count under each executor, for pure moves, replication
+// a live word_count on the worker pool, for pure moves, replication
 // growth (keyed-state re-partitioning included), and shrinkage.
 //
 //   $ ./bench/bench_migration [--out BENCH_migration.json]
@@ -41,10 +41,10 @@ double Ms(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double, std::milli>(d).count();
 }
 
-/// Runs WC under `executor`, applies `rounds` alternating migrations
-/// (move splitter, grow counter, shrink counter), and reports the
-/// ApplyMigration wall time plus the end-of-run conservation audit.
-PauseStats MeasurePauses(engine::ExecutorKind executor, int rounds) {
+/// Runs WC, applies `rounds` alternating migrations (move splitter,
+/// grow counter, shrink counter), and reports the ApplyMigration wall
+/// time plus the end-of-run conservation audit.
+PauseStats MeasurePauses(int rounds) {
   auto telemetry = std::make_shared<SinkTelemetry>();
   apps::WordCountParams params;
   auto topo_or = apps::BuildWordCountDsl(telemetry, params);
@@ -56,7 +56,6 @@ PauseStats MeasurePauses(engine::ExecutorKind executor, int rounds) {
   for (int i = 0; i < plan.num_instances(); ++i) plan.SetSocket(i, i % 2);
 
   engine::EngineConfig config;
-  config.executor = executor;
   config.spout_rate_tps = 50000;
   config.seed = 0xbe9c;
   auto rt_or = engine::BriskRuntime::Create(&topo, plan, config);
@@ -125,41 +124,29 @@ int main(int argc, char** argv) {
                 "live pause-and-migrate cost (quiesce -> rebuild -> resume)");
 
   constexpr int kRounds = 15;
-  const PauseStats pool =
-      MeasurePauses(engine::ExecutorKind::kWorkerPool, kRounds);
-  const PauseStats tpt =
-      MeasurePauses(engine::ExecutorKind::kThreadPerTask, kRounds);
+  const PauseStats pool = MeasurePauses(kRounds);
 
-  bench::PrintRule({18, 12, 12, 12, 12});
-  bench::PrintRow({"executor", "migrations", "mean ms", "max ms", "exact"},
-                  {18, 12, 12, 12, 12});
-  bench::PrintRule({18, 12, 12, 12, 12});
-  auto row = [](const char* name, const PauseStats& s) {
-    bench::PrintRow({name, std::to_string(s.migrations),
-                     std::to_string(s.mean_ms), std::to_string(s.max_ms),
-                     s.conserved ? "yes" : "NO"},
-                    {18, 12, 12, 12, 12});
-  };
-  row("worker-pool", pool);
-  row("thread-per-task", tpt);
-  bench::PrintRule({18, 12, 12, 12, 12});
+  const std::vector<int> widths = {12, 12, 12, 12};
+  bench::PrintRule(widths);
+  bench::PrintRow({"migrations", "mean ms", "max ms", "exact"}, widths);
+  bench::PrintRule(widths);
+  bench::PrintRow({std::to_string(pool.migrations),
+                   std::to_string(pool.mean_ms), std::to_string(pool.max_ms),
+                   pool.conserved ? "yes" : "NO"},
+                  widths);
+  bench::PrintRule(widths);
 
-  bench::JsonObj pool_json, tpt_json, root;
+  bench::JsonObj pool_json, root;
   pool_json.Add("migrations", pool.migrations)
       .Add("pause_mean_ms", pool.mean_ms)
       .Add("pause_max_ms", pool.max_ms)
       .Add("tuples_conserved", pool.conserved);
-  tpt_json.Add("migrations", tpt.migrations)
-      .Add("pause_mean_ms", tpt.mean_ms)
-      .Add("pause_max_ms", tpt.max_ms)
-      .Add("tuples_conserved", tpt.conserved);
   root.Add("experiment", "migration")
       .Add("rounds", kRounds)
-      .Add("worker_pool", pool_json)
-      .Add("thread_per_task", tpt_json);
+      .Add("worker_pool", pool_json);
   bench::WriteJsonFile(out_path, root);
 
   // Zero-loss is the bench's gate too: a migration that drops tuples
   // is not a faster migration.
-  return (pool.conserved && tpt.conserved) ? 0 : 1;
+  return pool.conserved ? 0 : 1;
 }

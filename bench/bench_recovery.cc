@@ -4,7 +4,7 @@
 //   - Checkpoint pause vs interval: a supervised word_count runs with
 //     periodic snapshots; the pause is the same quiesce a migration
 //     pays (stop at a batch boundary, drain, sweep), plus the state
-//     copy. Reported per checkpoint interval, per executor.
+//     copy. Reported per checkpoint interval.
 //   - Recovery latency: a counter replica is crashed mid-run; the
 //     watchdog detects it, restores the last checkpoint, rewinds the
 //     source, and the job finishes its bounded stream. Reported as
@@ -76,9 +76,8 @@ Rig MakeRig(engine::EngineConfig config, apps::WordCountParams params) {
   return rig;
 }
 
-engine::EngineConfig BaseConfig(engine::ExecutorKind executor) {
+engine::EngineConfig BaseConfig() {
   engine::EngineConfig config;
-  config.executor = executor;
   config.spout_rate_tps = 40000;
   config.seed = 0xfa17;
   config.drain_timeout_s = 2.0;
@@ -125,9 +124,8 @@ struct CheckpointPoint {
 };
 
 /// Supervised steady-state run: periodic checkpoints, no faults.
-CheckpointPoint MeasureCheckpointPause(engine::ExecutorKind executor,
-                                       double interval_s, double run_s) {
-  Rig rig = MakeRig(BaseConfig(executor), apps::WordCountParams{});
+CheckpointPoint MeasureCheckpointPause(double interval_s, double run_s) {
+  Rig rig = MakeRig(BaseConfig(), apps::WordCountParams{});
   BRISK_CHECK(rig.rt->Start().ok());
   engine::SupervisorOptions opts;
   opts.heartbeat_interval_s = 0.02;
@@ -164,11 +162,11 @@ struct RecoveryPoint {
 
 /// Crash one counter replica mid-stream, recover, finish the bounded
 /// run, audit conservation.
-RecoveryPoint MeasureRecovery(engine::ExecutorKind executor) {
+RecoveryPoint MeasureRecovery() {
   apps::WordCountParams params;
   params.max_sentences = 20000;
   const uint64_t expected = params.max_sentences * params.words_per_sentence;
-  engine::EngineConfig config = BaseConfig(executor);
+  engine::EngineConfig config = BaseConfig();
   config.faults.Crash(kCounter, 0, /*after_tuples=*/40000);
   Rig rig = MakeRig(config, params);
   BRISK_CHECK(rig.rt->Start().ok());
@@ -239,76 +237,57 @@ int main(int argc, char** argv) {
   const std::vector<double> intervals =
       quick ? std::vector<double>{0.1} : std::vector<double>{0.05, 0.1, 0.25};
   const double run_s = quick ? 0.8 : 1.5;
-  const std::vector<std::pair<const char*, engine::ExecutorKind>> executors =
-      {{"worker-pool", engine::ExecutorKind::kWorkerPool},
-       {"thread-per-task", engine::ExecutorKind::kThreadPerTask}};
 
-  bench::PrintRule({18, 14, 12, 14, 12});
-  bench::PrintRow(
-      {"executor", "interval ms", "snapshots", "pause ms", "entries"},
-      {18, 14, 12, 14, 12});
-  bench::PrintRule({18, 14, 12, 14, 12});
-  std::map<std::string, std::vector<CheckpointPoint>> pauses;
-  for (const auto& [name, kind] : executors) {
-    for (const double interval : intervals) {
-      CheckpointPoint p = MeasureCheckpointPause(kind, interval, run_s);
-      pauses[name].push_back(p);
-      bench::PrintRow({name, std::to_string(interval * 1000),
-                       std::to_string(p.checkpoints),
-                       std::to_string(p.pause_mean_ms),
-                       std::to_string(p.entries)},
-                      {18, 14, 12, 14, 12});
-    }
-  }
-  bench::PrintRule({18, 14, 12, 14, 12});
-
-  bench::PrintRule({18, 12, 12, 12, 14, 10});
-  bench::PrintRow({"executor", "detect ms", "restore ms", "replayed",
-                   "resumed tps", "exact"},
-                  {18, 12, 12, 12, 14, 10});
-  bench::PrintRule({18, 12, 12, 12, 14, 10});
-  std::map<std::string, RecoveryPoint> recoveries;
-  bool all_conserved = true;
-  for (const auto& [name, kind] : executors) {
-    RecoveryPoint p = MeasureRecovery(kind);
-    recoveries[name] = p;
-    all_conserved = all_conserved && p.conserved;
-    bench::PrintRow({name, std::to_string(p.detect_ms),
-                     std::to_string(p.restore_ms), std::to_string(p.replayed),
-                     std::to_string(p.resumed_tps),
-                     p.conserved ? "yes" : "NO"},
-                    {18, 12, 12, 12, 14, 10});
-  }
-  bench::PrintRule({18, 12, 12, 12, 14, 10});
-
+  const std::vector<int> pause_widths = {14, 12, 14, 12};
+  bench::PrintRule(pause_widths);
+  bench::PrintRow({"interval ms", "snapshots", "pause ms", "entries"},
+                  pause_widths);
+  bench::PrintRule(pause_widths);
   bench::JsonObj root;
   root.Add("experiment", "recovery").Add("quick", quick);
-  for (const auto& [name, points] : pauses) {
-    for (const CheckpointPoint& p : points) {
-      bench::JsonObj obj;
-      obj.Add("executor", name)
-          .Add("interval_ms", p.interval_s * 1000)
-          .Add("checkpoints", p.checkpoints)
-          .Add("pause_mean_ms", p.pause_mean_ms)
-          .Add("state_entries", static_cast<double>(p.entries));
-      root.Add("checkpoint_" + std::string(name) + "_" +
-                   std::to_string(static_cast<int>(p.interval_s * 1000)) +
-                   "ms",
-               obj);
-    }
-  }
-  for (const auto& [name, p] : recoveries) {
+  for (const double interval : intervals) {
+    const CheckpointPoint p = MeasureCheckpointPause(interval, run_s);
+    bench::PrintRow({std::to_string(interval * 1000),
+                     std::to_string(p.checkpoints),
+                     std::to_string(p.pause_mean_ms),
+                     std::to_string(p.entries)},
+                    pause_widths);
     bench::JsonObj obj;
-    obj.Add("detect_ms", p.detect_ms)
-        .Add("restore_ms", p.restore_ms)
-        .Add("replayed_tuples", static_cast<double>(p.replayed))
-        .Add("resumed_sink_tps", p.resumed_tps)
-        .Add("tuples_conserved", p.conserved);
-    root.Add("recovery_" + std::string(name), obj);
+    obj.Add("interval_ms", p.interval_s * 1000)
+        .Add("checkpoints", p.checkpoints)
+        .Add("pause_mean_ms", p.pause_mean_ms)
+        .Add("state_entries", static_cast<double>(p.entries));
+    root.Add("checkpoint_" +
+                 std::to_string(static_cast<int>(p.interval_s * 1000)) +
+                 "ms",
+             obj);
   }
+  bench::PrintRule(pause_widths);
+
+  const std::vector<int> recovery_widths = {12, 12, 12, 14, 10};
+  bench::PrintRule(recovery_widths);
+  bench::PrintRow(
+      {"detect ms", "restore ms", "replayed", "resumed tps", "exact"},
+      recovery_widths);
+  bench::PrintRule(recovery_widths);
+  const RecoveryPoint rec = MeasureRecovery();
+  bench::PrintRow({std::to_string(rec.detect_ms),
+                   std::to_string(rec.restore_ms),
+                   std::to_string(rec.replayed),
+                   std::to_string(rec.resumed_tps),
+                   rec.conserved ? "yes" : "NO"},
+                  recovery_widths);
+  bench::PrintRule(recovery_widths);
+  bench::JsonObj rec_json;
+  rec_json.Add("detect_ms", rec.detect_ms)
+      .Add("restore_ms", rec.restore_ms)
+      .Add("replayed_tuples", static_cast<double>(rec.replayed))
+      .Add("resumed_sink_tps", rec.resumed_tps)
+      .Add("tuples_conserved", rec.conserved);
+  root.Add("recovery", rec_json);
   bench::WriteJsonFile(out_path, root);
 
   // Zero-loss is the gate: a fast recovery that lost tuples is not a
   // recovery.
-  return all_conserved ? 0 : 1;
+  return rec.conserved ? 0 : 1;
 }

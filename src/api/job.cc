@@ -36,10 +36,8 @@ std::string JobReport::ToString() const {
   os << "\n";
   if (stats.duration_s > 0.0) {
     os << "ran " << stats.duration_s << " s on " << stats.tasks.size()
-       << " tasks (" << stats.executor.threads << " "
-       << (stats.executor.worker_groups > 0 ? "pool workers"
-                                            : "task threads")
-       << "): " << sink_tuples << " tuples at the sink ("
+       << " tasks (" << stats.executor.threads
+       << " pool workers): " << sink_tuples << " tuples at the sink ("
        << sink_throughput_tps() << " tuples/s), p99 latency "
        << sink_latency_ns.Percentile(0.99) / 1e6 << " ms\n";
     const uint64_t vec = vectorized_tuples();
@@ -107,11 +105,6 @@ Job& Job::WithMachine(hw::MachineSpec machine) {
 
 Job& Job::WithConfig(engine::EngineConfig config) {
   config_ = config;
-  return *this;
-}
-
-Job& Job::WithExecutor(engine::ExecutorKind executor) {
-  config_.executor = executor;
   return *this;
 }
 

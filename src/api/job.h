@@ -149,10 +149,6 @@ class Job {
   /// emulation, ingress rate. Default: EngineConfig::Brisk().
   Job& WithConfig(engine::EngineConfig config);
 
-  /// Execution model on top of the current config: the socket-aware
-  /// worker pool (default) or legacy thread-per-task.
-  Job& WithExecutor(engine::ExecutorKind executor);
-
   Job& WithPlanner(Planner planner);
 
   /// RLAS search knobs (replica ceiling, placement options). The

@@ -29,7 +29,7 @@ class CountingSink : public api::Operator {
 
 /// The parser keep-predicate: a tuple is valid unless its first field
 /// is an empty string. One source of truth for ValidatingParser and
-/// the DSL twins' Filter("parser", ...) stages.
+/// the DSL programs' Filter("parser", ...) stages.
 inline bool ParserKeeps(const Tuple& t) {
   return t.fields.empty() || !t.fields[0].is_string() ||
          !t.fields[0].AsString().empty();

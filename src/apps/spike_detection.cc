@@ -1,6 +1,7 @@
 #include "apps/spike_detection.h"
 
 #include <algorithm>
+#include <deque>
 
 #include "api/dsl.h"
 
@@ -54,104 +55,10 @@ size_t SensorSpout::NextBatch(size_t max_tuples, api::OutputCollector* out) {
   return max_tuples;
 }
 
-void MovingAverage::Process(const Tuple& in, api::OutputCollector* out) {
-  const int64_t device = in.GetInt(0);
-  const double reading = in.GetDouble(1);
-  WindowState& w = windows_[device];
-  w.values.push_back(reading);
-  w.sum += reading;
-  if (static_cast<int>(w.values.size()) > params_.window) {
-    w.sum -= w.values.front();
-    w.values.pop_front();
-  }
-  Tuple t;
-  t.fields.emplace_back(device);
-  t.fields.emplace_back(reading);
-  t.fields.emplace_back(w.sum / static_cast<double>(w.values.size()));
-  t.origin_ts_ns = in.origin_ts_ns;
-  out->Emit(std::move(t));
-}
-
-std::vector<api::KeyedStateEntry> MovingAverage::ExportKeyedState() {
-  std::vector<api::KeyedStateEntry> out;
-  out.reserve(windows_.size());
-  for (auto& [device, window] : windows_) {
-    out.push_back({Field(device),
-                   std::make_shared<WindowState>(std::move(window))});
-  }
-  windows_.clear();
-  return out;
-}
-
-void MovingAverage::ImportKeyedState(
-    std::vector<api::KeyedStateEntry> entries) {
-  for (auto& e : entries) {
-    windows_[e.key.AsInt()] =
-        std::move(*std::static_pointer_cast<WindowState>(e.state));
-  }
-}
-
-std::vector<api::CheckpointEntry> MovingAverage::SnapshotKeyedState() {
-  std::vector<api::CheckpointEntry> out;
-  out.reserve(windows_.size());
-  for (const auto& [device, window] : windows_) {
-    Tuple state;
-    state.fields.reserve(window.values.size() + 1);
-    state.fields.emplace_back(window.sum);
-    for (const double v : window.values) state.fields.emplace_back(v);
-    out.push_back({Field(device), std::move(state)});
-  }
-  return out;
-}
-
-void MovingAverage::RestoreKeyedState(
-    std::vector<api::CheckpointEntry> entries) {
-  for (auto& e : entries) {
-    WindowState w;
-    w.sum = e.state.fields[0].AsDouble();
-    for (size_t i = 1; i < e.state.fields.size(); ++i) {
-      w.values.push_back(e.state.fields[i].AsDouble());
-    }
-    windows_[e.key.AsInt()] = std::move(w);
-  }
-}
-
-void SpikeDetector::Process(const Tuple& in, api::OutputCollector* out) {
-  const double reading = in.GetDouble(1);
-  const double avg = in.GetDouble(2);
-  const bool spike = avg > 0 && reading > params_.spike_threshold * avg;
-  if (spike) ++spikes_;
-  // Signal per input tuple regardless of detection (Appendix B).
-  Tuple t;
-  t.fields.emplace_back(in.GetInt(0));
-  t.fields.emplace_back(static_cast<int64_t>(spike ? 1 : 0));
-  t.origin_ts_ns = in.origin_ts_ns;
-  out->Emit(std::move(t));
-}
-
-StatusOr<api::Topology> BuildSpikeDetection(
-    std::shared_ptr<SinkTelemetry> sink, SpikeDetectionParams params) {
-  api::TopologyBuilder b("spike-detection");
-  b.AddSpout("spout",
-             [params] { return std::make_unique<SensorSpout>(params); });
-  b.AddBolt("parser", [] { return std::make_unique<ValidatingParser>(); })
-      .ShuffleFrom("spout");
-  b.AddBolt("moving_avg", [params] {
-     return std::make_unique<MovingAverage>(params);
-   }).FieldsFrom("parser", 0);
-  b.AddBolt("spike_detect", [params] {
-     return std::make_unique<SpikeDetector>(params);
-   }).ShuffleFrom("moving_avg");
-  b.AddBolt("sink", [sink] { return std::make_unique<CountingSink>(sink); })
-      .ShuffleFrom("spike_detect");
-  return std::move(b).Build();
-}
-
 StatusOr<api::Topology> BuildSpikeDetectionDsl(
     std::shared_ptr<SinkTelemetry> sink, SpikeDetectionParams params,
     dsl::SinkFn tap) {
-  // Per-device sliding window, one per key, replica-local (the DSL's
-  // Aggregate twin of MovingAverage::WindowState).
+  // Per-device sliding window, one per key, replica-local.
   struct Window {
     std::deque<double> values;
     double sum = 0.0;

@@ -5,9 +5,7 @@
 // signal per input tuple regardless (Appendix B: selectivity one).
 #pragma once
 
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "api/dsl.h"
@@ -55,54 +53,11 @@ class SensorSpout : public api::Spout {
   uint64_t produced_ = 0;  ///< readings emitted (max_readings cap)
 };
 
-/// Per-device sliding-window mean; emits (device, reading, avg).
-/// Implements the keyed-state hand-off hooks so windows survive live
-/// re-partitioning across replication changes.
-class MovingAverage : public api::Operator {
- public:
-  explicit MovingAverage(SpikeDetectionParams params) : params_(params) {}
-
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-  std::vector<api::KeyedStateEntry> ExportKeyedState() override;
-  void ImportKeyedState(std::vector<api::KeyedStateEntry> entries) override;
-  /// Checkpoint hooks. The window serializes as [sum, v0..vn] — the
-  /// running sum is stored, not recomputed, so a restored window is
-  /// bit-exact (floating-point summation order preserved).
-  std::vector<api::CheckpointEntry> SnapshotKeyedState() override;
-  void RestoreKeyedState(std::vector<api::CheckpointEntry> entries) override;
-
- private:
-  struct WindowState {
-    std::deque<double> values;
-    double sum = 0.0;
-  };
-  SpikeDetectionParams params_;
-  std::unordered_map<int64_t, WindowState> windows_;
-};
-
-/// Flags readings that exceed `spike_threshold` x window average.
-class SpikeDetector : public api::Operator {
- public:
-  explicit SpikeDetector(SpikeDetectionParams params) : params_(params) {}
-
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-
-  uint64_t spikes() const { return spikes_; }
-
- private:
-  SpikeDetectionParams params_;
-  uint64_t spikes_ = 0;
-};
-
-/// Builds SD with the Storm-compatible TopologyBuilder. Kept as the
-/// low-level-API reference; tests assert BuildSpikeDetectionDsl lowers
-/// to this exact structure.
-StatusOr<api::Topology> BuildSpikeDetection(
-    std::shared_ptr<SinkTelemetry> sink, SpikeDetectionParams params = {});
-
-/// The same SD dataflow as a dsl::Pipeline program (what MakeApp now
-/// uses): Source → Filter(parser) → KeyBy(device).Aggregate(moving_avg)
-/// → FlatMap(spike_detect) → Sink.
+/// The SD dataflow as a dsl::Pipeline program (what MakeApp uses):
+/// Source → Filter(parser) → KeyBy(device).Aggregate(moving_avg) →
+/// FlatMap(spike_detect) → Sink. moving_avg emits (device, reading,
+/// window mean) per reading; spike_detect emits (device, 0|1) per
+/// input, 1 when the reading exceeds `spike_threshold` × the mean.
 ///
 /// `tap`, when set, additionally receives every tuple the sink sees
 /// ((device, spike-flag) pairs); copied per sink replica — shared

@@ -10,9 +10,9 @@ namespace brisk::apps {
 
 namespace {
 
-/// The splitter body as a kernel expand function, shared by the WC
-/// twins, the drifting variant, and the Storm-layer kernel
-/// declaration: one word tuple per whitespace-separated token.
+/// The splitter body as a kernel expand function, shared by the WC,
+/// file-fed and drifting programs: one word tuple per
+/// whitespace-separated token.
 void SplitSentenceKernel(const Tuple& in, api::RowEmitter& out) {
   const std::string_view sentence = in.GetString(0);
   for (size_t start = 0; start < sentence.size();) {
@@ -109,91 +109,6 @@ bool SentenceSpout::Rewind(const api::SourcePosition& to) {
   }
   produced_ = position;
   return true;
-}
-
-void Splitter::Process(const Tuple& in, api::OutputCollector* out) {
-  const std::string_view sentence = in.GetString(0);
-  size_t start = 0;
-  while (start < sentence.size()) {
-    size_t end = sentence.find(' ', start);
-    if (end == std::string_view::npos) end = sentence.size();
-    if (end > start) {
-      Tuple t;
-      t.fields.emplace_back(sentence.substr(start, end - start));
-      t.origin_ts_ns = in.origin_ts_ns;
-      out->Emit(std::move(t));
-    }
-    start = end + 1;
-  }
-}
-
-void WordCounter::Process(const Tuple& in, api::OutputCollector* out) {
-  const std::string_view word = in.GetString(0);
-  // Word keys are short (SSO) — the only steady-state allocations here
-  // are map nodes for first-seen words.
-  const int64_t count = ++counts_[std::string(word)];
-  Tuple t;
-  t.fields.emplace_back(word);
-  t.fields.emplace_back(count);
-  t.origin_ts_ns = in.origin_ts_ns;
-  out->Emit(std::move(t));
-}
-
-std::vector<api::KeyedStateEntry> WordCounter::ExportKeyedState() {
-  std::vector<api::KeyedStateEntry> out;
-  out.reserve(counts_.size());
-  for (auto& [word, count] : counts_) {
-    out.push_back({Field(word), std::make_shared<int64_t>(count)});
-  }
-  counts_.clear();
-  return out;
-}
-
-void WordCounter::ImportKeyedState(std::vector<api::KeyedStateEntry> entries) {
-  for (auto& e : entries) {
-    counts_[std::string(e.key.AsString())] +=
-        *std::static_pointer_cast<int64_t>(e.state);
-  }
-}
-
-std::vector<api::CheckpointEntry> WordCounter::SnapshotKeyedState() {
-  std::vector<api::CheckpointEntry> out;
-  out.reserve(counts_.size());
-  for (const auto& [word, count] : counts_) {
-    Tuple state;
-    state.fields.emplace_back(count);
-    out.push_back({Field(word), std::move(state)});
-  }
-  return out;
-}
-
-void WordCounter::RestoreKeyedState(
-    std::vector<api::CheckpointEntry> entries) {
-  for (auto& e : entries) {
-    counts_[std::string(e.key.AsString())] = e.state.fields[0].AsInt();
-  }
-}
-
-StatusOr<api::Topology> BuildWordCount(std::shared_ptr<SinkTelemetry> sink,
-                                       WordCountParams params) {
-  api::TopologyBuilder b("word-count");
-  b.AddSpout("spout", [params] { return std::make_unique<SentenceSpout>(params); });
-  // The kernel declarations mirror the bolts' behavior exactly, so the
-  // fusion pass can lower a parser+splitter chain to one compiled
-  // pipeline; the factories stay authoritative when unfused.
-  b.AddBolt("parser", [] { return std::make_unique<ValidatingParser>(); })
-      .ShuffleFrom("spout")
-      .WithKernels({api::FilterOf(ParserKeeps, 1.0, "parser")});
-  b.AddBolt("splitter", [] { return std::make_unique<Splitter>(); })
-      .ShuffleFrom("parser")
-      .WithKernels({api::FlatMapOf(
-          SplitSentenceKernel,
-          static_cast<double>(params.words_per_sentence), "splitter")});
-  b.AddBolt("counter", [] { return std::make_unique<WordCounter>(); })
-      .FieldsFrom("splitter", 0);
-  b.AddBolt("sink", [sink] { return std::make_unique<CountingSink>(sink); })
-      .ShuffleFrom("counter");
-  return std::move(b).Build();
 }
 
 StatusOr<api::Topology> BuildWordCountDsl(std::shared_ptr<SinkTelemetry> sink,

@@ -6,7 +6,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "api/dsl.h"
@@ -59,40 +58,9 @@ class SentenceSpout : public api::Spout {
   uint64_t produced_ = 0;  ///< sentences emitted (max_sentences cap)
 };
 
-/// Splits each sentence into words; emits one tuple per word.
-class Splitter : public api::Operator {
- public:
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-};
-
-/// Stateful word counter: hashmap word -> occurrences, emits
-/// (word, count) per input word (§2.2). Implements the keyed-state
-/// hand-off hooks so counts survive live re-partitioning when a plan
-/// migration changes the counter's replication.
-class WordCounter : public api::Operator {
- public:
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-  std::vector<api::KeyedStateEntry> ExportKeyedState() override;
-  void ImportKeyedState(std::vector<api::KeyedStateEntry> entries) override;
-  /// Checkpoint hooks: non-destructive (the job keeps running on the
-  /// same state after the snapshot), serializable counts.
-  std::vector<api::CheckpointEntry> SnapshotKeyedState() override;
-  void RestoreKeyedState(std::vector<api::CheckpointEntry> entries) override;
-
- private:
-  std::unordered_map<std::string, int64_t> counts_;
-};
-
-/// Builds the WC topology with the Storm-compatible TopologyBuilder,
-/// wired to the given telemetry. Kept as the low-level-API reference:
-/// tests assert BuildWordCountDsl lowers to this exact structure.
-StatusOr<api::Topology> BuildWordCount(std::shared_ptr<SinkTelemetry> sink,
-                                       WordCountParams params = {});
-
-/// The same WC dataflow as a dsl::Pipeline program (what MakeApp now
-/// uses): Source → Filter(parser) → FlatMap(splitter) →
-/// KeyBy(word).Aggregate(counter) → Sink. Lowers to a Topology
-/// structurally identical to BuildWordCount's.
+/// The WC dataflow as a dsl::Pipeline program (what MakeApp uses):
+/// Source → Filter(parser) → FlatMap(splitter) →
+/// KeyBy(word).Aggregate(counter) → Sink.
 ///
 /// `tap`, when set, additionally receives every tuple the sink sees
 /// ((word, count) pairs) — the hook the differential/migration tests

@@ -87,7 +87,8 @@ class Channel {
   /// The refs are per task *instance*, not per worker: the executor
   /// repoints them when a steal migrates the endpoint task, so wake
   /// hints keep finding whichever worker currently runs it.
-  /// Thread-per-task mode leaves both null and pays one branch.
+  /// Unwired channels (standalone tests, the post-join residual sweep)
+  /// hold null and pay one branch.
   void SetWakers(WakerRef* consumer, WakerRef* producer) {
     consumer_waker_ = consumer;
     producer_waker_ = producer;

@@ -5,7 +5,9 @@
 // work*, the overheads distributed DSPSs pay per tuple — serialization,
 // duplicated per-tuple headers and temporary objects, extra condition
 // checking — which is how the Fig. 6/8/16 comparisons are reproduced on
-// one machine.
+// one machine. Every mode runs on the same socket-aware worker pool
+// (engine/executor.h) with cooperative back-pressure; the presets
+// differ in batching, data-plane cost and stealing.
 #pragma once
 
 #include <algorithm>
@@ -17,7 +19,7 @@
 namespace brisk::engine {
 
 /// Spout token-bucket burst capacity, shared by the real engine
-/// (Task::RunSpout) and the simulator so the model never drifts from
+/// (Task::PollSpout) and the simulator so the model never drifts from
 /// the runtime it predicts: enough headroom to recover the budget
 /// accrued across a scheduler stall (tens of ms on a loaded host),
 /// never less than a few batches.
@@ -27,23 +29,6 @@ inline constexpr double kSpoutBurstHeadroomSec = 0.1;
 inline double SpoutBurstCap(int batch_size, double rate_tps) {
   return std::max(kSpoutBurstBatches * batch_size,
                   kSpoutBurstHeadroomSec * rate_tps);
-}
-
-/// How placed instances are executed:
-///   kWorkerPool    — one worker group per plan socket (sized from the
-///                    machine's cores-per-socket, capped by the host),
-///                    cooperatively round-robining Task::Poll quanta so
-///                    replication ≫ cores never oversubscribes the OS
-///                    scheduler. This is the native mode.
-///   kThreadPerTask — the legacy model: one dedicated OS thread per
-///                    instance, spinning on back-pressure. Kept for A/B
-///                    benching (bench_executor) and as the behavioral
-///                    reference.
-enum class ExecutorKind { kThreadPerTask, kWorkerPool };
-
-inline const char* ExecutorKindName(ExecutorKind kind) {
-  return kind == ExecutorKind::kWorkerPool ? "worker-pool"
-                                           : "thread-per-task";
 }
 
 struct EngineConfig {
@@ -100,10 +85,7 @@ struct EngineConfig {
   /// workload-parameter defaults).
   uint64_t seed = 0;
 
-  /// Execution model (see ExecutorKind).
-  ExecutorKind executor = ExecutorKind::kWorkerPool;
-
-  /// Worker threads per socket group in kWorkerPool mode. 0 derives it
+  /// Worker threads per socket group of the pool executor. 0 derives it
   /// from the deployed MachineSpec's cores-per-socket, capped by the
   /// host's real core count split across the plan's sockets (so an
   /// emulated 8-socket plan on a laptop never spawns 144 workers).
@@ -121,8 +103,6 @@ struct EngineConfig {
   /// after production — with deep rings a single core otherwise
   /// accumulates megabytes of queued tuples and pays a capacity miss
   /// per batch. Clamped to queue_capacity; <= 0 disables the cap.
-  /// (Thread-per-task mode ignores it: parking is what makes a short
-  /// effective queue cheap, and legacy spinning would burn cores.)
   int pool_inflight_batches = 16;
 
   /// Morsel-style work stealing between pool workers: a worker whose

@@ -84,60 +84,6 @@ int WorkersPerSocketFor(const EngineConfig& config,
 namespace {
 
 // ---------------------------------------------------------------------------
-// Thread-per-task (legacy).
-// ---------------------------------------------------------------------------
-
-class ThreadPerTaskExecutor final : public Executor {
- public:
-  ThreadPerTaskExecutor(const EngineConfig& config, StopSignals* signals,
-                        std::vector<Task*> tasks,
-                        const hw::MachineSpec* machine)
-      : config_(config),
-        signals_(signals),
-        tasks_(std::move(tasks)),
-        machine_(machine) {}
-
-  Status Start() override {
-    threads_.reserve(tasks_.size());
-    const int host_cores = HostCores();
-    const int cps = machine_ != nullptr ? machine_->cores_per_socket() : 0;
-    // Slot of each instance within its plan socket, in instance order,
-    // so co-located replicas spread over that socket's cores instead of
-    // all landing on `socket × cores_per_socket`.
-    std::map<int, int> next_slot;
-    for (Task* task : tasks_) {
-      threads_.emplace_back(
-          [task, signals = signals_] { task->Run(signals); });
-      if (config_.pin_threads) {
-        const int slot = next_slot[task->socket()]++;
-        PinThreadToCpu(threads_.back(),
-                       PinCpuForSocketSlot(task->socket(), slot, cps,
-                                           host_cores));
-      }
-    }
-    return Status::OK();
-  }
-
-  void Join() override {
-    for (auto& t : threads_) t.join();
-    threads_.clear();
-  }
-
-  ExecutorStats stats() const override {
-    ExecutorStats s;
-    s.threads = static_cast<int>(tasks_.size());
-    return s;
-  }
-
- private:
-  EngineConfig config_;
-  StopSignals* signals_;
-  std::vector<Task*> tasks_;
-  const hw::MachineSpec* machine_;
-  std::vector<std::thread> threads_;
-};
-
-// ---------------------------------------------------------------------------
 // Socket-aware worker pool with morsel-style work stealing.
 //
 // Every worker owns a bounded StealDeque; a task is always in exactly
@@ -607,14 +553,10 @@ std::unique_ptr<Executor> MakeExecutor(const EngineConfig& config,
                                        std::vector<Channel*> channels,
                                        const hw::MachineSpec* machine,
                                        const hw::HostTopology* host) {
-  if (config.executor == ExecutorKind::kWorkerPool) {
-    return std::make_unique<WorkerPoolExecutor>(config, signals,
-                                                std::move(tasks),
-                                                std::move(channels),
-                                                machine, host);
-  }
-  return std::make_unique<ThreadPerTaskExecutor>(config, signals,
-                                                 std::move(tasks), machine);
+  return std::make_unique<WorkerPoolExecutor>(config, signals,
+                                              std::move(tasks),
+                                              std::move(channels), machine,
+                                              host);
 }
 
 }  // namespace brisk::engine

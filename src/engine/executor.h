@@ -1,15 +1,14 @@
-// Executors: how a placed plan's tasks get CPU time.
+// Executor: how a placed plan's tasks get CPU time.
 //
-// ThreadPerTaskExecutor is the legacy model — one dedicated OS thread
-// per instance. WorkerPoolExecutor is the native model: one worker
-// group per plan socket (sized from the machine's cores-per-socket,
-// capped by the host), each worker owning a bounded run-queue deque of
-// Task::Poll quanta with morsel-style work stealing between workers
-// (intra-socket first, cross-socket as a last resort), a
-// spin→yield→park wait strategy, and Waker hints from the channels —
-// so RLAS placement is honored at execution time as an affinity, and
-// replication ≫ cores no longer collapses into OS scheduler thrash or
-// onto the slowest socket group under skew.
+// The worker pool is the only executor: one worker group per plan
+// socket (sized from the machine's cores-per-socket, capped by the
+// host), each worker owning a bounded run-queue deque of Task::Poll
+// quanta with morsel-style work stealing between workers (intra-socket
+// first, cross-socket as a last resort), a spin→yield→park wait
+// strategy, and Waker hints from the channels — so RLAS placement is
+// honored at execution time as an affinity, and replication ≫ cores
+// collapses neither into OS scheduler thrash nor onto the slowest
+// socket group under skew.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +32,7 @@ namespace brisk::engine {
 /// Aggregate executor-side counters for one run.
 struct ExecutorStats {
   int threads = 0;        ///< OS threads the executor spawned
-  int worker_groups = 0;  ///< socket groups (0 for thread-per-task)
+  int worker_groups = 0;  ///< socket groups (one per plan socket)
   uint64_t parks = 0;     ///< times an idle worker parked on its Waker
   uint64_t wakes = 0;     ///< parks ended by a Notify (vs timeout)
   uint64_t steals_intra = 0;  ///< tasks taken from same-socket siblings
@@ -42,7 +41,7 @@ struct ExecutorStats {
   uint64_t repatriations = 0;  ///< idle migrants sent back home
 
   /// Per-worker run-queue depth at the time of the stats() call (the
-  /// supervisor's view of scheduler load; empty for thread-per-task).
+  /// supervisor's view of scheduler load).
   /// A snapshot, not a counter: AccumulateCounters keeps the live
   /// epoch's shape.
   std::vector<size_t> queue_depths;
@@ -77,6 +76,8 @@ int PinCpuForSocketSlot(int socket, int slot, int cores_per_socket,
 int WorkersPerSocketFor(const EngineConfig& config,
                         const hw::MachineSpec* machine, int sockets_used);
 
+/// The seam that keeps the pool's steal-deque internals out of
+/// runtime.h; MakeExecutor builds the only implementation.
 class Executor {
  public:
   virtual ~Executor() = default;
@@ -85,8 +86,8 @@ class Executor {
   virtual Status Start() = 0;
 
   /// Wakes every parked worker so a freshly flipped stop signal is
-  /// observed promptly. No-op for thread-per-task.
-  virtual void NotifyAll() {}
+  /// observed promptly.
+  virtual void NotifyAll() = 0;
 
   /// Joins all threads; requires StopSignals::stop_all set.
   virtual void Join() = 0;
@@ -96,22 +97,20 @@ class Executor {
   /// One monotonically increasing counter per worker thread, bumped on
   /// every scheduling pass — the supervisor's liveness signal: a
   /// counter that stops advancing while the worker's tasks hold
-  /// backlog means the worker (not the workload) is stuck. Executors
-  /// without a central loop (thread-per-task) return empty; liveness
-  /// then falls back to per-task progress counters.
-  virtual std::vector<uint64_t> Heartbeats() const { return {}; }
+  /// backlog means the worker (not the workload) is stuck.
+  virtual std::vector<uint64_t> Heartbeats() const = 0;
 
-  /// Per-worker run-queue depths, racy snapshot (pool mode only).
-  /// Paired with Heartbeats(): a frozen heartbeat while the same
-  /// worker's depth stays > 0 is a stuck worker, not an idle one.
-  virtual std::vector<size_t> QueueDepths() const { return {}; }
+  /// Per-worker run-queue depths, racy snapshot. Paired with
+  /// Heartbeats(): a frozen heartbeat while the same worker's depth
+  /// stays > 0 is a stuck worker, not an idle one.
+  virtual std::vector<size_t> QueueDepths() const = 0;
 };
 
-/// Builds the executor selected by `config.executor`. `machine` (the
-/// deployed MachineSpec, nullable) supplies cores-per-socket for
-/// pinning and worker sizing; `channels` get Waker hints wired in pool
-/// mode; `host` (nullable) is the detected host topology for
-/// node-aware pinning. All pointers must outlive the executor.
+/// Builds the worker pool. `machine` (the deployed MachineSpec,
+/// nullable) supplies cores-per-socket for pinning and worker sizing;
+/// `channels` get their Waker hints wired; `host` (nullable) is the
+/// detected host topology for node-aware pinning. All pointers must
+/// outlive the executor.
 std::unique_ptr<Executor> MakeExecutor(const EngineConfig& config,
                                        StopSignals* signals,
                                        std::vector<Task*> tasks,

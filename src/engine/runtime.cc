@@ -166,11 +166,10 @@ Status BriskRuntime::StartExecutor() {
   signals_.stop_spouts.store(false);
   signals_.preserve_inflight.store(false);
 
-  const bool cooperative = config_.executor == ExecutorKind::kWorkerPool;
   std::vector<Task*> task_ptrs;
   task_ptrs.reserve(tasks_.size());
   for (auto& task : tasks_) {
-    task->Bind(&signals_, cooperative);
+    task->Bind(&signals_);
     task_ptrs.push_back(task.get());
   }
   std::vector<Channel*> channel_ptrs;
@@ -253,14 +252,12 @@ bool BriskRuntime::QuiesceAndJoin(double* drain_seconds,
                          std::chrono::steady_clock::now() - drain_start)
                          .count();
   }
-  // Preserve mode must flip on only now, between the drain and the
-  // halt: during the drain the legacy executor still needs real
-  // (spinning) back-pressure, or producers would park unboundedly
-  // instead of being throttled. Publication order is a contract with
-  // Task::PushEnvelope — preserve_inflight stores strictly before
-  // stop_all (both seq_cst), and readers check stop_all (acquire)
-  // first, so no thread can observe the halt without the preserve
-  // mode that governs it.
+  // Preserve mode governs only the drop decision at the halt, so it
+  // flips on here, between the drain and the halt. Publication order
+  // is a contract with Task::PushEnvelope — preserve_inflight stores
+  // strictly before stop_all (both seq_cst), and readers check
+  // stop_all (acquire) first, so no thread can observe the halt
+  // without the preserve mode that governs it.
   if (preserve_inflight) signals_.preserve_inflight.store(true);
   JoinExecutorAndFold();
   return drained;

@@ -1,5 +1,5 @@
 // BriskRuntime: instantiates a placed execution plan into tasks +
-// channels, executes them (worker pool or thread-per-task), reports
+// channels, executes them on the socket-aware worker pool, reports
 // run statistics — and, closing the paper's §5.3 loop, applies live
 // plan migrations (ApplyMigration) produced by the dynamic
 // re-optimizer without dropping or duplicating a tuple.
@@ -88,11 +88,11 @@ struct HealthReport {
   /// engine is down until Restore() revives it.
   bool dead = false;
   std::vector<TaskHealth> tasks;
-  /// Per-worker scheduling-pass counters (empty for thread-per-task).
+  /// Per-worker scheduling-pass counters.
   std::vector<uint64_t> worker_heartbeats;
   /// Per-worker run-queue depths, sampled with the heartbeats: a
   /// frozen heartbeat is only a stuck *worker* if that worker still
-  /// holds queued tasks (empty for thread-per-task).
+  /// holds queued tasks.
   std::vector<size_t> worker_queue_depths;
 };
 
@@ -120,9 +120,8 @@ class BriskRuntime {
   BriskRuntime(const BriskRuntime&) = delete;
   BriskRuntime& operator=(const BriskRuntime&) = delete;
 
-  /// Stands up the configured executor (EngineConfig::executor): a
-  /// socket-aware worker pool honoring the plan's placement, or one
-  /// thread per task. Idempotent-error: fails if running.
+  /// Stands up the socket-aware worker pool honoring the plan's
+  /// placement. Idempotent-error: fails if running.
   Status Start();
 
   /// Stops the engine and returns run statistics. With graceful_drain,
@@ -157,8 +156,8 @@ class BriskRuntime {
   ///   5. re-partition — exported keyed state is re-bucketed with the
   ///      fields-grouping hash over the new replica count and imported
   ///      into its new owners;
-  ///   6. resume — a fresh executor (same ExecutorKind) starts, with
-  ///      thread pinning derived from the *new* socket assignment.
+  ///   6. resume — a fresh worker pool starts, with thread pinning
+  ///      derived from the *new* socket assignment.
   ///
   /// Step validation happens before the pause, so a rejected
   /// migration leaves the job running undisturbed. Fails if the

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/serde.h"
-#include "engine/spin.h"
 
 namespace brisk::engine {
 
@@ -63,9 +61,8 @@ Status Task::Prepare(const api::OperatorContext& ctx) {
   return Status::FailedPrecondition("task has neither spout nor bolt");
 }
 
-void Task::Bind(const StopSignals* signals, bool cooperative) {
+void Task::Bind(const StopSignals* signals) {
   signals_ = signals;
-  cooperative_ = cooperative;
   // Compiled dispatch is resolved once per run: the bolt either
   // carries a pipeline or it does not, and the legacy per-tuple
   // overheads (serialization, duplicated headers, condition checks)
@@ -83,11 +80,10 @@ void Task::Bind(const StopSignals* signals, bool cooperative) {
   wedged_slot_ = ~size_t{0};
   last_refill_ns_ = 0;
   staged_dirty_ = false;
-  // Cooperative in-flight cap: bound the cold inventory per channel so
-  // batches are consumed soon after production (cache-warm). Parking
-  // is cheap in pool mode; legacy mode must use the full ring, since
-  // it would spin the gap away.
-  soft_cap_ = cooperative_ ? config_.EffectiveInflightCap() : ~size_t{0};
+  // In-flight cap: bound the cold inventory per channel so batches are
+  // consumed soon after production (cache-warm); parking makes the
+  // short effective queue cheap.
+  soft_cap_ = config_.EffectiveInflightCap();
 }
 
 void Task::LegacyPerTupleWork(const Tuple& t) {
@@ -245,66 +241,32 @@ void Task::RecordFailure(const std::string& what) {
 
 bool Task::PushEnvelope(Envelope&& env, Channel* channel) {
   if (!faults_.empty() && MaybeWedgePush(env, channel)) return false;
-  // Migration pause: batches must survive the halt for the residual
-  // sweep, so even the legacy mode switches to parking (spinning would
-  // never release under a joined consumer, dropping would lose data).
-  const bool preserve =
-      signals_ != nullptr &&
-      signals_->preserve_inflight.load(std::memory_order_relaxed);
-  // The finalize/migration epilogues run single-threaded after the
-  // executor joined: spinning would hang and dropping would lose
-  // tuples, so both modes park there and rely on the caller's
-  // topological passes to free ring space downstream.
-  if (cooperative_ || finalizing_ || preserve) {
-    // Preserve per-channel batch order: while anything is parked, new
-    // envelopes queue behind it instead of overtaking. The in-flight
-    // cap is lifted during Finalize — the consumer is no longer
-    // running concurrently, it drains everything in its own Finalize,
-    // and capping here would drop stateful finals early.
-    const size_t cap = finalizing_ ? ~size_t{0} : soft_cap_;
-    if (pending_head_ >= pending_.size() &&
-        channel->SizeApprox() < cap && channel->TryPush(std::move(env))) {
-      return true;
-    }
-    // The drop decision re-reads the signals in halt-publication
-    // order: the migration stores preserve_inflight *before* stop_all
-    // (release), so observing stop_all (acquire) guarantees observing
-    // preserve mode — checking in any other order can read a stale
-    // `preserve == false` next to a fresh `stop_all == true` and drop
-    // the batch the residual sweep is about to collect.
-    if (!finalizing_ && signals_ != nullptr &&
-        signals_->stop_all.load(std::memory_order_acquire) &&
-        !signals_->preserve_inflight.load(std::memory_order_relaxed)) {
-      return true;  // shutdown: in-flight batch is dropped, like legacy
-    }
-    ++stats_.backpressure_parks;
-    pending_.push_back(PendingPush{std::move(env), channel});
-    pending_live_ = pending_.size() - pending_head_;
-    return false;
+  // Preserve per-channel batch order: while anything is parked, new
+  // envelopes queue behind it instead of overtaking. The in-flight cap
+  // is lifted during the finalize/migration epilogues — they run
+  // single-threaded after the executor joined, each consumer drains
+  // everything in its own pass, and capping here would drop stateful
+  // finals early.
+  const size_t cap = finalizing_ ? ~size_t{0} : soft_cap_;
+  if (pending_head_ >= pending_.size() && channel->SizeApprox() < cap &&
+      channel->TryPush(std::move(env))) {
+    return true;
   }
-  // Legacy back-pressure: spin until the consumer drains (or we are
-  // stopped, in which case the in-flight batch is dropped). A thread
-  // spinning here when a migration halts must park instead of
-  // dropping: the consumer it waits on is joining, and the residual
-  // sweep will deliver the parked batch. The stop_all acquire +
-  // preserve-after ordering mirrors the cooperative branch above —
-  // seeing the halt guarantees seeing the preserve mode published
-  // before it.
-  while (!channel->TryPush(std::move(env))) {
-    ++stats_.backpressure_spins;
-    if (signals_ != nullptr &&
-        signals_->stop_all.load(std::memory_order_acquire)) {
-      if (signals_->preserve_inflight.load(std::memory_order_relaxed)) {
-        ++stats_.backpressure_parks;
-        pending_.push_back(PendingPush{std::move(env), channel});
-        pending_live_ = pending_.size() - pending_head_;
-        return false;
-      }
-      return true;
-    }
-    CpuRelax();
+  // The drop decision reads the signals in halt-publication order:
+  // the migration stores preserve_inflight *before* stop_all
+  // (release), so observing stop_all (acquire) guarantees observing
+  // preserve mode — checking in any other order can read a stale
+  // `preserve == false` next to a fresh `stop_all == true` and drop
+  // the batch the residual sweep is about to collect.
+  if (!finalizing_ && signals_ != nullptr &&
+      signals_->stop_all.load(std::memory_order_acquire) &&
+      !signals_->preserve_inflight.load(std::memory_order_relaxed)) {
+    return true;  // plain halt: the in-flight batch is dropped
   }
-  return true;
+  ++stats_.backpressure_parks;
+  pending_.push_back(PendingPush{std::move(env), channel});
+  pending_live_ = pending_.size() - pending_head_;
+  return false;
 }
 
 bool Task::TryDrainPending() {
@@ -452,115 +414,6 @@ void Task::Consume(Envelope env, Channel* from) {
     env.batch->Reset();
     from->Recycle(std::move(env.batch));
   }
-}
-
-void Task::RunSpout() {
-  last_refill_ns_ = NowNs();
-  // Burst capacity must cover a scheduler stall, or budget accrued
-  // while descheduled is discarded and the spout can never catch back
-  // up to the target rate.
-  const double burst_cap =
-      SpoutBurstCap(config_.batch_size, rate_per_instance_);
-  while (!signals_->stop_all.load(std::memory_order_relaxed) &&
-         !signals_->stop_spouts.load(std::memory_order_relaxed)) {
-    if (!faults_.empty() && StallInjected()) {
-      // Injected stall: stay joinable, produce nothing.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      continue;
-    }
-    if (rate_per_instance_ > 0.0) {
-      const int64_t now = NowNs();
-      tokens_ += static_cast<double>(now - last_refill_ns_) * 1e-9 *
-                 rate_per_instance_;
-      last_refill_ns_ = now;
-      tokens_ = std::min(tokens_, burst_cap);
-      if (tokens_ < config_.batch_size) {
-        FlushAll(true);
-        CpuRelax();
-        continue;
-      }
-      tokens_ -= config_.batch_size;
-    }
-    const int64_t t0 = NowNs();
-    size_t produced = 0;
-    try {
-      if (!faults_.empty()) MaybeThrowInjected();
-      produced =
-          spout_->NextBatch(static_cast<size_t>(config_.batch_size), this);
-    } catch (const std::exception& e) {
-      RecordFailure(e.what());
-      break;
-    } catch (...) {
-      RecordFailure("unknown exception");
-      break;
-    }
-    stats_.busy_ns += static_cast<uint64_t>(NowNs() - t0);
-    stats_.tuples_in += produced;
-    if (produced == 0) {
-      // External sources (sockets) idle without ending: only an
-      // exhausted source retires. Idling flushes partials so low-rate
-      // external streams still progress, then backs off briefly.
-      if (!spout_->Exhausted()) {
-        FlushAll(true);
-        std::this_thread::yield();
-        continue;
-      }
-      break;  // bounded source exhausted
-    }
-  }
-}
-
-void Task::RunBolt() {
-  int idle_spins = 0;
-  while (!signals_->stop_all.load(std::memory_order_relaxed)) {
-    if (failed_.load(std::memory_order_relaxed)) {
-      // Contained failure: stop consuming, stay joinable.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      continue;
-    }
-    if (!faults_.empty() && StallInjected()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      continue;
-    }
-    bool any = false;
-    for (size_t k = 0; k < inputs_.size(); ++k) {
-      Channel* ch = inputs_[(in_cursor_ + k) % inputs_.size()];
-      Envelope env;
-      if (ch->TryPop(&env)) {
-        in_cursor_ = (in_cursor_ + k + 1) % inputs_.size();
-        Consume(std::move(env), ch);
-        any = true;
-        break;
-      }
-    }
-    if (!any) {
-      // Idle: push out partial batches so low-rate streams progress,
-      // then back off briefly.
-      FlushAll(true);
-      if (++idle_spins > 64) {
-        std::this_thread::yield();
-        idle_spins = 0;
-      } else {
-        CpuRelax();
-      }
-    } else {
-      idle_spins = 0;
-    }
-  }
-}
-
-void Task::Run(const StopSignals* signals) {
-  Bind(signals, /*cooperative=*/false);
-  if (spout_) {
-    RunSpout();
-    // Deliver staged partials while the consumers still run, so a
-    // graceful drain sees a bounded source's full output.
-    FlushAll(true);
-  } else {
-    RunBolt();
-  }
-  // Operator flush happens in the runtime's post-join Finalize pass,
-  // in topological order, so finals can propagate to the sinks.
 }
 
 PollResult Task::PollSpout(int budget) {

@@ -2,15 +2,11 @@
 // executor wrapping one operator replica plus a partition controller
 // that buffers output tuples into per-consumer jumbo tuples.
 //
-// A task can be driven two ways:
-//   - Run(): the legacy thread-per-task body, looping until stopped
-//     and spinning on back-pressure (ExecutorKind::kThreadPerTask);
-//   - Poll(budget): a resumable work quantum for the worker-pool
-//     executor — a spout produces up to `budget` batches, a bolt
-//     drains up to `budget` envelopes, and a task blocked on
-//     back-pressure parks the un-pushable envelope and returns
-//     kBlocked instead of spinning, so one worker can round-robin many
-//     tasks without oversubscribing the core.
+// The worker pool drives a task through Poll(budget), a resumable work
+// quantum: a spout produces up to `budget` batches, a bolt drains up to
+// `budget` envelopes, and a task blocked on back-pressure parks the
+// un-pushable envelope and returns kBlocked instead of spinning, so one
+// worker can round-robin many tasks without oversubscribing the core.
 #pragma once
 
 #include <atomic>
@@ -56,10 +52,8 @@ struct TaskStats {
   /// Outbound batches whose shell came from the channel's recycle
   /// queue instead of the allocator (BatchPool hit rate).
   RelaxedCounter batches_recycled;
-  /// Thread-per-task mode: failed pushes retried in a spin loop.
-  RelaxedCounter backpressure_spins;
-  /// Worker-pool mode: envelopes parked for cooperative retry because
-  /// the consumer's queue was full (the Pending-reschedule path).
+  /// Envelopes parked for cooperative retry because the consumer's
+  /// queue was full (the Pending-reschedule path).
   RelaxedCounter backpressure_parks;
   /// Wall time spent inside operator Process()/NextBatch() calls, ns.
   RelaxedCounter busy_ns;
@@ -77,7 +71,6 @@ struct TaskStats {
     batches_in += o.batches_in;
     batches_out += o.batches_out;
     batches_recycled += o.batches_recycled;
-    backpressure_spins += o.backpressure_spins;
     backpressure_parks += o.backpressure_parks;
     busy_ns += o.busy_ns;
     tuples_vec += o.tuples_vec;
@@ -108,8 +101,8 @@ enum class PollResult {
 
 /// The partition controller + executor for one placed instance.
 ///
-/// Single-threaded by construction: Run() or the owning pool worker is
-/// the only caller after start; all other methods are wiring performed
+/// Single-threaded by construction: the owning pool worker is the only
+/// caller after start; all other methods are wiring performed
 /// before start.
 class Task : public api::OutputCollector, public api::PipelineSink {
  public:
@@ -202,16 +195,11 @@ class Task : public api::OutputCollector, public api::PipelineSink {
 
   Status Prepare(const api::OperatorContext& ctx);
 
-  /// Arms the task for one run: stop protocol + execution mode.
-  /// `cooperative` selects the Poll back-pressure behavior (park and
-  /// return kBlocked) over the legacy spin.
-  void Bind(const StopSignals* signals, bool cooperative);
+  /// Arms the task for one run: stop protocol, compiled dispatch and
+  /// the in-flight cap.
+  void Bind(const StopSignals* signals);
 
-  /// Thread-per-task body: processes until stopped, then finalizes.
-  void Run(const StopSignals* signals);
-
-  /// One cooperative quantum (see PollResult). Requires a prior
-  /// Bind(signals, /*cooperative=*/true).
+  /// One cooperative quantum (see PollResult). Requires a prior Bind.
   PollResult Poll(int budget);
 
   /// Shutdown epilogue, exactly once per run: consume what is still
@@ -257,8 +245,6 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   void ConsumeSelected(JumboTuple* batch, const SelectionVector& sel) override;
 
  private:
-  void RunSpout();
-  void RunBolt();
   PollResult PollSpout(int budget);
   PollResult PollBolt(int budget);
 
@@ -271,8 +257,7 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   void AppendTuple(OutRoute& route, size_t i, Tuple&& t);
 
   /// Moves a full (or, with force, partial) buffer into its channel.
-  /// Returns false when cooperative back-pressure parked the envelope
-  /// (legacy mode spins instead and always returns true).
+  /// Returns false when back-pressure parked the envelope.
   bool FlushBuffer(int buffer_idx, Channel* channel, bool force);
   bool FlushAll(bool force);
 
@@ -282,9 +267,9 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   /// one channel's idle shells cover another's burst.
   bool TakeRecycledShell(Channel* channel, JumboTuplePtr* batch);
 
-  /// Delivers one envelope, honoring the bound back-pressure policy:
-  /// legacy spins until space (bailing at stop_all); cooperative parks
-  /// the envelope in `pending_` and returns false.
+  /// Delivers one envelope, or parks it in `pending_` and returns
+  /// false when the channel is at its in-flight cap (or behind an
+  /// earlier parked envelope). At a plain halt it drops instead.
   bool PushEnvelope(Envelope&& env, Channel* channel);
 
   /// Retries parked envelopes in FIFO order; false while any remain.
@@ -338,14 +323,13 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   uint64_t batch_seq_ = 0;
 
   const StopSignals* signals_ = nullptr;
-  bool cooperative_ = false;
   bool source_done_ = false;
   bool finalized_ = false;
   /// Inside Finalize: the in-flight cap is lifted (pushes bound only
   /// by the ring) since consumers drain in their own Finalize.
   bool finalizing_ = false;
-  /// Cooperative per-channel in-flight cap in batches (see
-  /// EngineConfig::pool_inflight_batches); ~0 when uncapped/legacy.
+  /// Per-channel in-flight cap in batches (see
+  /// EngineConfig::pool_inflight_batches); ~0 when uncapped or unbound.
   size_t soft_cap_ = ~size_t{0};
   /// Something may be staged in `buffers_` since the last successful
   /// force-flush — idle iterations skip the O(buffers) flush walk when

@@ -76,8 +76,7 @@ class WakerRef {
     target_.store(target, std::memory_order_release);
   }
 
-  /// Forwards to the current target; no-op while unpointed (tasks that
-  /// live outside the worker pool, e.g. under thread-per-task).
+  /// Forwards to the current target; no-op while unpointed.
   void Notify() {
     if (Waker* w = target_.load(std::memory_order_acquire)) w->Notify();
   }

@@ -1,5 +1,7 @@
 // Tests for the four benchmark applications: topology shape, operator
-// semantics, and profile consistency.
+// semantics, and profile consistency. WC and SD operators are tested as
+// the DSL lowers them, instantiated from the built topology the way the
+// engine does.
 #include "apps/apps.h"
 
 #include <gtest/gtest.h>
@@ -29,6 +31,33 @@ class CaptureCollector : public api::OutputCollector {
  private:
   std::map<uint16_t, std::vector<Tuple>> by_stream_;
 };
+
+/// Prepares a fresh replica of operator `name` from `topo`'s factory.
+std::unique_ptr<api::Operator> Instantiate(const api::Topology& topo,
+                                           const std::string& name) {
+  const auto id = topo.OpId(name);
+  EXPECT_TRUE(id.ok()) << name;
+  const auto& decl = topo.op(*id);
+  auto op = decl.bolt_factory();
+  api::OperatorContext ctx;
+  ctx.operator_name = decl.name;
+  ctx.output_streams = decl.output_streams;
+  EXPECT_TRUE(op->Prepare(ctx).ok());
+  return op;
+}
+
+api::Topology WordCountTopology() {
+  auto topo = BuildWordCountDsl(std::make_shared<SinkTelemetry>());
+  EXPECT_TRUE(topo.ok()) << topo.status();
+  return std::move(topo).value();
+}
+
+api::Topology SpikeDetectionTopology(const SpikeDetectionParams& params) {
+  auto topo =
+      BuildSpikeDetectionDsl(std::make_shared<SinkTelemetry>(), params);
+  EXPECT_TRUE(topo.ok()) << topo.status();
+  return std::move(topo).value();
+}
 
 // ---------------------------------------------------------------- WC --
 
@@ -75,12 +104,13 @@ TEST(WordCountTest, SpoutReplicasEmitDifferentData) {
 }
 
 TEST(WordCountTest, SplitterSelectivityIsWordsPerSentence) {
-  Splitter splitter;
+  const api::Topology topo = WordCountTopology();
+  auto splitter = Instantiate(topo, "splitter");
   CaptureCollector out;
   Tuple t;
   t.fields.emplace_back(std::string("a bb ccc dddd"));
   t.origin_ts_ns = 42;
-  splitter.Process(t, &out);
+  splitter->Process(t, &out);
   ASSERT_EQ(out.stream(0).size(), 4u);
   EXPECT_EQ(out.stream(0)[0].GetString(0), "a");
   EXPECT_EQ(out.stream(0)[3].GetString(0), "dddd");
@@ -89,21 +119,25 @@ TEST(WordCountTest, SplitterSelectivityIsWordsPerSentence) {
 }
 
 TEST(WordCountTest, SplitterHandlesRepeatedSpaces) {
-  Splitter splitter;
+  const api::Topology topo = WordCountTopology();
+  auto splitter = Instantiate(topo, "splitter");
   CaptureCollector out;
   Tuple t;
   t.fields.emplace_back(std::string("  x  y "));
-  splitter.Process(t, &out);
+  splitter->Process(t, &out);
   ASSERT_EQ(out.stream(0).size(), 2u);
+  EXPECT_EQ(out.stream(0)[0].GetString(0), "x");
+  EXPECT_EQ(out.stream(0)[1].GetString(0), "y");
 }
 
 TEST(WordCountTest, CounterCountsOccurrences) {
-  WordCounter counter;
+  const api::Topology topo = WordCountTopology();
+  auto counter = Instantiate(topo, "counter");
   CaptureCollector out;
   for (const char* w : {"cat", "dog", "cat", "cat"}) {
     Tuple t;
     t.fields.emplace_back(std::string(w));
-    counter.Process(t, &out);
+    counter->Process(t, &out);
   }
   ASSERT_EQ(out.stream(0).size(), 4u);
   EXPECT_EQ(out.stream(0)[0].GetInt(1), 1);  // cat -> 1
@@ -180,14 +214,15 @@ TEST(FraudDetectionTest, RareTransitionScoresHigherThanCommon) {
 TEST(SpikeDetectionTest, MovingAverageTracksWindowMean) {
   SpikeDetectionParams params;
   params.window = 4;
-  MovingAverage avg(params);
+  const api::Topology topo = SpikeDetectionTopology(params);
+  auto avg = Instantiate(topo, "moving_avg");
   CaptureCollector out;
   const double readings[] = {1, 2, 3, 4, 5, 6};
   for (const double r : readings) {
     Tuple t;
     t.fields.emplace_back(int64_t{9});
     t.fields.emplace_back(r);
-    avg.Process(t, &out);
+    avg->Process(t, &out);
   }
   // After 6 readings with window 4: mean of {3,4,5,6} = 4.5.
   EXPECT_DOUBLE_EQ(out.stream(0).back().GetDouble(2), 4.5);
@@ -195,29 +230,32 @@ TEST(SpikeDetectionTest, MovingAverageTracksWindowMean) {
   Tuple other;
   other.fields.emplace_back(int64_t{10});
   other.fields.emplace_back(100.0);
-  avg.Process(other, &out);
+  avg->Process(other, &out);
   EXPECT_DOUBLE_EQ(out.stream(0).back().GetDouble(2), 100.0);
 }
 
 TEST(SpikeDetectionTest, DetectorFlagsOnlySpikes) {
   SpikeDetectionParams params;
   params.spike_threshold = 2.0;
-  SpikeDetector detector(params);
+  const api::Topology topo = SpikeDetectionTopology(params);
+  auto detector = Instantiate(topo, "spike_detect");
   CaptureCollector out;
   auto feed = [&](double reading, double avg) {
     Tuple t;
     t.fields.emplace_back(int64_t{1});
     t.fields.emplace_back(reading);
     t.fields.emplace_back(avg);
-    detector.Process(t, &out);
+    detector->Process(t, &out);
     return out.stream(0).back().GetInt(1);
   };
   EXPECT_EQ(feed(10.0, 10.0), 0);  // normal
   EXPECT_EQ(feed(25.0, 10.0), 1);  // 2.5x the average: spike
   EXPECT_EQ(feed(19.0, 10.0), 0);  // below 2x
-  EXPECT_EQ(detector.spikes(), 1u);
-  // One signal per input regardless (Appendix B).
+  // One signal per input regardless (Appendix B), keyed by device.
   EXPECT_EQ(out.total(), 3u);
+  for (const Tuple& signal : out.stream(0)) {
+    EXPECT_EQ(signal.GetInt(0), 1);
+  }
 }
 
 // ---------------------------------------------------------------- LR --

@@ -1,7 +1,7 @@
 // Executor tests: socket-aware worker pool (fairness under
-// oversubscription, park/wake, cooperative back-pressure), the legacy
-// thread-per-task mode, pin-CPU derivation from the plan socket, and
-// graceful drain of bounded sources.
+// oversubscription, park/wake, cooperative back-pressure), pin-CPU
+// derivation from the plan socket, and graceful drain of bounded
+// sources.
 #include "engine/executor.h"
 
 #include <gtest/gtest.h>
@@ -221,9 +221,8 @@ TEST(WorkerPoolTest, AllReplicasProgressAt8xOversubscription) {
   auto plan = ExecutionPlan::Create(app->topology_ptr.get(), {1, 1, 8, 8, 1});
   ASSERT_TRUE(plan.ok());
   plan->PlaceAllOn(0);
-  EngineConfig cfg = EngineConfig::Brisk();
-  cfg.executor = ExecutorKind::kWorkerPool;
-  auto rt = BriskRuntime::Create(app->topology_ptr.get(), *plan, cfg);
+  auto rt = BriskRuntime::Create(app->topology_ptr.get(), *plan,
+                                 EngineConfig::Brisk());
   ASSERT_TRUE(rt.ok()) << rt.status();
   auto stats = (*rt)->RunFor(0.4);
   ASSERT_TRUE(stats.ok());
@@ -257,7 +256,6 @@ TEST(WorkerPoolTest, LowRateSpoutParksWorkersAndWakesOnPush) {
     ASSERT_TRUE(plan.ok());
     plan->PlaceAllOn(0);
     EngineConfig cfg = EngineConfig::Brisk();
-    cfg.executor = ExecutorKind::kWorkerPool;
     cfg.workers_per_socket = 2;  // producer and consumer on separate workers
     cfg.spout_rate_tps = attempt.rate;  // long idle gaps between batches
     auto rt = BriskRuntime::Create(app->topology_ptr.get(), *plan, cfg);
@@ -286,7 +284,6 @@ TEST(WorkerPoolTest, BackpressureParksEnvelopeAndReschedules) {
   ASSERT_TRUE(plan.ok());
   plan->PlaceAllOn(0);
   EngineConfig cfg = EngineConfig::Brisk();
-  cfg.executor = ExecutorKind::kWorkerPool;
   cfg.workers_per_socket = 1;  // one worker multiplexes the whole line
   cfg.batch_size = 16;
   cfg.queue_capacity = 2;
@@ -297,13 +294,11 @@ TEST(WorkerPoolTest, BackpressureParksEnvelopeAndReschedules) {
   EXPECT_GT(sink_count.load(), 0u);
   const TaskStats& spout = stats->tasks[0];
   EXPECT_GT(spout.backpressure_parks, 0u);  // the Pending path ran
-  EXPECT_EQ(spout.backpressure_spins, 0u);  // and never busy-spun
 }
 
 TEST(WorkerPoolTest, StormAndFlinkLikeModesRunOnThePool) {
-  for (EngineConfig cfg :
+  for (const EngineConfig& cfg :
        {EngineConfig::StormLike(), EngineConfig::FlinkLike()}) {
-    cfg.executor = ExecutorKind::kWorkerPool;
     auto app = apps::MakeApp(apps::AppId::kWordCount);
     ASSERT_TRUE(app.ok());
     auto plan = ExecutionPlan::CreateDefault(app->topology_ptr.get());
@@ -319,53 +314,30 @@ TEST(WorkerPoolTest, StormAndFlinkLikeModesRunOnThePool) {
   }
 }
 
-TEST(ThreadPerTaskTest, LegacyExecutorStillRunsWordCount) {
-  auto app = apps::MakeApp(apps::AppId::kWordCount);
-  ASSERT_TRUE(app.ok());
-  auto plan = ExecutionPlan::CreateDefault(app->topology_ptr.get());
-  ASSERT_TRUE(plan.ok());
-  plan->PlaceAllOn(0);
-  EngineConfig cfg = EngineConfig::Brisk();
-  cfg.executor = ExecutorKind::kThreadPerTask;
-  auto rt = BriskRuntime::Create(app->topology_ptr.get(), *plan, cfg);
-  ASSERT_TRUE(rt.ok()) << rt.status();
-  auto stats = (*rt)->RunFor(0.25);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GT(app->telemetry->count(), 0u);
-  // One dedicated thread per instance, no worker groups.
-  EXPECT_EQ(stats->executor.threads, static_cast<int>(stats->tasks.size()));
-  EXPECT_EQ(stats->executor.worker_groups, 0);
-}
-
 // ---------------------------------------------------------------------------
 // Graceful drain: a bounded source's tuples all reach the sink instead
 // of being dropped with the queues at Stop().
 // ---------------------------------------------------------------------------
 
-TEST(GracefulDrainTest, BoundedSourceDeliversEveryTupleOnBothExecutors) {
+TEST(GracefulDrainTest, BoundedSourceDeliversEveryTuple) {
   constexpr uint64_t kTotal = 20000;
-  for (const ExecutorKind kind :
-       {ExecutorKind::kWorkerPool, ExecutorKind::kThreadPerTask}) {
-    std::atomic<uint64_t> sink_count{0};
-    auto topo = MakeLine(kTotal, /*bolt_spin_ns=*/0, &sink_count);
-    ASSERT_TRUE(topo.ok()) << topo.status();
-    auto plan = ExecutionPlan::CreateDefault(&*topo);
-    ASSERT_TRUE(plan.ok());
-    plan->PlaceAllOn(0);
-    EngineConfig cfg = EngineConfig::Brisk();
-    cfg.executor = kind;
-    auto rt = BriskRuntime::Create(&*topo, *plan, cfg);
-    ASSERT_TRUE(rt.ok()) << rt.status();
-    auto stats = (*rt)->RunFor(0.3);
-    ASSERT_TRUE(stats.ok());
-    EXPECT_TRUE(stats->drained) << ExecutorKindName(kind);
-    // Nothing was dropped: the sink saw the full bounded stream, and
-    // everything emitted anywhere was consumed downstream
-    // (total_consumed includes the spout's own production).
-    EXPECT_EQ(sink_count.load(), kTotal) << ExecutorKindName(kind);
-    EXPECT_EQ(stats->total_emitted, 2 * kTotal) << ExecutorKindName(kind);
-    EXPECT_EQ(stats->total_consumed, 3 * kTotal) << ExecutorKindName(kind);
-  }
+  std::atomic<uint64_t> sink_count{0};
+  auto topo = MakeLine(kTotal, /*bolt_spin_ns=*/0, &sink_count);
+  ASSERT_TRUE(topo.ok()) << topo.status();
+  auto plan = ExecutionPlan::CreateDefault(&*topo);
+  ASSERT_TRUE(plan.ok());
+  plan->PlaceAllOn(0);
+  auto rt = BriskRuntime::Create(&*topo, *plan, EngineConfig::Brisk());
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  auto stats = (*rt)->RunFor(0.3);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_TRUE(stats->drained);
+  // Nothing was dropped: the sink saw the full bounded stream, and
+  // everything emitted anywhere was consumed downstream
+  // (total_consumed includes the spout's own production).
+  EXPECT_EQ(sink_count.load(), kTotal);
+  EXPECT_EQ(stats->total_emitted, 2 * kTotal);
+  EXPECT_EQ(stats->total_consumed, 3 * kTotal);
 }
 
 /// Counts inputs silently; emits one (count) tuple only at Flush —
@@ -396,34 +368,27 @@ class LastValueSink : public api::Operator {
 
 TEST(GracefulDrainTest, OperatorFlushFinalsReachTheSink) {
   static constexpr uint64_t kTotal = 5000;
-  for (const ExecutorKind kind :
-       {ExecutorKind::kWorkerPool, ExecutorKind::kThreadPerTask}) {
-    std::atomic<int64_t> final_value{-1};
-    api::TopologyBuilder b("finals");
-    b.AddSpout("src",
-               [] { return std::make_unique<BoundedSpout>(kTotal); });
-    b.AddBolt("agg", [] { return std::make_unique<FinalCountBolt>(); })
-        .ShuffleFrom("src");
-    b.AddBolt("sink",
-              [&] { return std::make_unique<LastValueSink>(&final_value); })
-        .ShuffleFrom("agg");
-    auto topo = std::move(b).Build();
-    ASSERT_TRUE(topo.ok()) << topo.status();
-    auto plan = ExecutionPlan::CreateDefault(&*topo);
-    ASSERT_TRUE(plan.ok());
-    plan->PlaceAllOn(0);
-    EngineConfig cfg = EngineConfig::Brisk();
-    cfg.executor = kind;
-    auto rt = BriskRuntime::Create(&*topo, *plan, cfg);
-    ASSERT_TRUE(rt.ok()) << rt.status();
-    auto stats = (*rt)->RunFor(0.25);
-    ASSERT_TRUE(stats.ok());
-    // The aggregate emitted only at Flush, after every execution
-    // thread stopped — the topological finalize pass must still have
-    // carried it through to the sink, with the full input count.
-    EXPECT_EQ(final_value.load(), static_cast<int64_t>(kTotal))
-        << ExecutorKindName(kind);
-  }
+  std::atomic<int64_t> final_value{-1};
+  api::TopologyBuilder b("finals");
+  b.AddSpout("src", [] { return std::make_unique<BoundedSpout>(kTotal); });
+  b.AddBolt("agg", [] { return std::make_unique<FinalCountBolt>(); })
+      .ShuffleFrom("src");
+  b.AddBolt("sink",
+            [&] { return std::make_unique<LastValueSink>(&final_value); })
+      .ShuffleFrom("agg");
+  auto topo = std::move(b).Build();
+  ASSERT_TRUE(topo.ok()) << topo.status();
+  auto plan = ExecutionPlan::CreateDefault(&*topo);
+  ASSERT_TRUE(plan.ok());
+  plan->PlaceAllOn(0);
+  auto rt = BriskRuntime::Create(&*topo, *plan, EngineConfig::Brisk());
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  auto stats = (*rt)->RunFor(0.25);
+  ASSERT_TRUE(stats.ok());
+  // The aggregate emitted only at Flush, after every execution thread
+  // stopped — the topological finalize pass must still have carried it
+  // through to the sink, with the full input count.
+  EXPECT_EQ(final_value.load(), static_cast<int64_t>(kTotal));
 }
 
 // ---------------------------------------------------------------------------
@@ -452,7 +417,6 @@ TEST(LegacyOverheadTest, DoesNotPolluteBackpressureCounters) {
   // The simulated header/checksum work ran 1000 times with zero
   // back-pressure — the counters must stay exactly zero.
   EXPECT_EQ(task.stats().tuples_out, 1000u);
-  EXPECT_EQ(task.stats().backpressure_spins, 0u);
   EXPECT_EQ(task.stats().backpressure_parks, 0u);
 }
 

@@ -106,9 +106,8 @@ WcRun MakeWcRun(std::vector<int> replication, EngineConfig config,
   return run;
 }
 
-EngineConfig TestConfig(ExecutorKind executor) {
+EngineConfig TestConfig() {
   EngineConfig config;  // Brisk defaults
-  config.executor = executor;
   config.batch_size = 16;
   config.spout_rate_tps = 30000;  // paced, so migrations land mid-stream
   config.seed = 7;
@@ -189,8 +188,7 @@ TEST(MigrationTest, MoveRepinsWithoutLoss) {
   // paced 30k tps the source needs at least 500 ms for its sentences,
   // so both migrations still land mid-stream.
   params.max_sentences = 15000;
-  WcRun run = MakeWcRun({1, 1, 2, 2, 1}, TestConfig(ExecutorKind::kWorkerPool),
-                        params);
+  WcRun run = MakeWcRun({1, 1, 2, 2, 1}, TestConfig(), params);
   ASSERT_TRUE(run.rt->Start().ok());
   SleepMs(150);
   // Executor counters observed live, before any migration: a
@@ -232,8 +230,7 @@ TEST(MigrationTest, MoveRepinsWithoutLoss) {
 }
 
 TEST(MigrationTest, CounterGrowthRepartitionsState) {
-  WcRun run = MakeWcRun({1, 1, 1, 2, 1}, TestConfig(ExecutorKind::kWorkerPool),
-                        WordCountParams{});
+  WcRun run = MakeWcRun({1, 1, 1, 2, 1}, TestConfig(), WordCountParams{});
   ASSERT_TRUE(run.rt->Start().ok());
   SleepMs(200);
   const uint64_t before = run.telemetry->count();
@@ -248,8 +245,7 @@ TEST(MigrationTest, CounterGrowthRepartitionsState) {
 }
 
 TEST(MigrationTest, CounterShrinkMergesState) {
-  WcRun run = MakeWcRun({1, 1, 1, 3, 1}, TestConfig(ExecutorKind::kWorkerPool),
-                        WordCountParams{});
+  WcRun run = MakeWcRun({1, 1, 1, 3, 1}, TestConfig(), WordCountParams{});
   ASSERT_TRUE(run.rt->Start().ok());
   SleepMs(200);
   run.Migrate(Shrink(run.plan, kCounter, 2));  // 3 -> 1 replica
@@ -259,8 +255,7 @@ TEST(MigrationTest, CounterShrinkMergesState) {
 }
 
 TEST(MigrationTest, SpoutAndBoltReplicationChanges) {
-  WcRun run = MakeWcRun({1, 1, 1, 1, 1}, TestConfig(ExecutorKind::kWorkerPool),
-                        WordCountParams{});
+  WcRun run = MakeWcRun({1, 1, 1, 1, 1}, TestConfig(), WordCountParams{});
   ASSERT_TRUE(run.rt->Start().ok());
   SleepMs(150);
   run.Migrate(Grow(run.plan, kSpout, 1, 1));     // spout 1 -> 2
@@ -272,10 +267,8 @@ TEST(MigrationTest, SpoutAndBoltReplicationChanges) {
   CheckInvariants(run, stats, 10);
 }
 
-TEST(MigrationTest, ThreadPerTaskExecutorMigrates) {
-  WcRun run = MakeWcRun({1, 1, 2, 2, 1},
-                        TestConfig(ExecutorKind::kThreadPerTask),
-                        WordCountParams{});
+TEST(MigrationTest, MoveAndGrowInOneMigration) {
+  WcRun run = MakeWcRun({1, 1, 2, 2, 1}, TestConfig(), WordCountParams{});
   ASSERT_TRUE(run.rt->Start().ok());
   SleepMs(150);
   MigrationPlan m = Move(run.plan, kSplitter, 0, 1);
@@ -292,47 +285,40 @@ TEST(MigrationTest, ThreadPerTaskExecutorMigrates) {
 /// A zero-second drain timeout makes every migration pause from a
 /// non-quiescent engine: the halt catches full channels, staged
 /// buffers, and parked envelopes mid-flight. preserve_inflight +
-/// the residual sweep must still deliver every tuple — on both
-/// executors (the legacy one switches from spin-or-drop to parking
-/// for exactly this window).
+/// the residual sweep must still deliver every tuple.
 TEST(MigrationTest, DrainTimeoutStillLosesNothing) {
-  for (const ExecutorKind executor :
-       {ExecutorKind::kWorkerPool, ExecutorKind::kThreadPerTask}) {
-    SCOPED_TRACE(ExecutorKindName(executor));
-    EngineConfig config = TestConfig(executor);
-    config.drain_timeout_s = 0.0;   // the drain always "times out"
-    config.spout_rate_tps = 0.0;    // saturated: rings run full, so
-    config.queue_capacity = 4;      // producers sit in back-pressure
-    config.pool_inflight_batches = 0;  // (spin loops / parked batches)
-    WordCountParams params;
-    params.max_sentences = 6000;  // bounded: the run can finish naturally
-    WcRun run = MakeWcRun({1, 1, 2, 2, 1}, config, params);
-    ASSERT_TRUE(run.rt->Start().ok());
-    SleepMs(80);
-    run.Migrate(Move(run.plan, kSplitter, 1, 0));
-    SleepMs(80);
-    run.Migrate(Grow(run.plan, kCounter, 1, 0));
-    // Let the bounded source finish and every tuple land, so the
-    // final Stop() (whose drain budget is also zero — the legacy
-    // drop-at-halt semantics apply there) has nothing in flight; the
-    // migrations above are the ones that paused mid-backlog. The
-    // exact target is known (1 spout replica × 6000 sentences × 10
-    // words); if a migration lost a batch, the wait times out and the
-    // invariant check below reports the shortfall.
-    const uint64_t expected = 6000 * 10;
-    for (int i = 0; i < 200 && run.telemetry->count() < expected; ++i) {
-      SleepMs(50);
-    }
-    RunStats stats = run.rt->Stop();
-    EXPECT_EQ(stats.migrations, 2);
-    EXPECT_EQ(run.telemetry->count(), expected);
-    CheckInvariants(run, stats, 10);
+  EngineConfig config = TestConfig();
+  config.drain_timeout_s = 0.0;      // the drain always "times out"
+  config.spout_rate_tps = 0.0;       // saturated: rings run full, so
+  config.queue_capacity = 4;         // producers sit in back-pressure
+  config.pool_inflight_batches = 0;  // (parked batches at the halt)
+  WordCountParams params;
+  params.max_sentences = 6000;  // bounded: the run can finish naturally
+  WcRun run = MakeWcRun({1, 1, 2, 2, 1}, config, params);
+  ASSERT_TRUE(run.rt->Start().ok());
+  SleepMs(80);
+  run.Migrate(Move(run.plan, kSplitter, 1, 0));
+  SleepMs(80);
+  run.Migrate(Grow(run.plan, kCounter, 1, 0));
+  // Let the bounded source finish and every tuple land, so the final
+  // Stop() (whose drain budget is also zero — plain drop-at-halt
+  // semantics apply there) has nothing in flight; the migrations
+  // above are the ones that paused mid-backlog. The exact target is
+  // known (1 spout replica × 6000 sentences × 10 words); if a
+  // migration lost a batch, the wait times out and the invariant
+  // check below reports the shortfall.
+  const uint64_t expected = 6000 * 10;
+  for (int i = 0; i < 200 && run.telemetry->count() < expected; ++i) {
+    SleepMs(50);
   }
+  RunStats stats = run.rt->Stop();
+  EXPECT_EQ(stats.migrations, 2);
+  EXPECT_EQ(run.telemetry->count(), expected);
+  CheckInvariants(run, stats, 10);
 }
 
 TEST(MigrationTest, RejectedMigrationLeavesJobRunning) {
-  WcRun run = MakeWcRun({1, 1, 1, 1, 1}, TestConfig(ExecutorKind::kWorkerPool),
-                        WordCountParams{});
+  WcRun run = MakeWcRun({1, 1, 1, 1, 1}, TestConfig(), WordCountParams{});
   ASSERT_TRUE(run.rt->Start().ok());
   SleepMs(100);
   MigrationPlan bad;
@@ -349,8 +335,7 @@ TEST(MigrationTest, RejectedMigrationLeavesJobRunning) {
 }
 
 TEST(MigrationTest, MigrationRequiresRunningEngine) {
-  WcRun run = MakeWcRun({1, 1, 1, 1, 1}, TestConfig(ExecutorKind::kWorkerPool),
-                        WordCountParams{});
+  WcRun run = MakeWcRun({1, 1, 1, 1, 1}, TestConfig(), WordCountParams{});
   EXPECT_FALSE(run.rt->ApplyMigration(Move(run.plan, kSplitter, 0, 1)).ok());
 }
 
@@ -361,8 +346,7 @@ TEST(MigrationTest, RandomizedMigrationsPreserveInvariants) {
   Rng rng(0xfeedbee5ULL);
   constexpr int kSockets = 2;
   constexpr int kMaxRepl = 3;
-  WcRun run = MakeWcRun({1, 1, 2, 2, 1}, TestConfig(ExecutorKind::kWorkerPool),
-                        WordCountParams{});
+  WcRun run = MakeWcRun({1, 1, 2, 2, 1}, TestConfig(), WordCountParams{});
   ASSERT_TRUE(run.rt->Start().ok());
   int applied = 0;
   for (int round = 0; round < 5; ++round) {
@@ -414,7 +398,7 @@ TEST(MigrationTest, RandomizedMigrationsPreserveInvariants) {
 // zombie), and the supervisor restores it from the last checkpoint.
 
 TEST(MigrationTest, InjectedFailureBeforePauseIsCleanReject) {
-  EngineConfig config = TestConfig(ExecutorKind::kWorkerPool);
+  EngineConfig config = TestConfig();
   config.faults.FailMigration(/*at_phase=*/0);
   WcRun run = MakeWcRun({1, 1, 1, 1, 1}, config, WordCountParams{});
   ASSERT_TRUE(run.rt->Start().ok());
@@ -432,7 +416,7 @@ TEST(MigrationTest, InjectedFailureBeforePauseIsCleanReject) {
 }
 
 TEST(MigrationTest, InjectedFailureAfterPauseRollsBackWithoutLoss) {
-  EngineConfig config = TestConfig(ExecutorKind::kWorkerPool);
+  EngineConfig config = TestConfig();
   config.faults.FailMigration(/*at_phase=*/1);
   WordCountParams params;
   params.max_sentences = 4000;  // bounded: the run has an exact answer
@@ -456,7 +440,7 @@ TEST(MigrationTest, InjectedFailureAfterPauseRollsBackWithoutLoss) {
 }
 
 TEST(MigrationTest, InjectedFailureAfterRebuildIsRecoveredFromCheckpoint) {
-  EngineConfig config = TestConfig(ExecutorKind::kWorkerPool);
+  EngineConfig config = TestConfig();
   config.faults.FailMigration(/*at_phase=*/2);
   WordCountParams params;
   params.max_sentences = 4000;

@@ -95,9 +95,8 @@ WcRun MakeWc(std::vector<int> replication, EngineConfig config,
   return run;
 }
 
-EngineConfig RecoveryConfig(ExecutorKind executor) {
+EngineConfig RecoveryConfig() {
   EngineConfig config;
-  config.executor = executor;
   config.batch_size = 16;
   config.spout_rate_tps = SanitizerPacedRate(30000);
   config.seed = 23;
@@ -155,14 +154,13 @@ void CheckWcRecovered(WcTap* tap, uint64_t expected_words,
 
 /// Kills (op, replica) mid-run via injected crash, supervises, and
 /// asserts full recovery of the bounded WC stream.
-void RunWcKillAndRecover(ExecutorKind executor, int op, int replica,
-                         uint64_t after_tuples) {
-  SCOPED_TRACE(std::string(ExecutorKindName(executor)) + " kill op " +
-               std::to_string(op) + " replica " + std::to_string(replica));
+void RunWcKillAndRecover(int op, int replica, uint64_t after_tuples) {
+  SCOPED_TRACE("kill op " + std::to_string(op) + " replica " +
+               std::to_string(replica));
   WordCountParams params;
   params.max_sentences = 1500;  // bounded: the run has an exact answer
   const uint64_t expected = params.max_sentences * params.words_per_sentence;
-  EngineConfig config = RecoveryConfig(executor);
+  EngineConfig config = RecoveryConfig();
   config.faults.Crash(op, replica, after_tuples);
   WcRun run = MakeWc({1, 1, 2, 2, 1}, config, params);
   ASSERT_TRUE(run.rt->Start().ok());
@@ -191,25 +189,16 @@ void RunWcKillAndRecover(ExecutorKind executor, int op, int replica,
 }
 
 TEST(RecoveryTest, WordCountSurvivesParserCrash) {
-  for (const ExecutorKind executor :
-       {ExecutorKind::kWorkerPool, ExecutorKind::kThreadPerTask}) {
-    RunWcKillAndRecover(executor, kParser, 0, 700);
-  }
+  RunWcKillAndRecover(kParser, 0, 700);
 }
 
 TEST(RecoveryTest, WordCountSurvivesSplitterCrash) {
-  for (const ExecutorKind executor :
-       {ExecutorKind::kWorkerPool, ExecutorKind::kThreadPerTask}) {
-    RunWcKillAndRecover(executor, kSplitter, 1, 300);
-  }
+  RunWcKillAndRecover(kSplitter, 1, 300);
 }
 
 TEST(RecoveryTest, WordCountSurvivesEitherCounterReplicaCrash) {
-  for (const ExecutorKind executor :
-       {ExecutorKind::kWorkerPool, ExecutorKind::kThreadPerTask}) {
-    RunWcKillAndRecover(executor, kCounter, 0, 3000);
-    RunWcKillAndRecover(executor, kCounter, 1, 3000);
-  }
+  RunWcKillAndRecover(kCounter, 0, 3000);
+  RunWcKillAndRecover(kCounter, 1, 3000);
 }
 
 // ---------------------------------------------------------------- SD
@@ -274,73 +263,68 @@ bool Contains(const SdMultiset& big, const SdMultiset& small) {
 }
 
 TEST(RecoveryTest, SpikeDetectionRecoversWindowsBitExact) {
-  for (const ExecutorKind executor :
-       {ExecutorKind::kWorkerPool, ExecutorKind::kThreadPerTask}) {
-    SCOPED_TRACE(ExecutorKindName(executor));
-    const SpikeDetectionParams params = SdParams();
+  const SpikeDetectionParams params = SdParams();
 
-    // Clean reference run of the same seed, to completion.
-    SdMultiset clean;
-    {
-      SdRun run = MakeSd(RecoveryConfig(executor), params);
-      ASSERT_TRUE(run.rt->Start().ok());
-      for (int waited = 0;
-           waited < 20000 && run.telemetry->count() < params.max_readings;
-           waited += 20) {
-        SleepMs(20);
-      }
-      (void)run.rt->Stop();
-      std::lock_guard<std::mutex> lock(run.tap->mu);
-      ASSERT_EQ(run.tap->total, params.max_readings);
-      clean = run.tap->tuples;
-    }
-
-    // Faulty run: kill one moving_avg replica mid-stream, recover.
-    EngineConfig config = RecoveryConfig(executor);
-    config.faults.Crash(kMovingAvg, /*replica=*/0, /*after_tuples=*/2000);
-    SdRun run = MakeSd(config, params);
+  // Clean reference run of the same seed, to completion.
+  SdMultiset clean;
+  {
+    SdRun run = MakeSd(RecoveryConfig(), params);
     ASSERT_TRUE(run.rt->Start().ok());
-    Supervisor sup(run.rt.get(), FastSupervision());
-    ASSERT_TRUE(sup.Start().ok());
-    auto done = [&] {
-      std::lock_guard<std::mutex> lock(run.tap->mu);
-      return run.tap->total >= params.max_readings &&
-             Contains(run.tap->tuples, clean);
-    };
-    for (int waited = 0; waited < 20000 && !done(); waited += 20) {
+    for (int waited = 0;
+         waited < 20000 && run.telemetry->count() < params.max_readings;
+         waited += 20) {
       SleepMs(20);
     }
-    SupervisionReport report = sup.Stop();
-    RunStats stats = run.rt->Stop();
-
-    EXPECT_GE(report.restarts, 1);
-    EXPECT_GE(stats.restores, 1);
+    (void)run.rt->Stop();
     std::lock_guard<std::mutex> lock(run.tap->mu);
-    // Zero loss: every clean tuple arrived at least once.
-    EXPECT_TRUE(Contains(run.tap->tuples, clean));
-    // Bit-exact replay: nothing outside the clean run's key set — a
-    // wrongly restored window would shift an average and flip a flag
-    // into a (device, flag) pair the clean run never produced... both
-    // flags per device usually occur, so additionally bound the
-    // duplicate count: total overshoot <= replayed readings.
-    for (const auto& [key, n] : run.tap->tuples) {
-      auto it = clean.find(key);
-      ASSERT_NE(it, clean.end())
-          << "pair (" << key.first << ", " << key.second
-          << ") never occurs in the clean run";
-      EXPECT_GE(n, it->second);
-    }
-    ASSERT_GE(run.tap->total, params.max_readings);
-    EXPECT_LE(run.tap->total - params.max_readings, report.replayed_tuples);
+    ASSERT_EQ(run.tap->total, params.max_readings);
+    clean = run.tap->tuples;
   }
+
+  // Faulty run: kill one moving_avg replica mid-stream, recover.
+  EngineConfig config = RecoveryConfig();
+  config.faults.Crash(kMovingAvg, /*replica=*/0, /*after_tuples=*/2000);
+  SdRun run = MakeSd(config, params);
+  ASSERT_TRUE(run.rt->Start().ok());
+  Supervisor sup(run.rt.get(), FastSupervision());
+  ASSERT_TRUE(sup.Start().ok());
+  auto done = [&] {
+    std::lock_guard<std::mutex> lock(run.tap->mu);
+    return run.tap->total >= params.max_readings &&
+           Contains(run.tap->tuples, clean);
+  };
+  for (int waited = 0; waited < 20000 && !done(); waited += 20) {
+    SleepMs(20);
+  }
+  SupervisionReport report = sup.Stop();
+  RunStats stats = run.rt->Stop();
+
+  EXPECT_GE(report.restarts, 1);
+  EXPECT_GE(stats.restores, 1);
+  std::lock_guard<std::mutex> lock(run.tap->mu);
+  // Zero loss: every clean tuple arrived at least once.
+  EXPECT_TRUE(Contains(run.tap->tuples, clean));
+  // Bit-exact replay: nothing outside the clean run's key set — a
+  // wrongly restored window would shift an average and flip a flag
+  // into a (device, flag) pair the clean run never produced... both
+  // flags per device usually occur, so additionally bound the
+  // duplicate count: total overshoot <= replayed readings.
+  for (const auto& [key, n] : run.tap->tuples) {
+    auto it = clean.find(key);
+    ASSERT_NE(it, clean.end())
+        << "pair (" << key.first << ", " << key.second
+        << ") never occurs in the clean run";
+    EXPECT_GE(n, it->second);
+  }
+  ASSERT_GE(run.tap->total, params.max_readings);
+  EXPECT_LE(run.tap->total - params.max_readings, report.replayed_tuples);
 }
 
 // ------------------------------------------------- direct API checks
 
 TEST(RecoveryTest, CheckpointRoundTripsThroughCodecAndRestores) {
   WordCountParams params;
-  WcRun run = MakeWc({1, 1, 1, 2, 1},
-                     RecoveryConfig(ExecutorKind::kWorkerPool), params);
+  WcRun run = MakeWc({1, 1, 1, 2, 1}, RecoveryConfig(), params);
   ASSERT_TRUE(run.rt->Start().ok());
   SleepMs(150);
 
@@ -375,9 +359,7 @@ TEST(RecoveryTest, CheckpointRoundTripsThroughCodecAndRestores) {
 }
 
 TEST(RecoveryTest, CorruptCheckpointIsRejectedAndJobKeepsRunning) {
-  WcRun run = MakeWc({1, 1, 1, 1, 1},
-                     RecoveryConfig(ExecutorKind::kWorkerPool),
-                     WordCountParams{});
+  WcRun run = MakeWc({1, 1, 1, 1, 1}, RecoveryConfig(), WordCountParams{});
   ASSERT_TRUE(run.rt->Start().ok());
   SleepMs(100);
   auto cp = run.rt->Checkpoint();
@@ -393,7 +375,7 @@ TEST(RecoveryTest, CorruptCheckpointIsRejectedAndJobKeepsRunning) {
 }
 
 TEST(RecoveryTest, CircuitBreakerOpensAfterRestartBudget) {
-  EngineConfig config = RecoveryConfig(ExecutorKind::kWorkerPool);
+  EngineConfig config = RecoveryConfig();
   config.faults.Crash(kParser, 0, 200);
   WcRun run = MakeWc({1, 1, 1, 1, 1}, config, WordCountParams{});
   ASSERT_TRUE(run.rt->Start().ok());

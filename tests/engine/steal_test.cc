@@ -128,7 +128,6 @@ TEST(WorkStealingTest, IdleWorkerStealsBacklogExactlyOnce) {
   // holds two busy tasks — exactly the idle-steal trigger. The bolt
   // counter plus the PollGuard abort give exactly-once processing.
   EngineConfig cfg;
-  cfg.executor = ExecutorKind::kWorkerPool;
   cfg.workers_per_socket = 2;
   cfg.pin_threads = false;
   ASSERT_TRUE(cfg.steal_work);  // native default
@@ -166,7 +165,7 @@ TEST(WorkStealingTest, IdleWorkerStealsBacklogExactlyOnce) {
   std::vector<Task*> task_ptrs;
   std::vector<Channel*> channel_ptrs;
   for (auto& t : tasks) {
-    t->Bind(&signals, /*cooperative=*/true);
+    t->Bind(&signals);
     task_ptrs.push_back(t.get());
   }
   for (auto& c : channels) channel_ptrs.push_back(c.get());
@@ -203,7 +202,6 @@ TEST(WorkStealingTest, StealsOffKeepsTasksHome) {
   // Same skewed layout with steal_work off: worker 1 never helps, and
   // the counters say so.
   EngineConfig cfg;
-  cfg.executor = ExecutorKind::kWorkerPool;
   cfg.workers_per_socket = 2;
   cfg.pin_threads = false;
   cfg.steal_work = false;
@@ -233,7 +231,7 @@ TEST(WorkStealingTest, StealsOffKeepsTasksHome) {
   std::vector<Task*> task_ptrs;
   std::vector<Channel*> channel_ptrs;
   for (auto& t : tasks) {
-    t->Bind(&signals, true);
+    t->Bind(&signals);
     task_ptrs.push_back(t.get());
   }
   for (auto& c : channels) channel_ptrs.push_back(c.get());
@@ -297,7 +295,6 @@ TEST(WorkStealingTest, CheckpointRestoreSurvivesCrashWhileStealing) {
   const api::Topology topo = std::move(topo_or).value();
 
   EngineConfig cfg;
-  cfg.executor = ExecutorKind::kWorkerPool;
   cfg.workers_per_socket = 2;
   cfg.batch_size = 16;
   cfg.spout_rate_tps = 30000;

@@ -1,9 +1,9 @@
 // File-backed checkpoint/restore: a word_count job fed from the mmap
 // source checkpoints byte-offset positions at record boundaries,
-// survives injected crashes through the supervisor on both executors,
-// and replays the file from the exact captured offsets — gap-free
-// counts, bounded duplicates (the engine/recovery_test oracle, applied
-// to external input). Also pins the checkpoint codec's backward
+// survives injected crashes through the supervisor, and replays the
+// file from the exact captured offsets — gap-free counts, bounded
+// duplicates (the engine/recovery_test oracle, applied to external
+// input). Also pins the checkpoint codec's backward
 // compatibility: PR-7 "BCP1" buffers (kind-less positions) must keep
 // decoding as tuple counts.
 #include <chrono>
@@ -35,7 +35,6 @@ namespace {
 
 using engine::BriskRuntime;
 using engine::EngineConfig;
-using engine::ExecutorKind;
 using engine::SupervisionReport;
 using engine::Supervisor;
 using engine::SupervisorOptions;
@@ -110,9 +109,8 @@ FileWcRun MakeFileWc(const std::string& corpus, std::vector<int> replication,
   return run;
 }
 
-EngineConfig FileRecoveryConfig(ExecutorKind executor) {
+EngineConfig FileRecoveryConfig() {
   EngineConfig config;
-  config.executor = executor;
   config.batch_size = 16;
   config.spout_rate_tps = SanitizerPacedRate(30000);
   config.drain_timeout_s = 2.0;
@@ -162,14 +160,13 @@ void CheckWcRecovered(WcTap* tap, uint64_t expected_words,
 
 /// Kills (op, replica) mid-run and asserts the supervised job replays
 /// the file to the exact population from the checkpointed byte offsets.
-void RunFileWcKillAndRecover(ExecutorKind executor, int op, int replica,
-                             uint64_t after_tuples) {
-  SCOPED_TRACE(std::string(engine::ExecutorKindName(executor)) + " kill op " +
-               std::to_string(op) + " replica " + std::to_string(replica));
+void RunFileWcKillAndRecover(int op, int replica, uint64_t after_tuples) {
+  SCOPED_TRACE("kill op " + std::to_string(op) + " replica " +
+               std::to_string(replica));
   constexpr int kLines = 1200;
   const uint64_t expected = uint64_t{kLines} * kWordsPerLine;
   const std::string corpus = WriteWcCorpus("io_rec_corpus.txt", kLines);
-  EngineConfig config = FileRecoveryConfig(executor);
+  EngineConfig config = FileRecoveryConfig();
   config.faults.Crash(op, replica, after_tuples);
   // Two spout replicas: recovery must rewind two independent byte
   // offsets, one per range slice.
@@ -194,20 +191,14 @@ void RunFileWcKillAndRecover(ExecutorKind executor, int op, int replica,
   CheckWcRecovered(run.tap.get(), expected, report.replayed_tuples);
 }
 
-TEST(IoRecoveryTest, FileJobSurvivesSpoutCrashOnBothExecutors) {
-  for (const ExecutorKind executor :
-       {ExecutorKind::kWorkerPool, ExecutorKind::kThreadPerTask}) {
-    // Killing a source replica forces the re-Prepared FileSource to
-    // remap the file and Rewind to the checkpointed byte offset.
-    RunFileWcKillAndRecover(executor, kSpout, 0, 250);
-  }
+TEST(IoRecoveryTest, FileJobSurvivesSpoutCrash) {
+  // Killing a source replica forces the re-Prepared FileSource to
+  // remap the file and Rewind to the checkpointed byte offset.
+  RunFileWcKillAndRecover(kSpout, 0, 250);
 }
 
-TEST(IoRecoveryTest, FileJobSurvivesCounterCrashOnBothExecutors) {
-  for (const ExecutorKind executor :
-       {ExecutorKind::kWorkerPool, ExecutorKind::kThreadPerTask}) {
-    RunFileWcKillAndRecover(executor, kCounter, 0, 2000);
-  }
+TEST(IoRecoveryTest, FileJobSurvivesCounterCrash) {
+  RunFileWcKillAndRecover(kCounter, 0, 2000);
 }
 
 TEST(IoRecoveryTest, CheckpointCapturesByteOffsetsAtRecordBoundaries) {
@@ -215,8 +206,7 @@ TEST(IoRecoveryTest, CheckpointCapturesByteOffsetsAtRecordBoundaries) {
   const std::string corpus = WriteWcCorpus("io_rec_bounds.txt", kLines);
   auto file = ReadRecordFile(corpus, RecordCodec::kText);
   ASSERT_TRUE(file.ok());
-  FileWcRun run = MakeFileWc(corpus, {2, 1, 1, 1, 1},
-                             FileRecoveryConfig(ExecutorKind::kWorkerPool));
+  FileWcRun run = MakeFileWc(corpus, {2, 1, 1, 1, 1}, FileRecoveryConfig());
   ASSERT_TRUE(run.rt->Start().ok());
   for (int waited = 0; waited < 5000 && run.telemetry->count() < 2000;
        waited += 10) {

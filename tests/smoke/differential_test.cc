@@ -1,17 +1,18 @@
 // Differential correctness: under a fixed seed, a bounded run's sink
-// multiset is an exact function of the workload — not of the executor
-// model, nor of the engine's overhead mode. Fields grouping pins every
-// key to one replica, so per-key results (word counts, device
-// windows) are interleaving-invariant; anything that leaks between the
-// four configurations (a dropped batch, a double-consumed envelope, a
-// serde mismatch, per-key state landing on the wrong replica) breaks
-// exact equality.
+// multiset is an exact function of the workload — not of the engine's
+// overhead mode nor of the worker pool's interleaving. Fields grouping
+// pins every key to one replica, so per-key results (word counts,
+// device windows) are interleaving-invariant; anything that leaks
+// between the configurations (a dropped batch, a double-consumed
+// envelope, a serde mismatch, per-key state landing on the wrong
+// replica) breaks exact equality.
 //
-// The matrix: {kThreadPerTask, kWorkerPool} × {Brisk, Storm-like},
-// word_count and spike_detection, identical plans, one seed. A fifth
-// arm disables compiled pipelines on the native config, so the batch
-// (RunBatch) and row-wise (Process) executions of the same kernel
-// operators are held to the same sink multiset as everything else.
+// The matrix: {Brisk, Storm-like, Brisk row-wise} on the worker pool,
+// word_count and spike_detection, identical plans, one seed. The
+// row-wise arm disables compiled pipelines on the native config, so
+// the batch (RunBatch) and row-wise (Process) executions of the same
+// kernel operators are held to the same sink multiset as everything
+// else.
 #include <algorithm>
 #include <chrono>
 #include <memory>
@@ -40,7 +41,6 @@ using model::ExecutionPlan;
 constexpr uint64_t kSeed = 0x5eedULL;
 
 struct Cell {
-  ExecutorKind executor;
   EngineConfig config;
   const char* name;
 };
@@ -53,17 +53,14 @@ EngineConfig BriskRowWise() {
 
 std::vector<Cell> Matrix() {
   return {
-      {ExecutorKind::kWorkerPool, EngineConfig::Brisk(), "pool/brisk"},
-      {ExecutorKind::kThreadPerTask, EngineConfig::Brisk(), "tpt/brisk"},
-      {ExecutorKind::kWorkerPool, EngineConfig::StormLike(), "pool/storm"},
-      {ExecutorKind::kThreadPerTask, EngineConfig::StormLike(), "tpt/storm"},
-      {ExecutorKind::kWorkerPool, BriskRowWise(), "pool/brisk/rowwise"},
+      {EngineConfig::Brisk(), "brisk"},
+      {EngineConfig::StormLike(), "storm"},
+      {BriskRowWise(), "brisk/rowwise"},
   };
 }
 
 EngineConfig Arm(Cell cell) {
   EngineConfig config = cell.config;
-  config.executor = cell.executor;
   config.seed = kSeed;
   config.drain_timeout_s = 5.0;
   return config;
