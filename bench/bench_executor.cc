@@ -10,13 +10,16 @@
 // 100 ms at r64 (see ROADMAP.md).
 //
 // Skewed arm (gated): word_count r=64 with every heavy instance on
-// socket 0 of an emulated two-socket machine, stealing on vs off.
-// The bench exits nonzero unless stealing lifts throughput >= 1.5x,
-// shows intra-socket steals, and keeps cross-socket steals a strict
-// minority. The gate is enforced on hosts with >= 2 cores.
+// socket 0 of an emulated two-socket machine, stealing on vs off, run
+// as kSkewPairs off/on pairs that alternate which side runs first (a
+// single steal-off run is bimodal on shared hosts). The bench exits
+// nonzero unless the median on/off ratio is >= 1.5 and, over the
+// summed steal-on counters, intra-socket steals are > 0 and
+// cross-socket steals a strict minority. The gate is enforced on
+// hosts with >= 2 cores.
 //
 // Flags: --quick (CI-sized points/durations), --out <path>,
-// --budget/--qcap (experiment overrides).
+// --qcap (experiment override).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -52,12 +55,14 @@ struct RunResult {
   uint64_t parks = 0;
 };
 
-int g_budget = 0;  // experiment override, 0 = default
-int g_qcap = 0;    // experiment override, 0 = default
+int g_qcap = 0;  // experiment override, 0 = default
 
 /// Requested ring capacity per edge in the sweep and the skewed arm;
 /// the pool's in-flight cap is off, so the ring is the only bound.
 constexpr size_t kBoundedQueueBatches = 16;
+
+/// Off/on pairs in the skewed arm; the gate reads their median ratio.
+constexpr int kSkewPairs = 5;
 
 RunResult RunOnce(int replication, double seconds) {
   auto app = apps::MakeApp(apps::AppId::kWordCount);
@@ -70,7 +75,6 @@ RunResult RunOnce(int replication, double seconds) {
   cfg.queue_capacity = kBoundedQueueBatches;
   cfg.pool_inflight_batches = 0;
   cfg.graceful_drain = false;
-  if (g_budget > 0) cfg.poll_budget = g_budget;
   if (g_qcap > 0) cfg.queue_capacity = static_cast<size_t>(g_qcap);
   auto rt = engine::BriskRuntime::Create(app->topology_ptr.get(), *plan, cfg);
   if (!rt.ok()) std::abort();
@@ -145,7 +149,6 @@ SkewResult RunSkew(bool steal_on, double seconds) {
   // At least two workers per socket so intra-socket stealing is
   // structurally possible even on small hosts.
   cfg.workers_per_socket = std::max(2, cores / 2);
-  if (g_budget > 0) cfg.poll_budget = g_budget;
   auto rt = engine::BriskRuntime::Create(app->topology_ptr.get(), *plan,
                                          cfg, &numa);
   if (!rt.ok()) std::abort();
@@ -179,9 +182,6 @@ int Main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
-    }
-    if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      g_budget = std::atoi(argv[++i]);
     }
     if (std::strcmp(argv[i], "--qcap") == 0 && i + 1 < argc) {
       g_qcap = std::atoi(argv[++i]);
@@ -243,21 +243,39 @@ int Main(int argc, char** argv) {
   // enforced on single-core hosts.
   const bool steal_gate_enforced = cores >= 2;
   std::printf("skewed arm: word_count r=64, heavy ops pinned to socket 0 "
-              "of an emulated 2-socket machine, steal on vs off "
-              "(%s on this host)\n",
+              "of an emulated 2-socket machine, steal on vs off, %d "
+              "alternating pairs (%s on this host)\n",
+              kSkewPairs,
               steal_gate_enforced ? "gated" : "recorded, ungated: <2 cores");
-  const SkewResult skew_off = RunSkew(/*steal_on=*/false, seconds);
-  const SkewResult skew_on = RunSkew(/*steal_on=*/true, seconds);
-  const double steal_ratio =
-      skew_off.sink_tps > 0.0 ? skew_on.sink_tps / skew_off.sink_tps : 0.0;
-  const std::vector<int> swidths = {7, 13, 8, 7, 7, 7, 7, 7, 7};
+  // Alternate which side runs first so host drift between the two
+  // runs of a pair biases neither side.
+  std::vector<SkewResult> skew_off(kSkewPairs), skew_on(kSkewPairs);
+  std::vector<double> ratios(kSkewPairs);
+  for (int p = 0; p < kSkewPairs; ++p) {
+    if (p % 2 == 0) {
+      skew_off[p] = RunSkew(/*steal_on=*/false, seconds);
+      skew_on[p] = RunSkew(/*steal_on=*/true, seconds);
+    } else {
+      skew_on[p] = RunSkew(/*steal_on=*/true, seconds);
+      skew_off[p] = RunSkew(/*steal_on=*/false, seconds);
+    }
+    ratios[p] = skew_off[p].sink_tps > 0.0
+                    ? skew_on[p].sink_tps / skew_off[p].sink_tps
+                    : 0.0;
+  }
+  std::vector<double> sorted_ratios = ratios;
+  std::sort(sorted_ratios.begin(), sorted_ratios.end());
+  const double steal_ratio = sorted_ratios[kSkewPairs / 2];
+  const std::vector<int> swidths = {7, 7, 13, 8, 7, 7, 7, 7, 7, 7};
   bench::PrintRule(swidths);
-  bench::PrintRow({"steal", "tup/s", "workers", "parks", "wakes", "intra",
-                   "cross", "fail", "repat"},
+  bench::PrintRow({"pair", "steal", "tup/s", "workers", "parks", "wakes",
+                   "intra", "cross", "fail", "repat"},
                   swidths);
   bench::PrintRule(swidths);
-  auto print_skew = [&](const char* label, const SkewResult& r) {
-    char tps[32], wk[16], pk[16], wks[16], in[16], cr[16], fl[16], rp[16];
+  auto print_skew = [&](int pair, const char* label, const SkewResult& r) {
+    char pr[16], tps[32], wk[16], pk[16], wks[16], in[16], cr[16], fl[16],
+        rp[16];
+    std::snprintf(pr, sizeof(pr), "%d", pair + 1);
     std::snprintf(tps, sizeof(tps), "%.0f", r.sink_tps);
     std::snprintf(wk, sizeof(wk), "%d", r.workers);
     std::snprintf(pk, sizeof(pk), "%llu", (unsigned long long)r.parks);
@@ -270,24 +288,33 @@ int Main(int argc, char** argv) {
                   (unsigned long long)r.steal_failures);
     std::snprintf(rp, sizeof(rp), "%llu",
                   (unsigned long long)r.repatriations);
-    bench::PrintRow({label, tps, wk, pk, wks, in, cr, fl, rp}, swidths);
+    bench::PrintRow({pr, label, tps, wk, pk, wks, in, cr, fl, rp}, swidths);
   };
-  print_skew("off", skew_off);
-  print_skew("on", skew_on);
+  uint64_t steals_intra = 0;
+  uint64_t steals_cross = 0;
+  for (int p = 0; p < kSkewPairs; ++p) {
+    print_skew(p, "off", skew_off[p]);
+    print_skew(p, "on", skew_on[p]);
+    steals_intra += skew_on[p].steals_intra;
+    steals_cross += skew_on[p].steals_cross;
+  }
   bench::PrintRule(swidths);
-  const uint64_t steals_total =
-      skew_on.steals_intra + skew_on.steals_cross;
+  const uint64_t steals_total = steals_intra + steals_cross;
   const bool steal_ratio_pass = steal_ratio >= 1.5;
-  const bool steal_intra_pass = skew_on.steals_intra > 0;
+  const bool steal_intra_pass = steals_intra > 0;
   const bool steal_cross_minority =
-      skew_on.steals_cross * 2 < steals_total || steals_total == 0;
+      steals_cross * 2 < steals_total || steals_total == 0;
   const bool steal_pass =
       !steal_gate_enforced ||
       (steal_ratio_pass && steal_intra_pass && steal_cross_minority);
-  std::printf("steal gate: on/off = %.2f (min 1.50), intra=%llu "
-              "cross=%llu (cross must stay a strict minority)%s\n",
-              steal_ratio, (unsigned long long)skew_on.steals_intra,
-              (unsigned long long)skew_on.steals_cross,
+  std::printf("steal gate: median on/off over %d pairs = %.2f (min 1.50; "
+              "pairs:",
+              kSkewPairs, steal_ratio);
+  for (const double r : ratios) std::printf(" %.2f", r);
+  std::printf("), summed steal-on intra=%llu cross=%llu (cross must stay "
+              "a strict minority)%s\n",
+              (unsigned long long)steals_intra,
+              (unsigned long long)steals_cross,
               steal_gate_enforced ? "" : " [not enforced: <2 cores]");
 
   auto skew_json = [](const SkewResult& r) {
@@ -302,14 +329,25 @@ int Main(int argc, char** argv) {
         .Add("repatriations", static_cast<double>(r.repatriations));
     return o;
   };
+  bench::JsonObj pairs;
+  for (int p = 0; p < kSkewPairs; ++p) {
+    bench::JsonObj pair;
+    pair.Add("first", p % 2 == 0 ? "off" : "on")
+        .Add("ratio", ratios[p])
+        .Add("steal_off", skew_json(skew_off[p]))
+        .Add("steal_on", skew_json(skew_on[p]));
+    pairs.Add(std::to_string(p + 1), pair);
+  }
   bench::JsonObj gate_steal;
   gate_steal.Add("replication", 64)
-      .Add("ratio", steal_ratio)
+      .Add("repeats", kSkewPairs)
+      .Add("ratio_median", steal_ratio)
       .Add("min", 1.5)
+      .Add("steals_intra_on", static_cast<double>(steals_intra))
+      .Add("steals_cross_on", static_cast<double>(steals_cross))
       .Add("enforced", steal_gate_enforced)
       .Add("pass", steal_pass)
-      .Add("steal_off", skew_json(skew_off))
-      .Add("steal_on", skew_json(skew_on));
+      .Add("pairs", pairs);
   bench::JsonObj doc;
   doc.Add("bench", "executor")
       .Add("workload",
@@ -327,11 +365,11 @@ int Main(int argc, char** argv) {
 
   if (!steal_pass) {
     std::fprintf(stderr,
-                 "FAIL: skewed arm — steal-on/steal-off = %.2f (min "
-                 "1.50), steals_intra=%llu (must be > 0), "
+                 "FAIL: skewed arm — median steal-on/steal-off = %.2f "
+                 "(min 1.50), summed steals_intra=%llu (must be > 0), "
                  "steals_cross=%llu (must be a strict minority)\n",
-                 steal_ratio, (unsigned long long)skew_on.steals_intra,
-                 (unsigned long long)skew_on.steals_cross);
+                 steal_ratio, (unsigned long long)steals_intra,
+                 (unsigned long long)steals_cross);
     return 1;
   }
   return 0;

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <memory_resource>
 #include <utility>
 #include <vector>
 
@@ -28,14 +27,9 @@ class SpscQueue {
  public:
   /// The ring is the smallest power of two 2^k > `capacity`, and one
   /// slot always stays empty, so usable slots = capacity() = 2^k - 1
-  /// >= `capacity` (128 requested gives 255). `memory` backs the slot
-  /// array (NUMA-aware callers pass the consuming socket's arena; it
-  /// must outlive the queue). Slot *contents* are plain T — only the
-  /// ring storage is placed.
-  explicit SpscQueue(size_t capacity,
-                     std::pmr::memory_resource* memory =
-                         std::pmr::get_default_resource())
-      : slots_(memory) {
+  /// >= `capacity` (128 requested gives 255). The slot array comes
+  /// from the default heap, allocated by the constructing thread.
+  explicit SpscQueue(size_t capacity) {
     size_t cap = 1;
     while (cap < capacity + 1) cap <<= 1;  // one slot stays empty
     mask_ = cap - 1;
@@ -86,7 +80,7 @@ class SpscQueue {
   size_t capacity() const { return mask_; }
 
  private:
-  std::pmr::vector<T> slots_;
+  std::vector<T> slots_;
   size_t mask_ = 0;
 
   alignas(kCacheLineSize) std::atomic<size_t> head_{0};

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <memory_resource>
 #include <vector>
 
 #include "common/spsc_queue.h"
@@ -36,18 +35,13 @@ struct Envelope {
 
 class Channel {
  public:
-  /// `ring_memory` backs both ring buffers' slot storage; the runtime
-  /// passes the *consumer* socket's NumaArena so a batch pointer is
-  /// read from memory local to the socket that pops it. The resource
-  /// must outlive the channel (arena lifetime rule: arenas are owned by
-  /// the runtime and destroyed after every channel and task).
-  Channel(int from_instance, int to_instance, size_t capacity,
-          std::pmr::memory_resource* ring_memory =
-              std::pmr::get_default_resource())
+  /// Both rings' slot arrays come from the default heap, allocated by
+  /// the thread that wires the graph.
+  Channel(int from_instance, int to_instance, size_t capacity)
       : from_instance_(from_instance),
         to_instance_(to_instance),
-        queue_(capacity, ring_memory),
-        recycled_(capacity + 1, ring_memory) {
+        queue_(capacity),
+        recycled_(capacity + 1) {
     producer_full_threshold_ = queue_.capacity();
   }
 

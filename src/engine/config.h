@@ -91,11 +91,6 @@ struct EngineConfig {
   /// emulated 8-socket plan on a laptop never spawns 144 workers).
   int workers_per_socket = 0;
 
-  /// Work quantum per Task::Poll visit: a bolt drains up to this many
-  /// envelopes, a spout produces up to this many batches, before the
-  /// worker moves to its next task.
-  int poll_budget = 8;
-
   /// Worker-pool producers treat a channel already holding this many
   /// undelivered batches as full and park the next one (cooperative
   /// back-pressure) instead of filling the whole ring. This bounds the

@@ -43,6 +43,11 @@ void PinThreadToCpu(std::thread& thread, int cpu) {
 constexpr int kSpinPasses = 64;
 constexpr int kYieldPasses = 16;
 
+/// Work quantum per Task::Poll visit: a bolt drains up to this many
+/// envelopes, a spout produces up to this many batches, before the
+/// worker moves to its next task.
+constexpr int kPollBudget = 8;
+
 /// How long an idle worker parks before re-scanning on its own.
 /// Producers wake it earlier through the channel Waker hints; the
 /// timeout covers wakes the hints cannot see (token-bucket refills).
@@ -311,14 +316,14 @@ class WorkerPoolExecutor final : public Executor {
   /// checked out, polled once, and requeued (front-pop + back-push =
   /// round-robin). Bounded by the pass-entry depth so steal-ins during
   /// the pass don't extend it unboundedly.
-  bool OwnPass(Worker* w, int budget) {
+  bool OwnPass(Worker* w) {
     uint64_t busy = 0;
     const size_t depth = w->deque->SizeApprox();
     for (size_t i = 0; i < depth && !Stopped(); ++i) {
       Task* t = w->deque->PopFront();
       if (t == nullptr) break;  // thieves got there first
       w->poll_in_flight = 1;
-      if (t->Poll(budget) == PollResult::kProgress) {
+      if (t->Poll(kPollBudget) == PollResult::kProgress) {
         // Publish immediately, not at pass end: a thief deciding
         // whether this worker is worth stealing from must see the
         // busy signal while a long poll is still grinding.
@@ -488,7 +493,6 @@ class WorkerPoolExecutor final : public Executor {
   }
 
   void Loop(Worker* w) {
-    const int budget = std::max(1, config_.poll_budget);
     int idle_passes = 0;
     int failed_intra_rounds = 0;
     // The remembered park token: a park that ended by timeout (not
@@ -498,7 +502,7 @@ class WorkerPoolExecutor final : public Executor {
     bool park_stale = false;
     while (!Stopped()) {
       ++w->heartbeat;
-      const bool progress = OwnPass(w, budget);
+      const bool progress = OwnPass(w);
       if (Stopped()) break;
       if (progress) {
         idle_passes = 0;

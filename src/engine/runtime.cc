@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/tuple.h"
-#include "hardware/numa_arena.h"
 #include "hardware/topology.h"
 
 namespace brisk::engine {
@@ -30,12 +29,9 @@ StatusOr<std::unique_ptr<BriskRuntime>> BriskRuntime::Create(
   rt->config_ = config;
   rt->numa_ = numa;
   rt->retired_op_stats_.resize(topo->num_operators());
-  // One hugepage-backed arena per plan socket, bound to a real NUMA
-  // node when the host has several. Channel rings allocate from the
-  // consumer's arena, so the slots a task pops sit on the socket RLAS
-  // placed it on.
-  rt->arenas_ = std::make_unique<hw::ArenaSet>(hw::DetectHostTopology(),
-                                               hw::kArenaChunkBytes);
+  // Probed once: every executor this runtime starts (one per epoch)
+  // pins workers against the same host layout.
+  rt->host_ = hw::DetectHostTopology();
   BRISK_RETURN_NOT_OK(rt->WireGraph(plan, nullptr));
   return rt;
 }
@@ -125,9 +121,8 @@ Status BriskRuntime::WireGraph(
                                 : plan.replication(e.consumer_op);
       for (int cr = 0; cr < consumers; ++cr) {
         const int cinst = plan.InstanceId(e.consumer_op, cr);
-        channels_.push_back(std::make_unique<Channel>(
-            pinst, cinst, config_.queue_capacity,
-            arenas_->ForSocket(instance_sockets_[cinst])));
+        channels_.push_back(
+            std::make_unique<Channel>(pinst, cinst, config_.queue_capacity));
         Channel* ch = channels_.back().get();
         tasks_[cinst]->AddInput(ch);
         route.channels.push_back(ch);
@@ -179,7 +174,7 @@ Status BriskRuntime::StartExecutor() {
   executor_ = MakeExecutor(config_, &signals_, std::move(task_ptrs),
                            std::move(channel_ptrs),
                            numa_ != nullptr ? &numa_->machine() : nullptr,
-                           &arenas_->topology());
+                           &host_);
   return executor_->Start();
 }
 

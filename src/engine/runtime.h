@@ -21,12 +21,9 @@
 #include "engine/executor.h"
 #include "engine/task.h"
 #include "hardware/numa_emulator.h"
+#include "hardware/topology.h"
 #include "model/execution_plan.h"
 #include "optimizer/dynamic.h"
-
-namespace brisk::hw {
-class ArenaSet;
-}  // namespace brisk::hw
 
 namespace brisk::engine {
 
@@ -265,10 +262,9 @@ class BriskRuntime {
   const api::Topology* topo_ = nullptr;
   EngineConfig config_;
   const hw::NumaEmulator* numa_ = nullptr;
-  /// Per-plan-socket NUMA arenas backing channel rings. Declared
-  /// before channels_/tasks_: members destroy in reverse order, so the
-  /// arenas outlive every ring they handed out.
-  std::unique_ptr<hw::ArenaSet> arenas_;
+  /// The host's real NUMA layout, detected once at Create; the
+  /// executor's node-aware pinning reads it.
+  hw::HostTopology host_;
   model::ExecutionPlan plan_;  ///< the plan currently wired/running
   std::vector<int> instance_sockets_;
   std::vector<int> instance_op_;  ///< operator id per instance

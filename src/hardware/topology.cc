@@ -6,13 +6,12 @@
 #include <sstream>
 #include <thread>
 
-#if defined(BRISK_HAVE_NUMA)
-#include <numa.h>
-#endif
-
 namespace brisk::hw {
 
 namespace {
+
+/// Largest CPU id a cpulist piece may name: above any kernel's NR_CPUS.
+constexpr long kMaxCpuId = 65535;
 
 HostTopology FlatTopology() {
   HostTopology topo;
@@ -25,32 +24,6 @@ HostTopology FlatTopology() {
   topo.node_cpus.push_back(std::move(cpus));
   return topo;
 }
-
-#if defined(BRISK_HAVE_NUMA)
-bool DetectViaLibnuma(HostTopology* topo) {
-  if (numa_available() < 0) return false;
-  const int max_node = numa_max_node();
-  if (max_node < 0) return false;
-  struct bitmask* mask = numa_allocate_cpumask();
-  if (mask == nullptr) return false;
-  for (int node = 0; node <= max_node; ++node) {
-    std::vector<int> cpus;
-    if (numa_node_to_cpus(node, mask) == 0) {
-      for (unsigned cpu = 0; cpu < mask->size; ++cpu) {
-        if (numa_bitmask_isbitset(mask, cpu)) {
-          cpus.push_back(static_cast<int>(cpu));
-        }
-      }
-    }
-    topo->node_cpus.push_back(std::move(cpus));
-  }
-  numa_free_cpumask(mask);
-  topo->nodes = max_node + 1;
-  topo->real = topo->nodes > 1;
-  topo->source = "libnuma";
-  return true;
-}
-#endif
 
 bool DetectViaSysfs(HostTopology* topo) {
   // Nodes are numbered densely from 0; stop at the first gap. The 4096
@@ -87,6 +60,7 @@ std::vector<int> ParseCpuList(const std::string& text) {
       hi = std::strtol(hi_begin, &end, 10);
       if (end == hi_begin || hi < lo) continue;
     }
+    if (hi > kMaxCpuId) continue;
     for (long cpu = lo; cpu <= hi; ++cpu) {
       cpus.push_back(static_cast<int>(cpu));
     }
@@ -96,10 +70,6 @@ std::vector<int> ParseCpuList(const std::string& text) {
 
 HostTopology DetectHostTopology() {
   HostTopology topo;
-#if defined(BRISK_HAVE_NUMA)
-  if (DetectViaLibnuma(&topo)) return topo;
-  topo = HostTopology();
-#endif
   if (DetectViaSysfs(&topo)) return topo;
   return FlatTopology();
 }

@@ -3,12 +3,11 @@
 // Everything upstream of this file reasons about *plan* sockets — the
 // virtual machine the RLAS optimizer placed operators on. This module
 // answers the other question: what does the host actually look like?
-// Detection prefers libnuma when the build found it (BRISK_WITH_NUMA
-// and numa.h present), falls back to parsing
-// /sys/devices/system/node/node*/cpulist, and degrades to a flat
-// single-node view of std::thread::hardware_concurrency() everywhere
-// else — so plans execute on real multi-socket boxes with genuine
-// node binding, and identically (minus the binding) on laptops and CI.
+// Detection parses /sys/devices/system/node/node*/cpulist and degrades
+// to a flat single-node view of std::thread::hardware_concurrency()
+// everywhere else — so plans execute on real multi-socket boxes with
+// node-aware worker pinning, and identically (minus the pinning) on
+// laptops and CI.
 #pragma once
 
 #include <string>
@@ -23,10 +22,10 @@ struct HostTopology {
   std::vector<std::vector<int>> node_cpus;
 
   /// True only when more than one memory node was actually detected —
-  /// the gate for mbind placement and node-aware pinning.
+  /// the gate for node-aware pinning.
   bool real = false;
 
-  /// Where the answer came from: "libnuma", "sysfs", or "flat".
+  /// Where the answer came from: "sysfs" or "flat".
   std::string source = "flat";
 
   int total_cpus() const {
@@ -45,11 +44,12 @@ struct HostTopology {
 };
 
 /// Parses the kernel's cpulist format ("0-3,8,10-11"); malformed
-/// pieces are skipped. Exposed for unit tests.
+/// pieces, and pieces naming an implausibly large CPU id, are skipped.
+/// Exposed for unit tests.
 std::vector<int> ParseCpuList(const std::string& text);
 
-/// Probes once per call (callers cache the result; the runtime keeps
-/// it inside its ArenaSet).
+/// Probes once per call (callers cache the result; the runtime detects
+/// it once at Create).
 HostTopology DetectHostTopology();
 
 }  // namespace brisk::hw
