@@ -74,7 +74,7 @@ RunResult RunOnce(int replication, double seconds) {
   EngineConfig cfg = EngineConfig::Brisk();
   cfg.queue_capacity = kBoundedQueueBatches;
   cfg.pool_inflight_batches = 0;
-  cfg.graceful_drain = false;
+  cfg.drain_timeout_s = 0;  // metrics are read before Stop()
   if (g_qcap > 0) cfg.queue_capacity = static_cast<size_t>(g_qcap);
   auto rt = engine::BriskRuntime::Create(app->topology_ptr.get(), *plan, cfg);
   if (!rt.ok()) std::abort();
@@ -143,7 +143,7 @@ SkewResult RunSkew(bool steal_on, double seconds) {
   EngineConfig cfg = EngineConfig::Brisk();
   cfg.queue_capacity = kBoundedQueueBatches;
   cfg.pool_inflight_batches = 0;
-  cfg.graceful_drain = false;
+  cfg.drain_timeout_s = 0;  // metrics are read before Stop()
   cfg.pin_threads = true;
   cfg.steal_work = steal_on;
   // At least two workers per socket so intra-socket stealing is

@@ -261,6 +261,25 @@ Stream Stream::SideOutput(const std::string& stream) const {
   return Stream(pipe_, node_, stream);
 }
 
+Stream Stream::Merge(const Stream& input) const {
+  Pipeline::Node& node = pipe_->nodes_[node_];
+  if (input.pipe_ == pipe_) {
+    node.subs.push_back(
+        {input.node_, input.stream_, input.grouping_, input.key_field_});
+  } else if (pipe_->deferred_error_.ok()) {
+    pipe_->deferred_error_ = Status::InvalidArgument(
+        "operator '" + node.name + "' merges a stream from another pipeline");
+  }
+  return *this;
+}
+
+Stream Stream::Merge(const KeyedStream& input) const {
+  Stream keyed = input.base_;
+  keyed.grouping_ = api::GroupingType::kFields;
+  keyed.key_field_ = input.key_field_;
+  return Merge(keyed);
+}
+
 Stream Pipeline::Source(const std::string& name, SourceFactory factory) {
   Node node;
   node.name = name;
@@ -311,6 +330,7 @@ Stream Pipeline::FromSocket(const std::string& name,
 }
 
 StatusOr<api::Topology> Pipeline::Build() && {
+  if (!deferred_error_.ok()) return deferred_error_;
   api::TopologyBuilder b(name_);
   for (auto& node : nodes_) {
     if (node.is_source) {

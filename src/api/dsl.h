@@ -18,6 +18,10 @@
 //                                | next attached consumer
 //   .SideOutput("name")          | named output stream (App. A's
 //                                | declareStream), id resolved by name
+//   .Merge(stream / keyed)       | one more input edge on the same
+//                                | bolt, with that input's grouping
+//                                | (§2.2 multi-input operators, e.g.
+//                                | Linear Road's toll_notify)
 //   .Parallelism(n)              | base replication the optimizer's
 //                                | Algorithm 1 scales from (§4)
 //   .Sink(...)                   | terminal bolt; the throughput
@@ -29,11 +33,9 @@
 // copied per replica, so mutable captures are replica-local without
 // any synchronization (the engine's one-thread-per-instance contract).
 //
-// The DSL covers single-input chains with fan-out (attach several
-// consumers to one Stream handle) and named side outputs. Multi-input
-// operators (Linear Road's toll_notify) remain the Storm-compatible
-// layer's domain — build those with api::TopologyBuilder and run them
-// through the same Job facade.
+// The DSL covers chains with fan-out (attach several consumers to one
+// Stream handle), named side outputs, and multi-input operators
+// (Merge further inputs into the bolt a verb attached).
 //
 // Lifetime: Stream/KeyedStream handles borrow the Pipeline and are
 // invalidated when it is moved (e.g. into Job::Of) or destroyed.
@@ -233,6 +235,15 @@ class Stream {
   /// declaration order) and returns a handle to it; tuples reach it
   /// via Collector::EmitTo(name, ...).
   Stream SideOutput(const std::string& stream) const;
+
+  /// Subscribes the operator this handle leaves to `input` as well,
+  /// with `input`'s grouping (shuffle, broadcast or global) and stream
+  /// (a SideOutput handle picks its named stream). Returns this
+  /// handle, so inputs chain: a.Process(...).Merge(b).Merge(c). A
+  /// handle from another Pipeline fails Build() with InvalidArgument.
+  Stream Merge(const Stream& input) const;
+  /// Same, fields-grouped on `input`'s KeyBy field.
+  Stream Merge(const KeyedStream& input) const;
 
  private:
   friend class Pipeline;
@@ -472,6 +483,7 @@ class Pipeline {
 
   std::string name_;
   std::vector<Node> nodes_;
+  Status deferred_error_;  // first verb misuse, reported at Build
 };
 
 }  // namespace brisk::dsl

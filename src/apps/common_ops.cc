@@ -10,17 +10,4 @@ int64_t NowNs() {
       .count();
 }
 
-void CountingSink::Process(const Tuple& in, api::OutputCollector* out) {
-  (void)out;  // terminal operator
-  telemetry_->RecordTuple(in.origin_ts_ns, NowNs());
-}
-
-void ValidatingParser::Process(const Tuple& in, api::OutputCollector* out) {
-  if (!ParserKeeps(in)) {
-    ++dropped_;
-    return;
-  }
-  out->Emit(in);  // copy: downstream owns its own tuple
-}
-
 }  // namespace brisk::apps

@@ -1,5 +1,9 @@
 #include "apps/fraud_detection.h"
 
+#include <vector>
+
+#include "api/dsl.h"
+
 namespace brisk::apps {
 
 Status TransactionSpout::Prepare(const api::OperatorContext& ctx) {
@@ -26,64 +30,53 @@ size_t TransactionSpout::NextBatch(size_t max_tuples,
   return max_tuples;
 }
 
-int FraudPredictor::BucketOf(double amount) const {
-  int b = 0;
-  double edge = 10.0;
-  while (b < params_.states - 1 && amount > edge) {
-    edge *= 3.0;
-    ++b;
-  }
-  return b;
-}
-
-void FraudPredictor::Process(const Tuple& in, api::OutputCollector* out) {
-  const int64_t account = in.GetInt(0);
-  const double amount = in.GetDouble(1);
-  const int state = BucketOf(amount);
-
-  AccountState& s = accounts_[account];
-  if (s.transitions.empty()) {
-    s.transitions.assign(
-        static_cast<size_t>(params_.states) * params_.states, 0);
-  }
-  double score = 0.0;
-  if (s.last_state >= 0) {
-    const auto row =
-        static_cast<size_t>(s.last_state) * params_.states;
-    uint32_t total = 0;
-    for (int j = 0; j < params_.states; ++j) total += s.transitions[row + j];
-    const uint32_t seen = s.transitions[row + state];
-    // Rare transition (low empirical probability) => high fraud score.
-    score = total > 0
-                ? 1.0 - static_cast<double>(seen) / static_cast<double>(total)
-                : 0.5;
-    ++s.transitions[row + state];
-  }
-  s.last_state = state;
-
-  // Emit a signal per input regardless of the detection outcome
-  // (Appendix B: selectivity one).
-  Tuple t;
-  t.fields.emplace_back(account);
-  t.fields.emplace_back(score);
-  t.origin_ts_ns = in.origin_ts_ns;
-  out->Emit(std::move(t));
-}
-
 StatusOr<api::Topology> BuildFraudDetection(
     std::shared_ptr<SinkTelemetry> sink, FraudDetectionParams params) {
-  api::TopologyBuilder b("fraud-detection");
-  b.AddSpout("spout", [params] {
-    return std::make_unique<TransactionSpout>(params);
-  });
-  b.AddBolt("parser", [] { return std::make_unique<ValidatingParser>(); })
-      .ShuffleFrom("spout");
-  b.AddBolt("predict", [params] {
-     return std::make_unique<FraudPredictor>(params);
-   }).FieldsFrom("parser", 0);
-  b.AddBolt("sink", [sink] { return std::make_unique<CountingSink>(sink); })
-      .ShuffleFrom("predict");
-  return std::move(b).Build();
+  // Per-account Markov model: the last amount bucket and the
+  // states x states transition counts.
+  struct AccountState {
+    int last_state = -1;
+    std::vector<uint32_t> transitions;
+  };
+  const int states = params.states;
+  dsl::Pipeline p("fraud-detection");
+  p.Source("spout",
+           api::SpoutFactory(
+               [params] { return std::make_unique<TransactionSpout>(params); }))
+      .Filter("parser", ParserKeeps)
+      .KeyBy(0)
+      .Aggregate<AccountState>(
+          "predict",
+          {-1, std::vector<uint32_t>(static_cast<size_t>(states) * states)},
+          [states](AccountState& s, const Tuple& in, dsl::Collector& out) {
+            // Amount bucket: geometric edges 10, 30, 90, ...
+            int state = 0;
+            for (double edge = 10.0;
+                 state < states - 1 && in.GetDouble(1) > edge; edge *= 3.0) {
+              ++state;
+            }
+            double score = 0.0;
+            if (s.last_state >= 0) {
+              const auto row = static_cast<size_t>(s.last_state) * states;
+              uint32_t total = 0;
+              for (int j = 0; j < states; ++j) total += s.transitions[row + j];
+              const uint32_t seen = s.transitions[row + state];
+              // Rare transition (low empirical probability) => high
+              // fraud score.
+              score = total > 0 ? 1.0 - static_cast<double>(seen) /
+                                            static_cast<double>(total)
+                                : 0.5;
+              ++s.transitions[row + state];
+            }
+            s.last_state = state;
+            // A signal per input regardless of the detection outcome
+            // (Appendix B: selectivity one).
+            out.Emit(in, {in.fields[0], Field(score)});
+          })
+      .Sink("sink", [sink](const Tuple& in) {
+        sink->RecordTuple(in.origin_ts_ns, NowNs());
+      });
+  return std::move(p).Build();
 }
 
 model::ProfileSet FraudDetectionProfiles(const FraudDetectionParams& params) {

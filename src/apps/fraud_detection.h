@@ -7,9 +7,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "api/operator.h"
 #include "api/topology.h"
@@ -39,26 +36,11 @@ class TransactionSpout : public api::Spout {
   Rng rng_;
 };
 
-/// Markov-model fraud predictor: per-account transition probabilities
-/// over amount buckets; low-probability transitions score as fraud.
-class FraudPredictor : public api::Operator {
- public:
-  explicit FraudPredictor(FraudDetectionParams params) : params_(params) {}
-
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-
- private:
-  struct AccountState {
-    int last_state = -1;
-    std::vector<uint32_t> transitions;  // states x states counts
-  };
-
-  int BucketOf(double amount) const;
-
-  FraudDetectionParams params_;
-  std::unordered_map<int64_t, AccountState> accounts_;
-};
-
+/// The FD dataflow as a dsl::Pipeline program: Source → Filter(parser)
+/// → KeyBy(account).Aggregate(predict) → Sink. predict keeps a
+/// per-account Markov model of transitions between amount buckets and
+/// emits (account, score) per transaction; a rare transition scores
+/// near 1.
 StatusOr<api::Topology> BuildFraudDetection(
     std::shared_ptr<SinkTelemetry> sink, FraudDetectionParams params = {});
 

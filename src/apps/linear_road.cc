@@ -1,11 +1,160 @@
 #include "apps/linear_road.h"
 
+#include <cmath>
+#include <deque>
+#include <limits>
+#include <set>
+#include <unordered_map>
+
+#include "api/dsl.h"
+
 namespace brisk::apps {
 
 namespace {
+
 constexpr int kAvgWindow = 32;
 constexpr double kSmoothing = 0.25;
+constexpr int kStopsForAccident = 4;
 constexpr int64_t kCongestionThreshold = 50;  // vehicles per segment
+
+// Aggregate bodies (the state is one key's), then per-replica Process
+// factories (each call builds one replica with its own state).
+
+struct SpeedWindow {
+  std::deque<double> speeds;
+  double sum = 0.0;
+};
+
+/// Average speed of a segment over its last kAvgWindow reports.
+void AvgSpeed(SpeedWindow& w, const Tuple& in, dsl::Collector& out) {
+  const double speed = in.GetDouble(3);
+  w.speeds.push_back(speed);
+  w.sum += speed;
+  if (static_cast<int>(w.speeds.size()) > kAvgWindow) {
+    w.sum -= w.speeds.front();
+    w.speeds.pop_front();
+  }
+  out.Emit(in, {Field(kLrAvgSpeed), in.fields[2],
+                Field(w.sum / static_cast<double>(w.speeds.size()))});
+}
+
+/// Exponentially smoothed average; NaN (unseeded) takes the first.
+void LastAvgSpeed(double& smoothed, const Tuple& in, dsl::Collector& out) {
+  const double avg = in.GetDouble(2);
+  smoothed = std::isnan(smoothed)
+                 ? avg
+                 : kSmoothing * avg + (1.0 - kSmoothing) * smoothed;
+  out.Emit(in, {Field(kLrLasSpeed), in.fields[1], Field(smoothed)});
+}
+
+/// A vehicle's kStopsForAccident-th consecutive stop: an accident.
+void AccidentDetect(int& stops, const Tuple& in, dsl::Collector& out) {
+  if (in.GetDouble(3) != 0.0) {
+    stops = 0;
+  } else if (++stops == kStopsForAccident) {
+    out.Emit(in, {Field(kLrAccident), in.fields[2]});
+  }
+}
+
+/// Distinct vehicles per segment; emits the running count.
+void CountVehicle(std::set<int64_t>& vehicles, const Tuple& in,
+                  dsl::Collector& out) {
+  vehicles.insert(in.GetInt(1));
+  out.Emit(in, {Field(kLrCount), in.fields[2],
+                Field(static_cast<int64_t>(vehicles.size()))});
+}
+
+/// dispatcher: position reports on the default stream, account
+/// queries on the two side outputs (ids resolved here, at Prepare; an
+/// undeclared stream fails Prepare with an empty body).
+dsl::ProcessFn Dispatcher(const api::OperatorContext& ctx) {
+  auto balance = ctx.StreamId("balance_stream");
+  auto daily = ctx.StreamId("daily_exp_request");
+  if (!balance.ok() || !daily.ok()) return nullptr;
+  return [balance = *balance, daily = *daily](const Tuple& in,
+                                              dsl::Collector& out) {
+    const int64_t type = in.GetInt(0);
+    if (type == kLrPosition) {
+      out.Emit(in);
+    } else if (type == kLrBalance) {
+      out.EmitTo(balance, in);
+    } else if (type == kLrDaily) {
+      out.EmitTo(daily, in);
+    }  // else malformed: drop
+  };
+}
+
+/// accident_notify: notifies vehicles entering a segment with a known
+/// accident (rare: Table 8 lists selectivity ~0).
+dsl::ProcessFn AccidentNotify(const api::OperatorContext&) {
+  return [accidents = std::set<int64_t>()](const Tuple& in,
+                                           dsl::Collector& out) mutable {
+    if (in.GetInt(0) == kLrAccident) {
+      accidents.insert(in.GetInt(1));
+    } else if (accidents.count(in.GetInt(2))) {
+      out.Emit(in, {Field(kLrNotify), in.fields[1], in.fields[2]});
+    }
+  };
+}
+
+/// toll_notify: tolls from congestion (counts), speed (las) and
+/// accident state; one toll notification per position, count and las
+/// input (Table 8), none per accident.
+struct TollNotify {
+  std::unordered_map<int64_t, double> seg_avg_speed;
+  std::unordered_map<int64_t, int64_t> seg_count;
+  std::set<int64_t> accident_segments;
+
+  void operator()(const Tuple& in, dsl::Collector& out) {
+    int64_t segment = 0;
+    switch (in.GetInt(0)) {
+      case kLrAccident:
+        accident_segments.insert(in.GetInt(1));
+        return;
+      case kLrLasSpeed:
+        segment = in.GetInt(1);
+        seg_avg_speed[segment] = in.GetDouble(2);
+        break;
+      case kLrCount:
+        segment = in.GetInt(1);
+        seg_count[segment] = in.GetInt(2);
+        break;
+      case kLrPosition:
+        segment = in.GetInt(2);
+        break;
+      default:
+        return;
+    }
+    // Toll: quadratic in congestion above the threshold, zero when the
+    // segment flows freely or has an accident (classic LR formula).
+    const int64_t cars = seg_count.count(segment) ? seg_count[segment] : 0;
+    const double avg_speed =
+        seg_avg_speed.count(segment) ? seg_avg_speed[segment] : 100.0;
+    double toll = 0.0;
+    if (cars > kCongestionThreshold && avg_speed < 40.0 &&
+        !accident_segments.count(segment)) {
+      const double over = static_cast<double>(cars - kCongestionThreshold);
+      toll = 2.0 * over * over;
+    }
+    out.Emit(in, {Field(kLrToll), Field(segment), Field(toll)});
+  }
+};
+
+/// Queries update state and emit nothing (selectivity ~0, Table 8).
+dsl::ProcessFn DailyExpense(const api::OperatorContext&) {
+  return [expenses = std::unordered_map<int64_t, double>()](
+             const Tuple& in, dsl::Collector&) mutable {
+    expenses[in.GetInt(1) * 128 + in.GetInt(2)] += 1.0;
+  };
+}
+
+dsl::ProcessFn AccountBalance(const api::OperatorContext&) {
+  return [balances = std::unordered_map<int64_t, double>()](
+             const Tuple& in, dsl::Collector&) mutable {
+    balances[in.GetInt(1)] += 0.0;  // touch account state
+  };
+}
+
 }  // namespace
 
 Status LinearRoadSpout::Prepare(const api::OperatorContext& ctx) {
@@ -42,198 +191,54 @@ size_t LinearRoadSpout::NextBatch(size_t max_tuples,
   return max_tuples;
 }
 
-Status LrDispatcher::Prepare(const api::OperatorContext& ctx) {
-  BRISK_ASSIGN_OR_RETURN(balance_stream_, ctx.StreamId("balance_stream"));
-  BRISK_ASSIGN_OR_RETURN(daily_stream_, ctx.StreamId("daily_exp_request"));
-  return Status::OK();
-}
-
-void LrDispatcher::Process(const Tuple& in, api::OutputCollector* out) {
-  switch (in.GetInt(0)) {
-    case kLrPosition:
-      out->Emit(in);  // position reports ride the default stream
-      break;
-    case kLrBalance:
-      out->EmitTo(balance_stream_, in);
-      break;
-    case kLrDaily:
-      out->EmitTo(daily_stream_, in);
-      break;
-    default:
-      break;  // malformed event: drop
-  }
-}
-
-void LrAvgSpeed::Process(const Tuple& in, api::OutputCollector* out) {
-  const int64_t segment = in.GetInt(2);
-  const double speed = in.GetDouble(3);
-  SegWindow& w = segments_[segment];
-  w.speeds.push_back(speed);
-  w.sum += speed;
-  if (static_cast<int>(w.speeds.size()) > kAvgWindow) {
-    w.sum -= w.speeds.front();
-    w.speeds.pop_front();
-  }
-  Tuple t;
-  t.fields = {Field(kLrAvgSpeed), Field(segment),
-              Field(w.sum / static_cast<double>(w.speeds.size()))};
-  t.origin_ts_ns = in.origin_ts_ns;
-  out->Emit(std::move(t));
-}
-
-void LrLastAvgSpeed::Process(const Tuple& in, api::OutputCollector* out) {
-  const int64_t segment = in.GetInt(1);
-  const double avg = in.GetDouble(2);
-  auto [it, inserted] = smoothed_.try_emplace(segment, avg);
-  if (!inserted) {
-    it->second = kSmoothing * avg + (1.0 - kSmoothing) * it->second;
-  }
-  Tuple t;
-  t.fields = {Field(kLrLasSpeed), Field(segment), Field(it->second)};
-  t.origin_ts_ns = in.origin_ts_ns;
-  out->Emit(std::move(t));
-}
-
-void LrAccidentDetect::Process(const Tuple& in, api::OutputCollector* out) {
-  const int64_t vehicle = in.GetInt(1);
-  const int64_t segment = in.GetInt(2);
-  const double speed = in.GetDouble(3);
-  int& stops = consecutive_stops_[vehicle];
-  if (speed == 0.0) {
-    if (++stops == kStopsForAccident) {
-      Tuple t;
-      t.fields = {Field(kLrAccident), Field(segment)};
-      t.origin_ts_ns = in.origin_ts_ns;
-      out->Emit(std::move(t));
-    }
-  } else {
-    stops = 0;
-  }
-}
-
-void LrCountVehicle::Process(const Tuple& in, api::OutputCollector* out) {
-  const int64_t vehicle = in.GetInt(1);
-  const int64_t segment = in.GetInt(2);
-  auto& set = vehicles_[segment];
-  set.insert(vehicle);
-  Tuple t;
-  t.fields = {Field(kLrCount), Field(segment),
-              Field(static_cast<int64_t>(set.size()))};
-  t.origin_ts_ns = in.origin_ts_ns;
-  out->Emit(std::move(t));
-}
-
-void LrAccidentNotify::Process(const Tuple& in, api::OutputCollector* out) {
-  if (in.GetInt(0) == kLrAccident) {
-    accident_segments_.insert(in.GetInt(1));
-    return;
-  }
-  // Position report: notify only vehicles entering an accident segment
-  // (rare — Table 8 lists selectivity ~0).
-  const int64_t segment = in.GetInt(2);
-  if (accident_segments_.count(segment)) {
-    Tuple t;
-    t.fields = {Field(kLrNotify), Field(in.GetInt(1)), Field(segment)};
-    t.origin_ts_ns = in.origin_ts_ns;
-    out->Emit(std::move(t));
-  }
-}
-
-void LrTollNotify::Process(const Tuple& in, api::OutputCollector* out) {
-  const int64_t type = in.GetInt(0);
-  int64_t segment = 0;
-  switch (type) {
-    case kLrAccident:
-      accident_segments_.insert(in.GetInt(1));
-      return;  // toll_notify emits nothing for detect_stream (Table 8)
-    case kLrLasSpeed:
-      segment = in.GetInt(1);
-      seg_avg_speed_[segment] = in.GetDouble(2);
-      break;
-    case kLrCount:
-      segment = in.GetInt(1);
-      seg_count_[segment] = in.GetInt(2);
-      break;
-    case kLrPosition:
-      segment = in.GetInt(2);
-      break;
-    default:
-      return;
-  }
-  // Toll: quadratic in congestion above the threshold, zero when the
-  // segment flows freely or has an accident (classic LR formula).
-  const int64_t cars = seg_count_.count(segment) ? seg_count_[segment] : 0;
-  const auto speed_it = seg_avg_speed_.find(segment);
-  const double avg_speed = speed_it != seg_avg_speed_.end()
-                               ? speed_it->second
-                               : 100.0;
-  double toll = 0.0;
-  if (cars > kCongestionThreshold && avg_speed < 40.0 &&
-      !accident_segments_.count(segment)) {
-    const double over = static_cast<double>(cars - kCongestionThreshold);
-    toll = 2.0 * over * over;
-  }
-  Tuple t;
-  t.fields = {Field(kLrToll), Field(segment), Field(toll)};
-  t.origin_ts_ns = in.origin_ts_ns;
-  out->Emit(std::move(t));
-}
-
-void LrDailyExpense::Process(const Tuple& in, api::OutputCollector* out) {
-  (void)out;  // output selectivity ~0 (Table 8)
-  const int64_t vehicle = in.GetInt(1);
-  const int64_t day = in.GetInt(2);
-  expenses_[vehicle * 128 + day] += 1.0;
-}
-
-void LrAccountBalance::Process(const Tuple& in, api::OutputCollector* out) {
-  (void)out;  // output selectivity ~0 (Table 8)
-  balances_[in.GetInt(1)] += 0.0;  // touch account state
-}
-
 StatusOr<api::Topology> BuildLinearRoad(std::shared_ptr<SinkTelemetry> sink,
                                         LinearRoadParams params) {
-  api::TopologyBuilder b("linear-road");
-  b.AddSpout("spout", [params] {
-    return std::make_unique<LinearRoadSpout>(params);
-  });
-  b.AddBolt("parser", [] { return std::make_unique<ValidatingParser>(); })
-      .ShuffleFrom("spout");
-  // Stream 0 (the implicit "default") carries position reports.
-  b.AddBolt("dispatcher", [] { return std::make_unique<LrDispatcher>(); })
-      .ShuffleFrom("parser")
-      .DeclareStream("balance_stream")
-      .DeclareStream("daily_exp_request");
-  b.AddBolt("avg_speed", [params] {
-     return std::make_unique<LrAvgSpeed>(params);
-   }).FieldsFrom("dispatcher", 2);  // by segment
-  b.AddBolt("las_avg_speed", [] { return std::make_unique<LrLastAvgSpeed>(); })
-      .FieldsFrom("avg_speed", 1);
-  b.AddBolt("accident_detect",
-            [] { return std::make_unique<LrAccidentDetect>(); })
-      .FieldsFrom("dispatcher", 1);  // by vehicle
-  b.AddBolt("count_vehicle", [] { return std::make_unique<LrCountVehicle>(); })
-      .FieldsFrom("dispatcher", 2);  // by segment
-  b.AddBolt("accident_notify",
-            [] { return std::make_unique<LrAccidentNotify>(); })
-      .BroadcastFrom("accident_detect")
-      .ShuffleFrom("dispatcher");
-  b.AddBolt("toll_notify", [] { return std::make_unique<LrTollNotify>(); })
-      .BroadcastFrom("accident_detect")
-      .FieldsFrom("dispatcher", 2)
-      .FieldsFrom("count_vehicle", 1)
-      .FieldsFrom("las_avg_speed", 1);
-  b.AddBolt("daily_expense", [] { return std::make_unique<LrDailyExpense>(); })
-      .ShuffleFrom("dispatcher", "daily_exp_request");
-  b.AddBolt("account_balance",
-            [] { return std::make_unique<LrAccountBalance>(); })
-      .ShuffleFrom("dispatcher", "balance_stream");
-  b.AddBolt("sink", [sink] { return std::make_unique<CountingSink>(sink); })
-      .ShuffleFrom("toll_notify")
-      .ShuffleFrom("accident_notify")
-      .ShuffleFrom("daily_expense")
-      .ShuffleFrom("account_balance");
-  return std::move(b).Build();
+  dsl::Pipeline p("linear-road");
+  const dsl::Stream dispatcher =
+      p.Source("spout", api::SpoutFactory([params] {
+                 return std::make_unique<LinearRoadSpout>(params);
+               }))
+          .Filter("parser", ParserKeeps)
+          .Process("dispatcher", Dispatcher);
+  const dsl::Stream balance = dispatcher.SideOutput("balance_stream");
+  const dsl::Stream daily = dispatcher.SideOutput("daily_exp_request");
+  const dsl::Stream las_avg_speed =
+      dispatcher.KeyBy(2)  // by segment
+          .Aggregate<SpeedWindow>("avg_speed", {}, AvgSpeed)
+          .KeyBy(1)
+          .Aggregate<double>("las_avg_speed",
+                             std::numeric_limits<double>::quiet_NaN(),
+                             LastAvgSpeed);
+  const dsl::Stream accident_detect =
+      dispatcher.KeyBy(1)  // by vehicle
+          .Aggregate<int>("accident_detect", 0, AccidentDetect);
+  const dsl::Stream count_vehicle =
+      dispatcher.KeyBy(2).Aggregate<std::set<int64_t>>("count_vehicle", {},
+                                                       CountVehicle);
+  const dsl::Stream accident_notify =
+      accident_detect.Broadcast()
+          .Process("accident_notify", AccidentNotify)
+          .Merge(dispatcher);
+  const dsl::Stream toll_notify =
+      accident_detect.Broadcast()
+          .Process("toll_notify",
+                   [](const api::OperatorContext&) { return TollNotify(); })
+          .Merge(dispatcher.KeyBy(2))
+          .Merge(count_vehicle.KeyBy(1))
+          .Merge(las_avg_speed.KeyBy(1));
+  const dsl::Stream daily_expense =
+      daily.Process("daily_expense", DailyExpense);
+  const dsl::Stream account_balance =
+      balance.Process("account_balance", AccountBalance);
+  toll_notify
+      .Sink("sink",
+            [sink](const Tuple& in) {
+              sink->RecordTuple(in.origin_ts_ns, NowNs());
+            })
+      .Merge(accident_notify)
+      .Merge(daily_expense)
+      .Merge(account_balance);
+  return std::move(p).Build();
 }
 
 model::ProfileSet LinearRoadProfiles(const LinearRoadParams& params) {

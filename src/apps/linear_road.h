@@ -14,11 +14,7 @@
 // ≈ 0).
 #pragma once
 
-#include <deque>
 #include <memory>
-#include <set>
-#include <unordered_map>
-#include <vector>
 
 #include "api/operator.h"
 #include "api/topology.h"
@@ -64,107 +60,13 @@ class LinearRoadSpout : public api::Spout {
   Rng rng_;
 };
 
-/// Routes raw events to the position / balance / daily streams.
-/// Declared streams: 0 = "position", 1 = "balance", 2 = "daily"
-/// (the default stream is repurposed as "position").
-class LrDispatcher : public api::Operator {
- public:
-  /// Resolves the named output streams ("balance_stream",
-  /// "daily_exp_request") to ids; fails loudly if the topology no
-  /// longer declares them.
-  Status Prepare(const api::OperatorContext& ctx) override;
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-
- private:
-  uint16_t balance_stream_ = 0;
-  uint16_t daily_stream_ = 0;
-};
-
-/// Per-segment running average speed over a sliding window of reports.
-class LrAvgSpeed : public api::Operator {
- public:
-  explicit LrAvgSpeed(LinearRoadParams params) : params_(params) {}
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-
- private:
-  struct SegWindow {
-    std::deque<double> speeds;
-    double sum = 0.0;
-  };
-  LinearRoadParams params_;
-  std::unordered_map<int64_t, SegWindow> segments_;
-};
-
-/// Exponentially smoothed last average speed per segment.
-class LrLastAvgSpeed : public api::Operator {
- public:
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-
- private:
-  std::unordered_map<int64_t, double> smoothed_;
-};
-
-/// Flags a segment as an accident site after `kStopsForAccident`
-/// consecutive zero-speed reports from one vehicle.
-class LrAccidentDetect : public api::Operator {
- public:
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-
- private:
-  static constexpr int kStopsForAccident = 4;
-  std::unordered_map<int64_t, int> consecutive_stops_;  // per vehicle
-};
-
-/// Per-segment distinct-vehicle counter (emits the running count).
-class LrCountVehicle : public api::Operator {
- public:
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-
- private:
-  std::unordered_map<int64_t, std::set<int64_t>> vehicles_;
-};
-
-/// Notifies vehicles entering a segment with a known accident.
-class LrAccidentNotify : public api::Operator {
- public:
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-
- private:
-  std::set<int64_t> accident_segments_;
-};
-
-/// Computes tolls from congestion (vehicle counts), speed (las) and
-/// accident state; emits one toll notification per position, count and
-/// las input (Table 8).
-class LrTollNotify : public api::Operator {
- public:
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-
- private:
-  std::unordered_map<int64_t, double> seg_avg_speed_;
-  std::unordered_map<int64_t, int64_t> seg_count_;
-  std::set<int64_t> accident_segments_;
-};
-
-/// Answers daily-expenditure queries against synthetic history.
-/// Output selectivity ~0 (Table 8): state is updated, nothing emitted.
-class LrDailyExpense : public api::Operator {
- public:
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-
- private:
-  std::unordered_map<int64_t, double> expenses_;
-};
-
-/// Maintains per-vehicle account balances; selectivity ~0 (Table 8).
-class LrAccountBalance : public api::Operator {
- public:
-  void Process(const Tuple& in, api::OutputCollector* out) override;
-
- private:
-  std::unordered_map<int64_t, double> balances_;
-};
-
+/// The LR dataflow as a dsl::Pipeline program on the interpreted row
+/// path (lambda verbs only, no kernels). The dispatcher routes
+/// position reports on its default stream and account queries on the
+/// "balance_stream" and "daily_exp_request" side outputs. avg_speed,
+/// las_avg_speed, accident_detect and count_vehicle keep per-key state
+/// in Aggregates, so it migrates with their key; toll_notify and the
+/// sink Merge four inputs each.
 StatusOr<api::Topology> BuildLinearRoad(std::shared_ptr<SinkTelemetry> sink,
                                         LinearRoadParams params = {});
 

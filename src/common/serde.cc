@@ -22,6 +22,9 @@ bool GetRaw(const std::vector<uint8_t>& buf, size_t* offset, T* v) {
 
 enum FieldTag : uint8_t { kInt = 0, kDouble = 1, kString = 2 };
 
+/// Smallest encoding of one field: a tag plus an empty string's length.
+constexpr size_t kMinFieldBytes = sizeof(uint8_t) + sizeof(uint32_t);
+
 }  // namespace
 
 void SerializeTuple(const Tuple& t, std::vector<uint8_t>* out) {
@@ -56,6 +59,9 @@ StatusOr<Tuple> DeserializeTuple(const std::vector<uint8_t>& buf,
       !GetRaw(buf, offset, &t.stream_id) ||
       !GetRaw(buf, offset, &nfields)) {
     return Status::OutOfRange("truncated tuple header");
+  }
+  if (nfields > (buf.size() - *offset) / kMinFieldBytes) {
+    return Status::OutOfRange("field count exceeds the buffer");
   }
   t.fields.reserve(nfields);
   for (uint32_t i = 0; i < nfields; ++i) {

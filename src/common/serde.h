@@ -15,6 +15,11 @@
 
 namespace brisk {
 
+/// Smallest encoding of one tuple: the header (origin timestamp,
+/// stream id, field count) with zero fields.
+inline constexpr size_t kMinTupleBytes =
+    sizeof(int64_t) + sizeof(uint16_t) + sizeof(uint32_t);
+
 /// Appends a length-prefixed binary encoding of `t` to `out`.
 void SerializeTuple(const Tuple& t, std::vector<uint8_t>* out);
 

@@ -36,6 +36,14 @@ bool GetU64(const std::vector<uint8_t>& buf, size_t* off, uint64_t* v) {
   return true;
 }
 
+/// Fails a count the bytes left in `buf` cannot hold at `min_bytes`
+/// per element, before anything is reserved for it.
+Status CheckCount(const std::vector<uint8_t>& buf, size_t off, uint32_t count,
+                  size_t min_bytes) {
+  if (count <= (buf.size() - off) / min_bytes) return Status::OK();
+  return Status::InvalidArgument("checkpoint count exceeds the buffer");
+}
+
 /// Keys ride the tuple codec as single-field tuples, so every Field
 /// alternative (int/double/string) round-trips without a second codec.
 void PutField(const Field& f, std::vector<uint8_t>* out) {
@@ -91,6 +99,7 @@ StatusOr<JobCheckpoint> DeserializeCheckpoint(
   if (!GetU32(buf, &off, &epoch) || !GetU32(buf, &off, &n_state)) {
     return Status::InvalidArgument("truncated checkpoint header");
   }
+  BRISK_RETURN_NOT_OK(CheckCount(buf, off, n_state, 12));  // 3 x u32
   JobCheckpoint cp;
   cp.epoch = static_cast<int>(epoch);
   cp.plan = plan;
@@ -101,6 +110,8 @@ StatusOr<JobCheckpoint> DeserializeCheckpoint(
         !GetU32(buf, &off, &n_entries)) {
       return Status::InvalidArgument("truncated checkpoint state header");
     }
+    BRISK_RETURN_NOT_OK(  // each entry is a key and a state tuple
+        CheckCount(buf, off, n_entries, 2 * kMinTupleBytes));
     ReplicaStateSnapshot s;
     s.op = static_cast<int>(op);
     s.replica = static_cast<int>(replica);
@@ -119,6 +130,8 @@ StatusOr<JobCheckpoint> DeserializeCheckpoint(
   if (!GetU32(buf, &off, &n_pos)) {
     return Status::InvalidArgument("truncated checkpoint positions");
   }
+  // op, replica, kind (v2 only), offset (u64), replayable.
+  BRISK_RETURN_NOT_OK(CheckCount(buf, off, n_pos, v1 ? 20 : 24));
   cp.positions.reserve(n_pos);
   for (uint32_t i = 0; i < n_pos; ++i) {
     uint32_t op = 0, replica = 0, kind = 0, replayable = 0;

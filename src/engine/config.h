@@ -110,10 +110,10 @@ struct EngineConfig {
   bool steal_work = true;
 
   /// Stop() stops spouts first and lets bolts drain in-flight
-  /// envelopes (bounded by drain_timeout_s) before halting, so a
-  /// bounded source's tuples all reach the sink instead of being
-  /// dropped with the queues.
-  bool graceful_drain = true;
+  /// envelopes for up to this long before halting, so a bounded
+  /// source's tuples all reach the sink instead of being dropped with
+  /// the queues. Migration and checkpoint pauses use the same budget.
+  /// 0 skips the wait: Stop() halts right after stopping the spouts.
   double drain_timeout_s = 1.0;
 
   /// Injected failure scenario (engine/fault.h). Empty = no faults.

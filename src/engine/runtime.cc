@@ -747,13 +747,9 @@ RunStats BriskRuntime::Stop() {
     CollectStats(&stats);
     return stats;
   }
-  if (config_.graceful_drain) {
-    // Phase 1: stop production, let bolts drain what is in flight.
-    stats.drained =
-        QuiesceAndJoin(&stats.drain_seconds, /*preserve_inflight=*/false);
-  } else {
-    JoinExecutorAndFold();
-  }
+  // Phase 1: stop production, let bolts drain what is in flight.
+  stats.drained =
+      QuiesceAndJoin(&stats.drain_seconds, /*preserve_inflight=*/false);
   // Phase 2: run the shutdown epilogue in topological operator order:
   // each task consumes what is left on its inputs and flushes its
   // operator, so stateful bolts' finals propagate all the way to the

@@ -33,8 +33,8 @@ struct RunStats {
   std::vector<TaskStats> tasks;  ///< indexed by plan instance id
   uint64_t total_emitted = 0;
   uint64_t total_consumed = 0;
-  /// Graceful drain reached quiescence before stopping (always false
-  /// when EngineConfig::graceful_drain is off).
+  /// Stop()'s drain reached quiescence before halting (always false
+  /// when EngineConfig::drain_timeout_s is 0).
   bool drained = false;
   double drain_seconds = 0.0;
   ExecutorStats executor;
@@ -121,10 +121,10 @@ class BriskRuntime {
   /// placement. Idempotent-error: fails if running.
   Status Start();
 
-  /// Stops the engine and returns run statistics. With graceful_drain,
-  /// spouts stop first and bolts drain in-flight envelopes (bounded by
-  /// drain_timeout_s) before everything halts, so a bounded source's
-  /// tuples all reach the sink.
+  /// Stops the engine and returns run statistics. Spouts stop first
+  /// and bolts drain in-flight envelopes (bounded by drain_timeout_s)
+  /// before everything halts, so a bounded source's tuples all reach
+  /// the sink.
   RunStats Stop();
 
   /// Convenience: Start, sleep `seconds` of wall-clock, Stop.

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/fraud_detection.h"
+#include "apps/linear_road.h"
 #include "apps/spike_detection.h"
 #include "apps/word_count.h"
 
@@ -108,6 +110,61 @@ TEST(DslLoweringTest, SpikeDetectionLowersToGoldenTopology) {
             "spike_detect:default -> sink shuffle\n");
 }
 
+TEST(DslLoweringTest, FraudDetectionLowersToGoldenTopology) {
+  auto lowered =
+      apps::BuildFraudDetection(std::make_shared<apps::SinkTelemetry>());
+  ASSERT_TRUE(lowered.ok()) << lowered.status();
+  EXPECT_EQ(Describe(*lowered),
+            "spout spout x1 [default]\n"
+            "parser bolt x1 [default]\n"
+            "predict bolt x1 [default]\n"
+            "sink sink x1 [default]\n"
+            "spout:default -> parser shuffle\n"
+            "parser:default -> predict fields(0)\n"
+            "predict:default -> sink shuffle\n");
+}
+
+TEST(DslLoweringTest, LinearRoadLowersToGoldenTopology) {
+  auto lowered =
+      apps::BuildLinearRoad(std::make_shared<apps::SinkTelemetry>());
+  ASSERT_TRUE(lowered.ok()) << lowered.status();
+  EXPECT_EQ(Describe(*lowered),
+            "spout spout x1 [default]\n"
+            "parser bolt x1 [default]\n"
+            "dispatcher bolt x1 [default,balance_stream,daily_exp_request]\n"
+            "avg_speed bolt x1 [default]\n"
+            "las_avg_speed bolt x1 [default]\n"
+            "accident_detect bolt x1 [default]\n"
+            "count_vehicle bolt x1 [default]\n"
+            "accident_notify bolt x1 [default]\n"
+            "toll_notify bolt x1 [default]\n"
+            "daily_expense bolt x1 [default]\n"
+            "account_balance bolt x1 [default]\n"
+            "sink sink x1 [default]\n"
+            "spout:default -> parser shuffle\n"
+            "parser:default -> dispatcher shuffle\n"
+            "dispatcher:default -> avg_speed fields(2)\n"
+            "avg_speed:default -> las_avg_speed fields(1)\n"
+            "dispatcher:default -> accident_detect fields(1)\n"
+            "dispatcher:default -> count_vehicle fields(2)\n"
+            "accident_detect:default -> accident_notify broadcast\n"
+            "dispatcher:default -> accident_notify shuffle\n"
+            "accident_detect:default -> toll_notify broadcast\n"
+            "dispatcher:default -> toll_notify fields(2)\n"
+            "count_vehicle:default -> toll_notify fields(1)\n"
+            "las_avg_speed:default -> toll_notify fields(1)\n"
+            "dispatcher:daily_exp_request -> daily_expense shuffle\n"
+            "dispatcher:balance_stream -> account_balance shuffle\n"
+            "toll_notify:default -> sink shuffle\n"
+            "accident_notify:default -> sink shuffle\n"
+            "daily_expense:default -> sink shuffle\n"
+            "account_balance:default -> sink shuffle\n");
+  // LR stays on the interpreted row path: no operator declares kernels.
+  for (const auto& op : lowered->ops()) {
+    EXPECT_TRUE(op.kernels.empty()) << op.name;
+  }
+}
+
 TEST(DslLoweringTest, ParallelismAndGroupingsLower) {
   Pipeline p("groupings");
   Stream src = p.Source("src", SourceFn([](size_t, Collector&) {
@@ -167,6 +224,39 @@ TEST(DslLoweringTest, SideOutputDeclaresNamedStream) {
   }
   EXPECT_EQ(out.stream(0).size(), 2u);  // evens on "default"
   EXPECT_EQ(out.stream(1).size(), 3u);  // odds on "odds"
+}
+
+TEST(DslLoweringTest, MergeAddsInputsWithTheirGroupingsAndStreams) {
+  Pipeline p("merge");
+  Stream src = p.Source("src", SourceFn([](size_t, Collector&) {
+    return size_t{0};
+  }));
+  Stream router = src.FlatMap("router", [](const Tuple&, Collector&) {});
+  Stream side = router.SideOutput("side");
+  Stream keyed = src.FlatMap("keyed", [](const Tuple&, Collector&) {});
+  Stream merged = router.Broadcast()
+                      .FlatMap("merged", [](const Tuple&, Collector&) {})
+                      .Merge(keyed.KeyBy(1))
+                      .Merge(side)
+                      .Merge(src.Global());
+  // Merge returns the handle it was called on: the next verb consumes
+  // the merged operator's output.
+  merged.Sink("sink", [](const Tuple&) {});
+  auto topo = std::move(p).Build();
+  ASSERT_TRUE(topo.ok()) << topo.status();
+  EXPECT_EQ(Describe(*topo),
+            "src spout x1 [default]\n"
+            "router bolt x1 [default,side]\n"
+            "keyed bolt x1 [default]\n"
+            "merged bolt x1 [default]\n"
+            "sink sink x1 [default]\n"
+            "src:default -> router shuffle\n"
+            "src:default -> keyed shuffle\n"
+            "router:default -> merged broadcast\n"
+            "keyed:default -> merged fields(1)\n"
+            "router:side -> merged shuffle\n"
+            "src:default -> merged global\n"
+            "merged:default -> sink shuffle\n");
 }
 
 TEST(DslAdapterTest, EmitToUnknownStreamReturnsFalseAndDrops) {
@@ -281,6 +371,21 @@ TEST(DslMisuseTest, DuplicateOperatorNamesFailAtBuild) {
   ASSERT_FALSE(topo.ok());
   EXPECT_EQ(topo.status().code(), StatusCode::kAlreadyExists);
   EXPECT_NE(topo.status().message().find("duplicate operator name"),
+            std::string::npos);
+}
+
+TEST(DslMisuseTest, MergeFromAnotherPipelineFailsAtBuild) {
+  Pipeline other("other");
+  Stream foreign = other.Source(
+      "src", SourceFn([](size_t, Collector&) { return size_t{0}; }));
+  Pipeline p("cross");
+  p.Source("src", SourceFn([](size_t, Collector&) { return size_t{0}; }))
+      .Sink("sink", [](const Tuple&) {})
+      .Merge(foreign);
+  auto topo = std::move(p).Build();
+  ASSERT_FALSE(topo.ok());
+  EXPECT_EQ(topo.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(topo.status().message().find("another pipeline"),
             std::string::npos);
 }
 

@@ -1,7 +1,7 @@
 // Tests for the four benchmark applications: topology shape, operator
-// semantics, and profile consistency. WC and SD operators are tested as
-// the DSL lowers them, instantiated from the built topology the way the
-// engine does.
+// semantics, keyed-state hand-off, and profile consistency. Operators
+// are tested as the DSL lowers them, instantiated from the built
+// topology the way the engine does.
 #include "apps/apps.h"
 
 #include <gtest/gtest.h>
@@ -50,6 +50,26 @@ api::Topology WordCountTopology() {
   auto topo = BuildWordCountDsl(std::make_shared<SinkTelemetry>());
   EXPECT_TRUE(topo.ok()) << topo.status();
   return std::move(topo).value();
+}
+
+api::Topology FraudDetectionTopology() {
+  auto topo = BuildFraudDetection(std::make_shared<SinkTelemetry>());
+  EXPECT_TRUE(topo.ok()) << topo.status();
+  return std::move(topo).value();
+}
+
+api::Topology LinearRoadTopology() {
+  auto topo = BuildLinearRoad(std::make_shared<SinkTelemetry>());
+  EXPECT_TRUE(topo.ok()) << topo.status();
+  return std::move(topo).value();
+}
+
+/// Moves every key of `from` into `to`, as a live migration hands
+/// keyed state to a re-partitioned replica.
+void HandOff(api::Operator& from, api::Operator& to) {
+  auto entries = from.ExportKeyedState();
+  EXPECT_FALSE(entries.empty());
+  to.ImportKeyedState(std::move(entries));
 }
 
 api::Topology SpikeDetectionTopology(const SpikeDetectionParams& params) {
@@ -147,17 +167,20 @@ TEST(WordCountTest, CounterCountsOccurrences) {
 }
 
 TEST(WordCountTest, ParserDropsEmptyFirstField) {
-  ValidatingParser parser;
-  CaptureCollector out;
-  Tuple bad;
-  bad.fields.emplace_back(std::string(""));
-  parser.Process(bad, &out);
-  EXPECT_EQ(out.total(), 0u);
-  EXPECT_EQ(parser.dropped(), 1u);
-  Tuple good;
-  good.fields.emplace_back(std::string("ok"));
-  parser.Process(good, &out);
-  EXPECT_EQ(out.total(), 1u);
+  // WC's parser is a kernel filter, FD's a lambda one: same predicate.
+  for (const api::Topology& topo :
+       {WordCountTopology(), FraudDetectionTopology()}) {
+    auto parser = Instantiate(topo, "parser");
+    CaptureCollector out;
+    Tuple bad;
+    bad.fields.emplace_back(std::string(""));
+    parser->Process(bad, &out);
+    EXPECT_EQ(out.total(), 0u) << topo.name();
+    Tuple good;
+    good.fields.emplace_back(std::string("ok"));
+    parser->Process(good, &out);
+    EXPECT_EQ(out.total(), 1u) << topo.name();
+  }
 }
 
 // ---------------------------------------------------------------- FD --
@@ -172,41 +195,54 @@ TEST(FraudDetectionTest, TopologyShape) {
 }
 
 TEST(FraudDetectionTest, PredictorEmitsOneSignalPerTransaction) {
-  FraudDetectionParams params;
-  FraudPredictor predictor(params);
+  const api::Topology topo = FraudDetectionTopology();
+  auto predictor = Instantiate(topo, "predict");
   CaptureCollector out;
   for (int i = 0; i < 10; ++i) {
     Tuple t;
     t.fields.emplace_back(int64_t{7});       // account
     t.fields.emplace_back(25.0 + i);         // amount
     t.fields.emplace_back(int64_t{3});       // merchant
-    predictor.Process(t, &out);
+    predictor->Process(t, &out);
   }
   EXPECT_EQ(out.total(), 10u);  // selectivity one (Appendix B)
 }
 
+/// One transaction of `amount` on account 1.
+Tuple Transaction(double amount) {
+  Tuple t;
+  t.fields.emplace_back(int64_t{1});
+  t.fields.emplace_back(amount);
+  t.fields.emplace_back(int64_t{0});
+  return t;
+}
+
 TEST(FraudDetectionTest, RareTransitionScoresHigherThanCommon) {
-  FraudDetectionParams params;
-  FraudPredictor predictor(params);
+  const api::Topology topo = FraudDetectionTopology();
+  auto predictor = Instantiate(topo, "predict");
   CaptureCollector out;
   // Train a stable pattern: small -> small many times.
-  for (int i = 0; i < 200; ++i) {
-    Tuple t;
-    t.fields.emplace_back(int64_t{1});
-    t.fields.emplace_back(5.0);
-    t.fields.emplace_back(int64_t{0});
-    predictor.Process(t, &out);
-  }
+  for (int i = 0; i < 200; ++i) predictor->Process(Transaction(5.0), &out);
   const double common_score = out.stream(0).back().GetDouble(1);
   // Now a huge jump: rare transition.
-  Tuple spike;
-  spike.fields.emplace_back(int64_t{1});
-  spike.fields.emplace_back(4900.0);
-  spike.fields.emplace_back(int64_t{0});
-  predictor.Process(spike, &out);
+  predictor->Process(Transaction(4900.0), &out);
   const double rare_score = out.stream(0).back().GetDouble(1);
   EXPECT_GT(rare_score, common_score);
   EXPECT_GT(rare_score, 0.9);
+}
+
+// A migration that re-partitions predict hands each account's model to
+// its new replica: the trained pattern survives, so the jump still
+// scores as rare (a fresh model scores its first transaction 0).
+TEST(FraudDetectionTest, PredictorStateSurvivesRepartitioning) {
+  const api::Topology topo = FraudDetectionTopology();
+  auto before = Instantiate(topo, "predict");
+  auto after = Instantiate(topo, "predict");
+  CaptureCollector out;
+  for (int i = 0; i < 200; ++i) before->Process(Transaction(5.0), &out);
+  HandOff(*before, *after);
+  after->Process(Transaction(4900.0), &out);
+  EXPECT_GT(out.stream(0).back().GetDouble(1), 0.9);
 }
 
 // ---------------------------------------------------------------- SD --
@@ -277,11 +313,8 @@ TEST(LinearRoadTest, TopologyMatchesFig18c) {
 }
 
 TEST(LinearRoadTest, DispatcherRoutesByType) {
-  LrDispatcher dispatcher;
-  api::OperatorContext ctx;
-  ctx.operator_name = "dispatcher";
-  ctx.output_streams = {"default", "balance_stream", "daily_exp_request"};
-  ASSERT_TRUE(dispatcher.Prepare(ctx).ok());
+  const api::Topology topo = LinearRoadTopology();
+  auto dispatcher = Instantiate(topo, "dispatcher");
   CaptureCollector out;
   Tuple pos;
   pos.fields = {Field(kLrPosition), Field(int64_t{1}), Field(int64_t{2}),
@@ -290,9 +323,9 @@ TEST(LinearRoadTest, DispatcherRoutesByType) {
   bal.fields = {Field(kLrBalance), Field(int64_t{1})};
   Tuple daily;
   daily.fields = {Field(kLrDaily), Field(int64_t{1}), Field(int64_t{10})};
-  dispatcher.Process(pos, &out);
-  dispatcher.Process(bal, &out);
-  dispatcher.Process(daily, &out);
+  dispatcher->Process(pos, &out);
+  dispatcher->Process(bal, &out);
+  dispatcher->Process(daily, &out);
   EXPECT_EQ(out.stream(0).size(), 1u);  // position
   EXPECT_EQ(out.stream(1).size(), 1u);  // balance
   EXPECT_EQ(out.stream(2).size(), 1u);  // daily
@@ -310,15 +343,12 @@ TEST(LinearRoadTest, SpoutAndDispatcherTuplesStayInline) {
   CaptureCollector raw;
   ASSERT_EQ(spout.NextBatch(500, &raw), 500u);
 
-  LrDispatcher dispatcher;
-  api::OperatorContext ctx;
-  ctx.operator_name = "dispatcher";
-  ctx.output_streams = {"default", "balance_stream", "daily_exp_request"};
-  ASSERT_TRUE(dispatcher.Prepare(ctx).ok());
+  const api::Topology topo = LinearRoadTopology();
+  auto dispatcher = Instantiate(topo, "dispatcher");
   CaptureCollector routed;
   for (const Tuple& t : raw.stream(0)) {
     EXPECT_FALSE(t.fields.on_heap()) << t.fields.size() << " fields";
-    dispatcher.Process(t, &routed);
+    dispatcher->Process(t, &routed);
   }
   ASSERT_EQ(routed.total(), 500u);
   for (uint16_t s = 0; s < 3; ++s) {
@@ -330,14 +360,20 @@ TEST(LinearRoadTest, SpoutAndDispatcherTuplesStayInline) {
   }
 }
 
+/// A position report of `vehicle` in `segment` at `speed`.
+Tuple Position(int64_t vehicle, int64_t segment, double speed) {
+  Tuple t;
+  t.fields = {Field(kLrPosition), Field(vehicle), Field(segment),
+              Field(speed), Field(int64_t{1})};
+  return t;
+}
+
 TEST(LinearRoadTest, AccidentDetectNeedsFourConsecutiveStops) {
-  LrAccidentDetect detect;
+  const api::Topology topo = LinearRoadTopology();
+  auto detect = Instantiate(topo, "accident_detect");
   CaptureCollector out;
   auto report = [&](double speed) {
-    Tuple t;
-    t.fields = {Field(kLrPosition), Field(int64_t{5}), Field(int64_t{33}),
-                Field(speed), Field(int64_t{1})};
-    detect.Process(t, &out);
+    detect->Process(Position(5, 33, speed), &out);
   };
   report(0.0);
   report(0.0);
@@ -355,23 +391,24 @@ TEST(LinearRoadTest, AccidentDetectNeedsFourConsecutiveStops) {
 }
 
 TEST(LinearRoadTest, TollChargedOnlyWhenCongestedSlowAndAccidentFree) {
-  LrTollNotify toll;
+  const api::Topology topo = LinearRoadTopology();
+  auto toll = Instantiate(topo, "toll_notify");
   CaptureCollector out;
   auto count = [&](int64_t cars) {
     Tuple t;
     t.fields = {Field(kLrCount), Field(int64_t{7}), Field(cars)};
-    toll.Process(t, &out);
+    toll->Process(t, &out);
   };
   auto las = [&](double speed) {
     Tuple t;
     t.fields = {Field(kLrLasSpeed), Field(int64_t{7}), Field(speed)};
-    toll.Process(t, &out);
+    toll->Process(t, &out);
   };
   auto position = [&]() {
     Tuple t;
     t.fields = {Field(kLrPosition), Field(int64_t{9}), Field(int64_t{7}),
                 Field(30.0), Field(int64_t{0})};
-    toll.Process(t, &out);
+    toll->Process(t, &out);
     return out.stream(0).back().GetDouble(2);
   };
   count(10);
@@ -385,24 +422,54 @@ TEST(LinearRoadTest, TollChargedOnlyWhenCongestedSlowAndAccidentFree) {
   las(20.0);
   Tuple accident;
   accident.fields = {Field(kLrAccident), Field(int64_t{7})};
-  toll.Process(accident, &out);
+  toll->Process(accident, &out);
   EXPECT_EQ(position(), 0.0);
 }
 
 TEST(LinearRoadTest, AccidentNotifyOnlyInAccidentSegments) {
-  LrAccidentNotify notify;
+  const api::Topology topo = LinearRoadTopology();
+  auto notify = Instantiate(topo, "accident_notify");
   CaptureCollector out;
-  Tuple pos;
-  pos.fields = {Field(kLrPosition), Field(int64_t{2}), Field(int64_t{4}),
-                Field(44.0), Field(int64_t{0})};
-  notify.Process(pos, &out);
+  const Tuple pos = Position(2, 4, 44.0);
+  notify->Process(pos, &out);
   EXPECT_EQ(out.total(), 0u);
   Tuple accident;
   accident.fields = {Field(kLrAccident), Field(int64_t{4})};
-  notify.Process(accident, &out);
-  notify.Process(pos, &out);
+  notify->Process(accident, &out);
+  notify->Process(pos, &out);
   ASSERT_EQ(out.total(), 1u);
   EXPECT_EQ(out.stream(0)[0].GetInt(2), 4);
+}
+
+// A migration that re-partitions count_vehicle or accident_detect
+// hands each key's state to its new replica: counts continue instead
+// of restarting at 1, and stops counted before the hand-off still add
+// up to an accident.
+TEST(LinearRoadTest, KeyedStateSurvivesRepartitioning) {
+  const api::Topology topo = LinearRoadTopology();
+  auto count_before = Instantiate(topo, "count_vehicle");
+  auto count_after = Instantiate(topo, "count_vehicle");
+  CaptureCollector counts;
+  for (const int64_t vehicle : {1, 2, 3}) {
+    count_before->Process(Position(vehicle, 7, 55.0), &counts);
+  }
+  HandOff(*count_before, *count_after);
+  count_after->Process(Position(4, 7, 55.0), &counts);
+  EXPECT_EQ(counts.stream(0).back().GetInt(2), 4);
+  count_after->Process(Position(1, 7, 55.0), &counts);  // seen before
+  EXPECT_EQ(counts.stream(0).back().GetInt(2), 4);
+
+  auto detect_before = Instantiate(topo, "accident_detect");
+  auto detect_after = Instantiate(topo, "accident_detect");
+  CaptureCollector accidents;
+  for (int stop = 0; stop < 3; ++stop) {
+    detect_before->Process(Position(5, 33, 0.0), &accidents);
+  }
+  HandOff(*detect_before, *detect_after);
+  EXPECT_EQ(accidents.total(), 0u);
+  detect_after->Process(Position(5, 33, 0.0), &accidents);  // fourth stop
+  ASSERT_EQ(accidents.total(), 1u);
+  EXPECT_EQ(accidents.stream(0)[0].GetInt(1), 33);  // segment
 }
 
 // ------------------------------------------------------------ shared --

@@ -138,7 +138,7 @@ TEST(TupleTest, FieldsStayInlineUpToFiveAndSpillBeyond) {
   Tuple t;
   for (int i = 0; i < 5; ++i) t.fields.emplace_back(int64_t{i});
   EXPECT_FALSE(t.fields.on_heap());  // LR position-report arity fits
-  // Copies of a full inline tuple stay inline too (LrDispatcher
+  // Copies of a full inline tuple stay inline too (LR's dispatcher
   // forwards its input by copy).
   const Tuple copy = t;
   EXPECT_FALSE(copy.fields.on_heap());
@@ -235,6 +235,12 @@ TEST(SerdeTest, TruncatedBufferFailsCleanly) {
     auto decoded = DeserializeTuple(truncated, &off);
     EXPECT_FALSE(decoded.ok()) << "cut=" << cut;
   }
+  // A bare header claiming 2^32-1 fields: the count is checked against
+  // the bytes left before anything is reserved.
+  std::vector<uint8_t> hostile(sizeof(int64_t) + sizeof(uint16_t), 0);
+  hostile.insert(hostile.end(), 4, uint8_t{0xff});
+  size_t off = 0;
+  EXPECT_FALSE(DeserializeTuple(hostile, &off).ok());
 }
 
 TEST(SerdeTest, CorruptFieldTagRejected) {

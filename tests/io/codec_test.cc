@@ -116,6 +116,15 @@ TEST(CodecTest, BinaryTupleRoundTripsEveryFieldKindExactly) {
   EXPECT_EQ(back->origin_ts_ns, 123456789);
 }
 
+TEST(CodecTest, HostileBinaryFieldCountIsRejected) {
+  // A 14-byte tuple header (origin_ts, stream id) claiming 2^32-1
+  // fields, as a socket or file peer could send it.
+  std::string rec(sizeof(int64_t) + sizeof(uint16_t), '\0');
+  rec.append(4, '\xff');
+  auto t = DecodeTupleRecord(RecordCodec::kBinary, rec);
+  EXPECT_FALSE(t.ok());
+}
+
 TEST(CodecTest, TextTupleEncodesFieldsSpaceSeparated) {
   Tuple t;
   t.fields.push_back(Field(std::string("word")));

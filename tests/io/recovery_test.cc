@@ -353,5 +353,32 @@ TEST(IoRecoveryTest, UnknownPositionKindIsRejected) {
   EXPECT_NE(cp.status().ToString().find("kind"), std::string::npos);
 }
 
+TEST(IoRecoveryTest, HostileCountsAreRejected) {
+  std::shared_ptr<const api::Topology> keepalive;
+  const ExecutionPlan plan = AnyPlan(&keepalive);
+  // Each buffer claims 2^32-1 elements at one of the three counts;
+  // none may be reserved before it is checked against the bytes left.
+  std::vector<uint8_t> state_count;
+  PutU32(0x32504342, &state_count);  // "BCP2"
+  PutU32(1, &state_count);           // epoch
+  PutU32(0xffffffffu, &state_count);  // n_state
+  std::vector<uint8_t> entry_count;
+  PutU32(0x32504342, &entry_count);
+  PutU32(1, &entry_count);
+  PutU32(1, &entry_count);            // one state record
+  PutU32(0, &entry_count);            // op
+  PutU32(0, &entry_count);            // replica
+  PutU32(0xffffffffu, &entry_count);  // n_entries
+  std::vector<uint8_t> position_count;
+  PutU32(0x32504342, &position_count);
+  PutU32(1, &position_count);
+  PutU32(0, &position_count);            // no state
+  PutU32(0xffffffffu, &position_count);  // n_pos
+  for (const auto* buf : {&state_count, &entry_count, &position_count}) {
+    auto cp = engine::DeserializeCheckpoint(*buf, plan);
+    EXPECT_FALSE(cp.ok()) << buf->size() << " bytes";
+  }
+}
+
 }  // namespace
 }  // namespace brisk::io
