@@ -103,17 +103,6 @@ bool Collector::EmitTo(const std::string& stream, Tuple t) {
   return true;
 }
 
-namespace detail {
-
-// The canonical codec lives with the kernel layer (api/kernels.cc) so
-// kernel aggregates and dsl aggregates key state identically; these
-// forwarders keep the historical dsl::detail entry points.
-std::string KeyOf(const Field& f) { return api::detail::KeyOf(f); }
-
-Field FieldOf(const std::string& key) { return api::detail::FieldOf(key); }
-
-}  // namespace detail
-
 Stream Stream::Attach(const std::string& name, ReplicaFactory factory,
                       api::GroupingType grouping, size_t key_field) const {
   Pipeline::Node node;

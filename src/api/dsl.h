@@ -14,6 +14,8 @@
 //   .KeyBy(f).Aggregate(init,fn) | stateful bolt, fields grouping
 //                                | hashed on field f (§2.2 "fields
 //                                | grouping" — state partitioning)
+//   .KeyBy(f).Aggregate(init,fn, | same, with a checkpoint codec for
+//       encode,decode)           | States richer than one number
 //   .Broadcast() / .Global()     | broadcast / global grouping on the
 //                                | next attached consumer
 //   .SideOutput("name")          | named output stream (App. A's
@@ -44,8 +46,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -154,15 +154,6 @@ struct ReplicaBody {
 /// the hooks; plain ProcessFactory verbs lower onto it with empty
 /// hooks.
 using ReplicaFactory = std::function<ReplicaBody(const api::OperatorContext&)>;
-
-namespace detail {
-/// Canonical map key for a tuple field (type-tagged so int 0x73... and
-/// a string of the same bytes never collide).
-std::string KeyOf(const Field& f);
-/// Inverse of KeyOf: reconstructs the Field (exact for all three
-/// alternatives), so exported state re-hashes like the live tuples do.
-Field FieldOf(const std::string& key);
-}  // namespace detail
 
 /// Handle to one operator's output stream plus the grouping the *next*
 /// attached consumer subscribes with (shuffle unless overridden).
@@ -274,83 +265,53 @@ class KeyedStream {
   /// decides what to emit. Fields grouping guarantees all tuples of a
   /// key meet the same replica's state.
   ///
-  /// State lives in one map keyed by a type-tagged byte string
-  /// (detail::KeyOf), built per input tuple. Int/double keys produce a
-  /// 9-byte SSO string (no heap), so the per-tuple cost over a
-  /// hand-keyed map is one small construction + hash; operators where
-  /// that matters can drop to KeyedStream::Process and key their own
-  /// state.
+  /// State lives in an api::KeyedStateTable keyed by the grouping
+  /// Field itself: each tuple hashes its key field in place, with no
+  /// per-tuple key string, and a key is copied only when first seen.
+  /// Keys of different kinds never share state (0, 0.0 and "0" are
+  /// three keys).
   ///
   /// Aggregate also wires the live-migration StateHooks: when a plan
   /// migration changes this operator's replication, the engine exports
   /// every (key, State) entry, re-buckets by the fields-grouping hash,
   /// and imports each bucket into its new owner replica — counts and
-  /// windows survive the re-partitioning.
+  /// windows survive the re-partitioning. Arithmetic States are also
+  /// checkpointed; richer States pass a codec (the overload below).
   template <typename State>
   Stream Aggregate(
       const std::string& name, State init,
       std::function<void(State&, const Tuple&, Collector&)> fn) const {
+    return Aggregate<State>(name, std::move(init), std::move(fn), nullptr,
+                            nullptr);
+  }
+
+  /// Lambda aggregate with an explicit checkpoint codec for States a
+  /// single arithmetic Field cannot carry (windows, sets). The codec
+  /// must round-trip the state bit-exactly. The StateHooks forward to
+  /// the replica's table.
+  template <typename State>
+  Stream Aggregate(const std::string& name, State init,
+                   std::function<void(State&, const Tuple&, Collector&)> fn,
+                   std::function<Tuple(const State&)> encode,
+                   std::function<State(const Tuple&)> decode) const {
     const size_t key = key_field_;
-    ReplicaFactory factory = [init = std::move(init), fn = std::move(fn),
+    api::KeyedStateTable<State> table(std::move(init), std::move(encode),
+                                      std::move(decode));
+    ReplicaFactory factory = [table = std::move(table), fn = std::move(fn),
                               key](const api::OperatorContext&) -> ReplicaBody {
-      auto states =
-          std::make_shared<std::unordered_map<std::string, State>>();
+      auto states = std::make_shared<api::KeyedStateTable<State>>(table);
       ReplicaBody body;
-      body.fn = [states, init, fn, key](const Tuple& in, Collector& out) {
-        auto [it, fresh] =
-            states->try_emplace(detail::KeyOf(in.fields[key]), init);
-        (void)fresh;
-        fn(it->second, in, out);
+      body.fn = [states, fn, key](const Tuple& in, Collector& out) {
+        fn(states->At(in.fields[key]), in, out);
       };
-      body.hooks.export_state = [states]() {
-        std::vector<api::KeyedStateEntry> out;
-        out.reserve(states->size());
-        for (auto& [k, v] : *states) {
-          out.push_back({detail::FieldOf(k),
-                         std::make_shared<State>(std::move(v))});
-        }
-        states->clear();
-        return out;
+      body.hooks.export_state = [states] { return states->Export(); };
+      body.hooks.import_state = [states](auto entries) {
+        states->Import(std::move(entries));
       };
-      body.hooks.import_state =
-          [states](std::vector<api::KeyedStateEntry> entries) {
-            for (auto& e : entries) {
-              (*states)[detail::KeyOf(e.key)] =
-                  std::move(*std::static_pointer_cast<State>(e.state));
-            }
-          };
-      // Checkpoint hooks come for free when State is arithmetic (one
-      // Field round-trips it exactly); richer States stay
-      // non-checkpointable in the lambda form — use the kernel
-      // Aggregate overload with an explicit codec instead.
-      if constexpr (std::is_arithmetic_v<State>) {
-        body.hooks.snapshot_state = [states]() {
-          std::vector<api::CheckpointEntry> out;
-          out.reserve(states->size());
-          for (const auto& [k, v] : *states) {
-            Tuple t;
-            if constexpr (std::is_floating_point_v<State>) {
-              t.fields.emplace_back(static_cast<double>(v));
-            } else {
-              t.fields.emplace_back(static_cast<int64_t>(v));
-            }
-            out.push_back({detail::FieldOf(k), std::move(t)});
-          }
-          return out;
-        };
-        body.hooks.restore_state =
-            [states](std::vector<api::CheckpointEntry> entries) {
-              for (auto& e : entries) {
-                if constexpr (std::is_floating_point_v<State>) {
-                  (*states)[detail::KeyOf(e.key)] =
-                      static_cast<State>(e.state.fields[0].AsDouble());
-                } else {
-                  (*states)[detail::KeyOf(e.key)] =
-                      static_cast<State>(e.state.fields[0].AsInt());
-                }
-              }
-            };
-      }
+      body.hooks.snapshot_state = [states] { return states->Snapshot(); };
+      body.hooks.restore_state = [states](auto entries) {
+        states->Restore(std::move(entries));
+      };
       return body;
     };
     return base_.Attach(name, std::move(factory),

@@ -1,55 +1,6 @@
 #include "api/kernels.h"
 
-#include <cstring>
-
 namespace brisk::api {
-
-namespace detail {
-
-std::string KeyOf(const Field& f) {
-  switch (f.index()) {
-    case 0: {
-      const int64_t v = f.AsInt();
-      std::string key(1 + sizeof(v), 'i');
-      std::memcpy(&key[1], &v, sizeof(v));
-      return key;
-    }
-    case 1: {
-      const double v = f.AsDouble();
-      std::string key(1 + sizeof(v), 'd');
-      std::memcpy(&key[1], &v, sizeof(v));
-      return key;
-    }
-    default: {
-      const std::string_view s = f.AsString();
-      std::string key;
-      key.reserve(1 + s.size());
-      key.push_back('s');
-      key.append(s);
-      return key;
-    }
-  }
-}
-
-Field FieldOf(const std::string& key) {
-  if (key.empty()) return Field();
-  switch (key[0]) {
-    case 'i': {
-      int64_t v = 0;
-      std::memcpy(&v, key.data() + 1, sizeof(v));
-      return Field(v);
-    }
-    case 'd': {
-      double v = 0;
-      std::memcpy(&v, key.data() + 1, sizeof(v));
-      return Field(v);
-    }
-    default:
-      return Field(std::string_view(key).substr(1));
-  }
-}
-
-}  // namespace detail
 
 namespace {
 

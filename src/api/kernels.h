@@ -20,12 +20,19 @@
 // to topology nodes, the fusion pass concatenates them across fused
 // operators, and each engine replica compiles its own private copy
 // (aggregate state is created per replica via `make_aggregate`).
+//
+// Keyed state lives in a KeyedStateTable, keyed by the grouping Field
+// itself. The kernel aggregate (TypedAggregate) and the lambda
+// dsl::KeyedStream::Aggregate both hold one, so they share key
+// identity, migration hand-off and checkpoint codecs.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -36,16 +43,6 @@
 #include "common/tuple.h"
 
 namespace brisk::api {
-
-namespace detail {
-/// Canonical map key for a grouping field (type-tagged so an int and a
-/// string with identical bytes never collide). Shared with dsl
-/// aggregates so kernel and lambda state interoperate.
-std::string KeyOf(const Field& f);
-/// Inverse of KeyOf: reconstructs the Field exactly, so exported state
-/// re-hashes the way live tuples do.
-Field FieldOf(const std::string& key);
-}  // namespace detail
 
 enum class KernelKind : uint8_t { kMap, kFilter, kFlatMap, kAggregate };
 
@@ -135,125 +132,158 @@ KernelDesc FilterCmpConst(size_t col, CmpOp op, int64_t literal,
 /// arithmetic) with a dense batch loop.
 KernelDesc MapNumConst(size_t col, NumOp op, int64_t literal);
 
-/// Keyed aggregate over `State`: one State (copied from `init`) per
-/// distinct value of fields[key_field] per replica, updated by `fn`,
-/// which also decides what to emit. Interoperates with live plan
-/// migration exactly like dsl::KeyedStream::Aggregate — entries are
-/// exported as (Field key, shared_ptr<State>), re-bucketed by the
-/// fields-grouping hash, and imported by assignment (each key lives in
-/// exactly one old replica).
+/// Key identity of keyed state: two Fields are one key only when they
+/// have the same kind and equal int64 bits, bitwise-equal double bits
+/// or equal string bytes. So 0, 0.0, -0.0 and "0" are four keys and a
+/// NaN is one key per bit pattern, matching the bytes HashField routes
+/// fields grouping on.
+struct FieldKeyEq {
+  static uint64_t Bits(const Field& f) {
+    if (f.is_int()) return static_cast<uint64_t>(f.AsInt());
+    const double d = f.AsDouble();
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    return bits;
+  }
+  bool operator()(const Field& a, const Field& b) const {
+    if (a.index() != b.index()) return false;
+    return a.is_string() ? a.AsString() == b.AsString() : Bits(a) == Bits(b);
+  }
+};
+
+/// Table-local hash for FieldKeyEq: a 64-bit finalizer (MurmurHash3's
+/// fmix64) over scalar bits, std::hash over string bytes. Cheaper per
+/// lookup than the router's byte-wise HashField.
+struct FieldKeyHash {
+  size_t operator()(const Field& f) const {
+    if (f.is_string()) return std::hash<std::string_view>()(f.AsString());
+    uint64_t x = FieldKeyEq::Bits(f);
+    x = (x ^ (x >> 33)) * 0xff51afd7ed558ccdULL;
+    x = (x ^ (x >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+    return static_cast<size_t>(x ^ (x >> 33));
+  }
+};
+
+/// One replica's keyed state: one `State` (copied from `init`) per
+/// distinct grouping Field. The per-tuple lookup hashes the field in
+/// place and copies it only when the key is first seen.
+///
+/// Migration moves entries out as (Field key, shared_ptr<State>);
+/// the engine re-buckets them by the fields-grouping hash and imports
+/// each bucket by assignment (each key lives in exactly one old
+/// replica). Checkpoints copy entries through a codec: arithmetic
+/// States get a one-field codec unless they pass one, richer States
+/// pass one (it must round-trip bit-exactly) or stay out of
+/// checkpoints.
 template <typename State>
-class TypedAggregate final : public AggregateExec {
+class KeyedStateTable {
  public:
-  /// Encodes one State value as a serializable Tuple (and back) for
-  /// checkpoints. Arithmetic States get a codec derived automatically;
-  /// richer States pass one explicitly or stay non-checkpointable.
-  using StateEncoder = std::function<Tuple(const State&)>;
-  using StateDecoder = std::function<State(const Tuple&)>;
+  using Encoder = std::function<Tuple(const State&)>;
+  using Decoder = std::function<State(const Tuple&)>;
 
-  TypedAggregate(size_t key_field, State init,
-                 std::function<void(State&, const Tuple&, RowEmitter&)> fn)
-      : key_field_(key_field), init_(std::move(init)), fn_(std::move(fn)) {
-    InstallDefaultCodec();
-  }
-
-  TypedAggregate(size_t key_field, State init,
-                 std::function<void(State&, const Tuple&, RowEmitter&)> fn,
-                 StateEncoder encode, StateDecoder decode)
-      : key_field_(key_field),
-        init_(std::move(init)),
-        fn_(std::move(fn)),
+  explicit KeyedStateTable(State init, Encoder encode = nullptr,
+                           Decoder decode = nullptr)
+      : init_(std::move(init)),
         encode_(std::move(encode)),
-        decode_(std::move(decode)) {}
-
-  void UpdateRow(const Tuple& in, RowEmitter& out) override {
-    auto [it, fresh] =
-        states_.try_emplace(detail::KeyOf(in.fields[key_field_]), init_);
-    (void)fresh;
-    fn_(it->second, in, out);
+        decode_(std::move(decode)) {
+    if constexpr (std::is_arithmetic_v<State>) {
+      using Wire = std::conditional_t<std::is_floating_point_v<State>, double,
+                                      int64_t>;
+      if (!encode_) {
+        encode_ = [](const State& s) { return Tuple{Field(Wire(s))}; };
+      }
+      if (!decode_) {
+        decode_ = [](const Tuple& t) {
+          if constexpr (std::is_floating_point_v<State>) {
+            return static_cast<State>(t.fields[0].AsDouble());
+          } else {
+            return static_cast<State>(t.fields[0].AsInt());
+          }
+        };
+      }
+    }
   }
 
-  std::vector<KeyedStateEntry> ExportKeyedState() override {
+  /// The state of `key`, created from `init` the first time.
+  State& At(const Field& key) {
+    return states_.try_emplace(key, init_).first->second;
+  }
+
+  /// Live-migration hand-off: moves every entry out and clears.
+  std::vector<KeyedStateEntry> Export() {
     std::vector<KeyedStateEntry> out;
     out.reserve(states_.size());
     for (auto& [k, v] : states_) {
-      out.push_back(
-          {detail::FieldOf(k), std::make_shared<State>(std::move(v))});
+      out.push_back({k, std::make_shared<State>(std::move(v))});
     }
     states_.clear();
     return out;
   }
 
-  void ImportKeyedState(std::vector<KeyedStateEntry> entries) override {
+  void Import(std::vector<KeyedStateEntry> entries) {
     for (auto& e : entries) {
-      states_[detail::KeyOf(e.key)] =
-          std::move(*std::static_pointer_cast<State>(e.state));
+      states_.insert_or_assign(
+          std::move(e.key),
+          std::move(*std::static_pointer_cast<State>(e.state)));
     }
   }
 
-  std::vector<CheckpointEntry> SnapshotKeyedState() override {
+  /// Checkpoint copy (state keeps running); empty without a codec.
+  std::vector<CheckpointEntry> Snapshot() const {
     std::vector<CheckpointEntry> out;
     if (!encode_) return out;
     out.reserve(states_.size());
-    for (const auto& [k, v] : states_) {
-      out.push_back({detail::FieldOf(k), encode_(v)});
-    }
+    for (const auto& [k, v] : states_) out.push_back({k, encode_(v)});
     return out;
   }
 
-  void RestoreKeyedState(std::vector<CheckpointEntry> entries) override {
+  void Restore(std::vector<CheckpointEntry> entries) {
     if (!decode_) return;
     for (auto& e : entries) {
-      states_[detail::KeyOf(e.key)] = decode_(e.state);
+      states_.insert_or_assign(std::move(e.key), decode_(e.state));
     }
   }
 
  private:
-  void InstallDefaultCodec() {
-    if constexpr (std::is_arithmetic_v<State>) {
-      encode_ = [](const State& s) {
-        Tuple t;
-        if constexpr (std::is_floating_point_v<State>) {
-          t.fields.emplace_back(static_cast<double>(s));
-        } else {
-          t.fields.emplace_back(static_cast<int64_t>(s));
-        }
-        return t;
-      };
-      decode_ = [](const Tuple& t) {
-        if constexpr (std::is_floating_point_v<State>) {
-          return static_cast<State>(t.fields[0].AsDouble());
-        } else {
-          return static_cast<State>(t.fields[0].AsInt());
-        }
-      };
-    }
-  }
-
-  size_t key_field_;
   State init_;
-  std::function<void(State&, const Tuple&, RowEmitter&)> fn_;
-  StateEncoder encode_;
-  StateDecoder decode_;
-  std::unordered_map<std::string, State> states_;
+  Encoder encode_;
+  Decoder decode_;
+  std::unordered_map<Field, State, FieldKeyHash, FieldKeyEq> states_;
 };
 
+/// Keyed aggregate over `State`: `fn` updates the key's state from
+/// each row and decides what to emit. Interoperates with live plan
+/// migration and checkpoints exactly like dsl::KeyedStream::Aggregate,
+/// through the same KeyedStateTable.
 template <typename State>
-KernelDesc AggregateOf(
-    size_t key_field, State init,
-    std::function<void(State&, const Tuple&, RowEmitter&)> fn,
-    double selectivity_hint = 1.0, std::string debug = "aggregate") {
-  KernelDesc d;
-  d.kind = KernelKind::kAggregate;
-  d.debug = std::move(debug);
-  d.selectivity_hint = selectivity_hint;
-  d.key_field = static_cast<int>(key_field);
-  d.make_aggregate = [key_field, init = std::move(init),
-                      fn = std::move(fn)]() -> std::unique_ptr<AggregateExec> {
-    return std::make_unique<TypedAggregate<State>>(key_field, init, fn);
-  };
-  return d;
-}
+class TypedAggregate final : public AggregateExec {
+ public:
+  using Fn = std::function<void(State&, const Tuple&, RowEmitter&)>;
+
+  TypedAggregate(size_t key_field, KeyedStateTable<State> table, Fn fn)
+      : key_field_(key_field), table_(std::move(table)), fn_(std::move(fn)) {}
+
+  void UpdateRow(const Tuple& in, RowEmitter& out) override {
+    fn_(table_.At(in.fields[key_field_]), in, out);
+  }
+  std::vector<KeyedStateEntry> ExportKeyedState() override {
+    return table_.Export();
+  }
+  void ImportKeyedState(std::vector<KeyedStateEntry> entries) override {
+    table_.Import(std::move(entries));
+  }
+  std::vector<CheckpointEntry> SnapshotKeyedState() override {
+    return table_.Snapshot();
+  }
+  void RestoreKeyedState(std::vector<CheckpointEntry> entries) override {
+    table_.Restore(std::move(entries));
+  }
+
+ private:
+  size_t key_field_;
+  KeyedStateTable<State> table_;
+  Fn fn_;
+};
 
 /// AggregateOf with an explicit checkpoint codec, for States richer
 /// than a single arithmetic value (windows, sketches): `encode` must
@@ -271,13 +301,25 @@ KernelDesc AggregateOf(
   d.debug = std::move(debug);
   d.selectivity_hint = selectivity_hint;
   d.key_field = static_cast<int>(key_field);
-  d.make_aggregate = [key_field, init = std::move(init), fn = std::move(fn),
-                      encode = std::move(encode), decode = std::move(decode)]()
-      -> std::unique_ptr<AggregateExec> {
-    return std::make_unique<TypedAggregate<State>>(key_field, init, fn, encode,
-                                                   decode);
+  // Each replica starts from a copy of this empty table.
+  KeyedStateTable<State> table(std::move(init), std::move(encode),
+                               std::move(decode));
+  d.make_aggregate = [key_field, table = std::move(table),
+                      fn = std::move(fn)]() -> std::unique_ptr<AggregateExec> {
+    return std::make_unique<TypedAggregate<State>>(key_field, table, fn);
   };
   return d;
+}
+
+/// Keyed aggregate descriptor without a codec: arithmetic States are
+/// checkpointed through the table's one-field codec, others are not.
+template <typename State>
+KernelDesc AggregateOf(
+    size_t key_field, State init,
+    std::function<void(State&, const Tuple&, RowEmitter&)> fn,
+    double selectivity_hint = 1.0, std::string debug = "aggregate") {
+  return AggregateOf<State>(key_field, std::move(init), std::move(fn), nullptr,
+                            nullptr, selectivity_hint, std::move(debug));
 }
 
 }  // namespace brisk::api

@@ -72,6 +72,23 @@ StatusOr<api::Topology> BuildFraudDetection(
             // A signal per input regardless of the detection outcome
             // (Appendix B: selectivity one).
             out.Emit(in, {in.fields[0], Field(score)});
+          },
+          // Checkpoint codec: [last_state, transitions...].
+          [](const AccountState& s) {
+            Tuple t;
+            t.fields.reserve(s.transitions.size() + 1);
+            t.fields.emplace_back(s.last_state);
+            for (const uint32_t n : s.transitions) t.fields.emplace_back(n);
+            return t;
+          },
+          [](const Tuple& t) {
+            AccountState s;
+            s.last_state = static_cast<int>(t.fields[0].AsInt());
+            for (size_t i = 1; i < t.fields.size(); ++i) {
+              s.transitions.push_back(
+                  static_cast<uint32_t>(t.fields[i].AsInt()));
+            }
+            return s;
           })
       .Sink("sink", [sink](const Tuple& in) {
         sink->RecordTuple(in.origin_ts_ns, NowNs());

@@ -1,10 +1,12 @@
 #include "apps/linear_road.h"
 
+#include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "api/dsl.h"
 
@@ -20,22 +22,56 @@ constexpr int64_t kCongestionThreshold = 50;  // vehicles per segment
 // Aggregate bodies (the state is one key's), then per-replica Process
 // factories (each call builds one replica with its own state).
 
-struct SpeedWindow {
-  std::deque<double> speeds;
-  double sum = 0.0;
+/// The distinct vehicles of one segment: a bitmap over the spout's ids
+/// [0, num_vehicles), grown on demand, plus an overflow set for ids
+/// outside that range. The count stays exact for every int64 and no id
+/// can force a large allocation.
+struct VehicleSet {
+  std::vector<uint64_t> bits;
+  std::unordered_set<int64_t> overflow;
+  int64_t count = 0;
+
+  void Insert(int64_t id, int64_t num_vehicles) {
+    if (id < 0 || id >= num_vehicles) {
+      count += overflow.insert(id).second ? 1 : 0;
+      return;
+    }
+    const auto word = static_cast<size_t>(id >> 6);
+    if (word >= bits.size()) bits.resize(word + 1);
+    const uint64_t bit = uint64_t{1} << (id & 63);
+    if ((bits[word] & bit) == 0) {
+      bits[word] |= bit;
+      ++count;
+    }
+  }
 };
 
-/// Average speed of a segment over its last kAvgWindow reports.
-void AvgSpeed(SpeedWindow& w, const Tuple& in, dsl::Collector& out) {
-  const double speed = in.GetDouble(3);
-  w.speeds.push_back(speed);
-  w.sum += speed;
-  if (static_cast<int>(w.speeds.size()) > kAvgWindow) {
-    w.sum -= w.speeds.front();
-    w.speeds.pop_front();
+/// Checkpoint codec [count, #overflow, overflow ids..., bitmap words...].
+Tuple EncodeVehicleSet(const VehicleSet& v) {
+  Tuple t;
+  t.fields.reserve(2 + v.overflow.size() + v.bits.size());
+  t.fields.emplace_back(v.count);
+  t.fields.emplace_back(v.overflow.size());
+  for (const int64_t id : v.overflow) t.fields.emplace_back(id);
+  for (const uint64_t w : v.bits) t.fields.emplace_back(w);
+  return t;
+}
+
+VehicleSet DecodeVehicleSet(const Tuple& t) {
+  VehicleSet v;
+  v.count = t.fields[0].AsInt();
+  const size_t n = std::min<size_t>(t.fields[1].AsInt(), t.fields.size() - 2);
+  for (size_t i = 2; i < 2 + n; ++i) v.overflow.insert(t.fields[i].AsInt());
+  for (size_t i = 2 + n; i < t.fields.size(); ++i) {
+    v.bits.push_back(static_cast<uint64_t>(t.fields[i].AsInt()));
   }
-  out.Emit(in, {Field(kLrAvgSpeed), in.fields[2],
-                Field(w.sum / static_cast<double>(w.speeds.size()))});
+  return v;
+}
+
+/// Average speed of a segment over its last kAvgWindow reports.
+void AvgSpeed(MeanWindow& w, const Tuple& in, dsl::Collector& out) {
+  const double avg = w.Push(in.GetDouble(3), kAvgWindow);
+  out.Emit(in, {Field(kLrAvgSpeed), in.fields[2], Field(avg)});
 }
 
 /// Exponentially smoothed average; NaN (unseeded) takes the first.
@@ -56,12 +92,14 @@ void AccidentDetect(int& stops, const Tuple& in, dsl::Collector& out) {
   }
 }
 
-/// Distinct vehicles per segment; emits the running count.
-void CountVehicle(std::set<int64_t>& vehicles, const Tuple& in,
-                  dsl::Collector& out) {
-  vehicles.insert(in.GetInt(1));
-  out.Emit(in, {Field(kLrCount), in.fields[2],
-                Field(static_cast<int64_t>(vehicles.size()))});
+/// count_vehicle: distinct vehicles per segment; emits the running
+/// count.
+auto CountVehicle(int64_t num_vehicles) {
+  return [num_vehicles](VehicleSet& vehicles, const Tuple& in,
+                        dsl::Collector& out) {
+    vehicles.Insert(in.GetInt(1), num_vehicles);
+    out.Emit(in, {Field(kLrCount), in.fields[2], Field(vehicles.count)});
+  };
 }
 
 /// dispatcher: position reports on the default stream, account
@@ -204,7 +242,8 @@ StatusOr<api::Topology> BuildLinearRoad(std::shared_ptr<SinkTelemetry> sink,
   const dsl::Stream daily = dispatcher.SideOutput("daily_exp_request");
   const dsl::Stream las_avg_speed =
       dispatcher.KeyBy(2)  // by segment
-          .Aggregate<SpeedWindow>("avg_speed", {}, AvgSpeed)
+          .Aggregate<MeanWindow>("avg_speed", {}, AvgSpeed, EncodeMeanWindow,
+                                 DecodeMeanWindow)
           .KeyBy(1)
           .Aggregate<double>("las_avg_speed",
                              std::numeric_limits<double>::quiet_NaN(),
@@ -213,8 +252,10 @@ StatusOr<api::Topology> BuildLinearRoad(std::shared_ptr<SinkTelemetry> sink,
       dispatcher.KeyBy(1)  // by vehicle
           .Aggregate<int>("accident_detect", 0, AccidentDetect);
   const dsl::Stream count_vehicle =
-      dispatcher.KeyBy(2).Aggregate<std::set<int64_t>>("count_vehicle", {},
-                                                       CountVehicle);
+      dispatcher.KeyBy(2)  // by segment
+          .Aggregate<VehicleSet>("count_vehicle", {},
+                                 CountVehicle(params.num_vehicles),
+                                 EncodeVehicleSet, DecodeVehicleSet);
   const dsl::Stream accident_notify =
       accident_detect.Broadcast()
           .Process("accident_notify", AccidentNotify)

@@ -65,8 +65,8 @@ class LinearRoadSpout : public api::Spout {
 /// position reports on its default stream and account queries on the
 /// "balance_stream" and "daily_exp_request" side outputs. avg_speed,
 /// las_avg_speed, accident_detect and count_vehicle keep per-key state
-/// in Aggregates, so it migrates with their key; toll_notify and the
-/// sink Merge four inputs each.
+/// in Aggregates, so it migrates with their key and is checkpointed;
+/// toll_notify and the sink Merge four inputs each.
 StatusOr<api::Topology> BuildLinearRoad(std::shared_ptr<SinkTelemetry> sink,
                                         LinearRoadParams params = {});
 

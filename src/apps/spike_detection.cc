@@ -1,7 +1,6 @@
 #include "apps/spike_detection.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "api/dsl.h"
 
@@ -58,54 +57,25 @@ size_t SensorSpout::NextBatch(size_t max_tuples, api::OutputCollector* out) {
 StatusOr<api::Topology> BuildSpikeDetectionDsl(
     std::shared_ptr<SinkTelemetry> sink, SpikeDetectionParams params,
     dsl::SinkFn tap) {
-  // Per-device sliding window, one per key, replica-local.
-  struct Window {
-    std::deque<double> values;
-    double sum = 0.0;
-  };
   dsl::Pipeline p("spike-detection");
   p.Source("spout",
            api::SpoutFactory(
                [params] { return std::make_unique<SensorSpout>(params); }))
       .Filter("parser", api::FilterOf(ParserKeeps, 1.0, "parser"))
       .KeyBy(0)
-      .Aggregate<Window>(
+      .Aggregate<MeanWindow>(
           "moving_avg", {},
-          std::function<void(Window&, const Tuple&, api::RowEmitter&)>(
-              [params](Window& w, const Tuple& in, api::RowEmitter& out) {
+          std::function<void(MeanWindow&, const Tuple&, api::RowEmitter&)>(
+              [params](MeanWindow& w, const Tuple& in, api::RowEmitter& out) {
                 const double reading = in.GetDouble(1);
-                w.values.push_back(reading);
-                w.sum += reading;
-                if (static_cast<int>(w.values.size()) > params.window) {
-                  w.sum -= w.values.front();
-                  w.values.pop_front();
-                }
                 Tuple t;
                 t.fields.push_back(in.fields[0]);
                 t.fields.emplace_back(reading);
-                t.fields.emplace_back(
-                    w.sum / static_cast<double>(w.values.size()));
+                t.fields.emplace_back(w.Push(reading, params.window));
                 t.origin_ts_ns = in.origin_ts_ns;
                 out.Emit(std::move(t));
               }),
-          // Checkpoint codec: [sum, v0..vn]. The running sum is
-          // stored, not recomputed, so a restored window is bit-exact
-          // (floating-point summation order preserved).
-          std::function<Tuple(const Window&)>([](const Window& w) {
-            Tuple t;
-            t.fields.reserve(w.values.size() + 1);
-            t.fields.emplace_back(w.sum);
-            for (const double v : w.values) t.fields.emplace_back(v);
-            return t;
-          }),
-          std::function<Window(const Tuple&)>([](const Tuple& t) {
-            Window w;
-            w.sum = t.fields[0].AsDouble();
-            for (size_t i = 1; i < t.fields.size(); ++i) {
-              w.values.push_back(t.fields[i].AsDouble());
-            }
-            return w;
-          }))
+          EncodeMeanWindow, DecodeMeanWindow)
       .FlatMap("spike_detect",
                api::FlatMapOf(
                    [params](const Tuple& in, api::RowEmitter& out) {

@@ -277,7 +277,7 @@ TEST(DslAdapterTest, EmitToUnknownStreamReturnsFalseAndDrops) {
   EXPECT_EQ(out.num_streams(), 0u);
 }
 
-TEST(DslAdapterTest, AggregatePartitionsStateByKeyAndType) {
+TEST(DslAdapterTest, AggregatePartitionsStateByKey) {
   Pipeline p("agg");
   p.Source("src", SourceFn([](size_t, Collector&) { return size_t{0}; }))
       .KeyBy(0)
@@ -300,10 +300,66 @@ TEST(DslAdapterTest, AggregatePartitionsStateByKeyAndType) {
   EXPECT_EQ(out.stream(0)[1].GetInt(1), 1);  // lo
   EXPECT_EQ(out.stream(0)[2].GetInt(1), 2);  // ka
   EXPECT_EQ(out.stream(0)[3].GetInt(1), 3);  // ka
+}
 
-  // Distinct field types never share state, even with equal bytes.
-  EXPECT_NE(detail::KeyOf(Field(int64_t{0})), detail::KeyOf(Field(0.0)));
-  EXPECT_NE(detail::KeyOf(Field(int64_t{'s'})), detail::KeyOf(Field("s")));
+/// Feeds each key of `keys` to counting aggregate `op` of `topo` (it
+/// emits [key, count]) twice, hands the state to three fresh replicas
+/// re-bucketed by the fields-grouping hash, and feeds each key once
+/// more to its new owner: every key must count 1, 2, 3 on its own.
+void ExpectKeysCountApartThroughRepartitioning(const api::Topology& topo,
+                                               const std::string& op,
+                                               const std::vector<Field>& keys) {
+  auto before = Instantiate(topo, op);
+  CapturingCollector out;
+  auto feed = [&](api::Operator& replica, const Field& key) {
+    Tuple t;
+    t.fields = {key};
+    replica.Process(t, &out);
+    return out.stream(0).back().GetInt(1);
+  };
+  for (int64_t round = 1; round <= 2; ++round) {
+    for (const Field& key : keys) EXPECT_EQ(feed(*before, key), round);
+  }
+  std::vector<std::vector<api::KeyedStateEntry>> buckets(3);
+  for (auto& e : before->ExportKeyedState()) {
+    buckets[HashField(e.key) % 3].push_back(std::move(e));
+  }
+  std::vector<std::unique_ptr<api::Operator>> after;
+  size_t exported = 0;
+  for (auto& bucket : buckets) {
+    exported += bucket.size();
+    after.push_back(Instantiate(topo, op));
+    after.back()->ImportKeyedState(std::move(bucket));
+  }
+  EXPECT_EQ(exported, keys.size());
+  for (const Field& key : keys) {
+    EXPECT_EQ(feed(*after[HashField(key) % 3], key), 3);
+  }
+}
+
+// Keys are equal only with the same kind and equal int64 bits, double
+// bits or string bytes: 0, 0.0, -0.0 and "0" are four keys, as are 's'
+// and "s". Both Aggregate forms (the WC counter is the kernel one)
+// keep that identity through a live re-partitioning.
+TEST(DslAdapterTest, AggregateKeysByKindAndBitsThroughRepartitioning) {
+  std::vector<Field> keys = {Field(int64_t{0}), Field(0.0), Field(-0.0)};
+  for (const char* s : {"0", "s"}) keys.emplace_back(s);
+  keys.emplace_back(int64_t{'s'});
+  Pipeline p("lambda-agg");
+  p.Source("src", SourceFn([](size_t, Collector&) { return size_t{0}; }))
+      .KeyBy(0)
+      .Aggregate<int64_t>("counter", 0,
+                          [](int64_t& count, const Tuple& in,
+                             Collector& out) {
+                            out.Emit(in, {in.fields[0], Field(++count)});
+                          });
+  auto lambda_topo = std::move(p).Build();
+  ASSERT_TRUE(lambda_topo.ok()) << lambda_topo.status();
+  ExpectKeysCountApartThroughRepartitioning(*lambda_topo, "counter", keys);
+
+  auto wc = apps::BuildWordCountDsl(std::make_shared<apps::SinkTelemetry>());
+  ASSERT_TRUE(wc.ok()) << wc.status();
+  ExpectKeysCountApartThroughRepartitioning(*wc, "counter", keys);
 }
 
 TEST(DslAdapterTest, ReplicaStateIsIndependentAcrossInstances) {

@@ -43,11 +43,19 @@ class VectorCollector final : public OutputCollector {
   std::vector<Tuple> out;
 };
 
-/// Canonical printable form of a tuple, via the type-tagged field
-/// codec, so sequences compare exactly (type + value + origin).
+/// Canonical printable form of a tuple: each field's type tag and
+/// exact value (a double's bits), so sequences compare exactly (type +
+/// value + origin).
 std::string Canon(const Tuple& t) {
   std::string s = std::to_string(t.origin_ts_ns) + "|";
-  for (const Field& f : t.fields) s += detail::KeyOf(f) + ";";
+  for (const Field& f : t.fields) {
+    if (f.is_string()) {
+      s += "s" + std::string(f.AsString());
+    } else {
+      s += (f.is_int() ? "i" : "d") + std::to_string(FieldKeyEq::Bits(f));
+    }
+    s += ";";
+  }
   return s;
 }
 

@@ -4,12 +4,21 @@
 // topology the way the engine does.
 #include "apps/apps.h"
 
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "api/kernels.h"
 #include "apps/fraud_detection.h"
 #include "apps/linear_road.h"
 #include "apps/spike_detection.h"
 #include "apps/word_count.h"
+#include "common/rng.h"
+#include "common/serde.h"
 
 namespace brisk::apps {
 namespace {
@@ -70,6 +79,47 @@ void HandOff(api::Operator& from, api::Operator& to) {
   auto entries = from.ExportKeyedState();
   EXPECT_FALSE(entries.empty());
   to.ImportKeyedState(std::move(entries));
+}
+
+/// Snapshots a replica of `name` after `prefix`, restores the
+/// snapshot (each state through the tuple wire codec, as a checkpoint
+/// file carries it) into a fresh replica, and feeds both the same
+/// `suffix`: the two must emit identical tuples.
+void ExpectSnapshotRestoresState(const api::Topology& topo,
+                                 const std::string& name,
+                                 const std::vector<Tuple>& prefix,
+                                 const std::vector<Tuple>& suffix) {
+  auto live = Instantiate(topo, name);
+  CaptureCollector discard;
+  for (const Tuple& t : prefix) live->Process(t, &discard);
+  std::vector<api::CheckpointEntry> snapshot;
+  for (auto& e : live->SnapshotKeyedState()) {
+    std::vector<uint8_t> bytes;
+    SerializeTuple(e.state, &bytes);
+    size_t offset = 0;
+    auto state = DeserializeTuple(bytes, &offset);
+    ASSERT_TRUE(state.ok()) << state.status();
+    snapshot.push_back({std::move(e.key), std::move(state).value()});
+  }
+  EXPECT_FALSE(snapshot.empty()) << name << " is not checkpointed";
+  auto restored = Instantiate(topo, name);
+  restored->RestoreKeyedState(std::move(snapshot));
+  CaptureCollector want, got;
+  for (const Tuple& t : suffix) {
+    live->Process(t, &want);
+    restored->Process(t, &got);
+  }
+  ASSERT_FALSE(want.stream(0).empty()) << name;
+  ASSERT_EQ(want.stream(0).size(), got.stream(0).size()) << name;
+  for (size_t i = 0; i < want.stream(0).size(); ++i) {
+    const Tuple& a = want.stream(0)[i];
+    const Tuple& b = got.stream(0)[i];
+    ASSERT_EQ(a.fields.size(), b.fields.size());
+    for (size_t f = 0; f < a.fields.size(); ++f) {
+      EXPECT_TRUE(api::FieldKeyEq()(a.fields[f], b.fields[f]))
+          << name << " output " << i << " field " << f;
+    }
+  }
 }
 
 api::Topology SpikeDetectionTopology(const SpikeDetectionParams& params) {
@@ -243,6 +293,27 @@ TEST(FraudDetectionTest, PredictorStateSurvivesRepartitioning) {
   HandOff(*before, *after);
   after->Process(Transaction(4900.0), &out);
   EXPECT_GT(out.stream(0).back().GetDouble(1), 0.9);
+}
+
+/// `n` transactions over ten accounts, mostly small amounts.
+std::vector<Tuple> Transactions(Rng& rng, int n) {
+  std::vector<Tuple> out;
+  for (int i = 0; i < n; ++i) {
+    Tuple t;
+    t.fields = {Field(static_cast<int64_t>(rng.NextBounded(10))),
+                Field(rng.NextBernoulli(0.1) ? 2000.0 : rng.NextDouble() * 90),
+                Field(int64_t{0})};
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+TEST(FraudDetectionTest, PredictorStateSurvivesCheckpointRestore) {
+  Rng rng(3);
+  const std::vector<Tuple> prefix = Transactions(rng, 300);
+  const std::vector<Tuple> suffix = Transactions(rng, 300);
+  ExpectSnapshotRestoresState(FraudDetectionTopology(), "predict", prefix,
+                              suffix);
 }
 
 // ---------------------------------------------------------------- SD --
@@ -470,6 +541,74 @@ TEST(LinearRoadTest, KeyedStateSurvivesRepartitioning) {
   detect_after->Process(Position(5, 33, 0.0), &accidents);  // fourth stop
   ASSERT_EQ(accidents.total(), 1u);
   EXPECT_EQ(accidents.stream(0)[0].GetInt(1), 33);  // segment
+}
+
+/// `n` position reports over four segments and a small fleet (so ids
+/// repeat), a third of them stops (so stop runs reach accidents).
+std::vector<Tuple> Positions(Rng& rng, int n) {
+  std::vector<Tuple> out;
+  for (int i = 0; i < n; ++i) {
+    const double speed = rng.NextBernoulli(0.3) ? 0.0 : rng.NextDouble() * 100;
+    out.push_back(Position(static_cast<int64_t>(rng.NextBounded(60)),
+                           static_cast<int64_t>(rng.NextBounded(4)), speed));
+  }
+  return out;
+}
+
+// Every keyed LR state is in checkpoints: a replica restored from a
+// mid-stream snapshot continues exactly as the live one.
+// count_vehicle's prefix includes ids outside the spout's range, and
+// its suffix repeats them, so the overflow set must round-trip too.
+TEST(LinearRoadTest, KeyedStateSurvivesCheckpointRestore) {
+  const api::Topology topo = LinearRoadTopology();
+  Rng rng(11);
+  std::vector<Tuple> prefix = Positions(rng, 400);
+  std::vector<Tuple> suffix = Positions(rng, 400);
+  const int64_t n = LinearRoadParams().num_vehicles;
+  const int64_t big = std::numeric_limits<int64_t>::max();
+  for (const int64_t id : {int64_t{-1}, n - 1, n, big, -big - 1}) {
+    prefix.push_back(Position(id, 2, 50.0));
+    suffix.push_back(Position(id, 2, 50.0));
+  }
+  for (const char* op : {"avg_speed", "count_vehicle", "accident_detect"}) {
+    ExpectSnapshotRestoresState(topo, op, prefix, suffix);
+  }
+}
+
+// count_vehicle's bitmap plus overflow set counts exactly what a
+// std::set would, for ids inside and outside the spout's range, and
+// its state stays bounded by the range whatever ids arrive.
+TEST(LinearRoadTest, CountVehicleMatchesSetReference) {
+  const api::Topology topo = LinearRoadTopology();
+  auto count = Instantiate(topo, "count_vehicle");
+  const int64_t n = LinearRoadParams().num_vehicles;
+  const int64_t big = std::numeric_limits<int64_t>::max();
+  const std::vector<int64_t> edges = {-1, 0, n - 1, n, big, -big - 1};
+  std::map<int64_t, std::set<int64_t>> reference;  // by segment
+  CaptureCollector out;
+  Rng rng(5);
+  for (int i = 0; i < 20000; ++i) {
+    const auto segment = static_cast<int64_t>(rng.NextBounded(3));
+    int64_t vehicle = static_cast<int64_t>(rng.NextBounded(n));
+    const uint64_t pick = rng.NextBounded(20);
+    if (pick == 0) vehicle = edges[rng.NextBounded(edges.size())];
+    if (pick == 1) vehicle = static_cast<int64_t>(rng.Next());  // any id
+    reference[segment].insert(vehicle);
+    count->Process(Position(vehicle, segment, 50.0), &out);
+    ASSERT_EQ(out.stream(0).back().GetInt(2),
+              static_cast<int64_t>(reference[segment].size()))
+        << "report " << i << ", vehicle " << vehicle;
+  }
+  // A segment's checkpointed state is its count, the overflow ids and
+  // at most one bitmap word per 64 ids of the range.
+  for (const auto& e : count->SnapshotKeyedState()) {
+    size_t overflow = 0;
+    for (const int64_t id : reference[e.key.AsInt()]) {
+      overflow += (id < 0 || id >= n) ? 1 : 0;
+    }
+    EXPECT_LE(e.state.fields.size(),
+              2 + overflow + static_cast<size_t>((n + 63) / 64));
+  }
 }
 
 // ------------------------------------------------------------ shared --
