@@ -41,7 +41,7 @@ class LambdaSpout final : public api::Spout {
 };
 
 /// Synthesized Operator around a user process lambda; the prepared
-/// ReplicaBody's StateHooks back the live-migration virtuals.
+/// ReplicaBody's StateHooks back the keyed-state virtuals.
 class LambdaBolt final : public api::Operator {
  public:
   explicit LambdaBolt(ReplicaFactory factory)
@@ -64,17 +64,6 @@ class LambdaBolt final : public api::Operator {
   void Process(const Tuple& in, api::OutputCollector* out) override {
     Collector c(out, &streams_);
     body_.fn(in, c);
-  }
-
-  std::vector<api::KeyedStateEntry> ExportKeyedState() override {
-    if (!body_.hooks.export_state) return {};
-    return body_.hooks.export_state();
-  }
-
-  void ImportKeyedState(std::vector<api::KeyedStateEntry> entries) override {
-    if (body_.hooks.import_state) {
-      body_.hooks.import_state(std::move(entries));
-    }
   }
 
   std::vector<api::CheckpointEntry> SnapshotKeyedState() override {

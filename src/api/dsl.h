@@ -46,6 +46,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -129,21 +130,17 @@ using FilterFn = std::function<bool(const Tuple& in)>;
 /// Terminal consumer (telemetry, side effects); emits nothing.
 using SinkFn = std::function<void(const Tuple& in)>;
 
-/// Keyed-state hand-off hooks a replica body may expose for live plan
-/// migration (api::Operator::{Export,Import}KeyedState forwarded to
-/// lambda land). Both run on the migration thread while the engine is
-/// quiesced, never concurrently with the body.
+/// Keyed-state hooks a replica body may expose
+/// (api::Operator::{Snapshot,Restore}KeyedState forwarded to lambda
+/// land), through which checkpoints and live migrations move its
+/// state. Snapshot copies without clearing; Restore replaces. Both run
+/// while the engine is quiesced, never concurrently with the body.
 struct StateHooks {
-  std::function<std::vector<api::KeyedStateEntry>()> export_state;
-  std::function<void(std::vector<api::KeyedStateEntry>)> import_state;
-  /// Checkpoint hooks (api::Operator::{Snapshot,Restore}KeyedState
-  /// forwarded to lambda land). Snapshot copies without clearing;
-  /// Restore installs into a fresh replica during crash recovery.
   std::function<std::vector<api::CheckpointEntry>()> snapshot_state;
   std::function<void(std::vector<api::CheckpointEntry>)> restore_state;
 };
 
-/// One prepared replica: the per-tuple body plus (optional) migration
+/// One prepared replica: the per-tuple body plus (optional) keyed-state
 /// hooks that share its state.
 struct ReplicaBody {
   ProcessFn fn;
@@ -271,24 +268,28 @@ class KeyedStream {
   /// Keys of different kinds never share state (0, 0.0 and "0" are
   /// three keys).
   ///
-  /// Aggregate also wires the live-migration StateHooks: when a plan
-  /// migration changes this operator's replication, the engine exports
-  /// every (key, State) entry, re-buckets by the fields-grouping hash,
-  /// and imports each bucket into its new owner replica — counts and
-  /// windows survive the re-partitioning. Arithmetic States are also
-  /// checkpointed; richer States pass a codec (the overload below).
+  /// Every State moves through a checkpoint codec, which the
+  /// StateHooks forward to: checkpoints capture (key, State) entries
+  /// through it, and when a plan migration changes this operator's
+  /// replication the engine snapshots every old replica, re-buckets by
+  /// the fields-grouping hash and restores each bucket into its owner
+  /// replica — counts and windows survive the re-partitioning. This
+  /// form is for arithmetic States, which carry a one-field codec;
+  /// richer States pass one (the overload below).
   template <typename State>
   Stream Aggregate(
       const std::string& name, State init,
       std::function<void(State&, const Tuple&, Collector&)> fn) const {
-    return Aggregate<State>(name, std::move(init), std::move(fn), nullptr,
-                            nullptr);
+    static_assert(std::is_arithmetic_v<State>,
+                  "a non-arithmetic State needs a checkpoint codec");
+    return Aggregate<State>(name, std::move(init), std::move(fn),
+                            api::EncodeArithmetic<State>,
+                            api::DecodeArithmetic<State>);
   }
 
   /// Lambda aggregate with an explicit checkpoint codec for States a
   /// single arithmetic Field cannot carry (windows, sets). The codec
-  /// must round-trip the state bit-exactly. The StateHooks forward to
-  /// the replica's table.
+  /// must round-trip the state bit-exactly.
   template <typename State>
   Stream Aggregate(const std::string& name, State init,
                    std::function<void(State&, const Tuple&, Collector&)> fn,
@@ -304,10 +305,6 @@ class KeyedStream {
       body.fn = [states, fn, key](const Tuple& in, Collector& out) {
         fn(states->At(in.fields[key]), in, out);
       };
-      body.hooks.export_state = [states] { return states->Export(); };
-      body.hooks.import_state = [states](auto entries) {
-        states->Import(std::move(entries));
-      };
       body.hooks.snapshot_state = [states] { return states->Snapshot(); };
       body.hooks.restore_state = [states](auto entries) {
         states->Restore(std::move(entries));
@@ -318,8 +315,9 @@ class KeyedStream {
                         api::GroupingType::kFields, key);
   }
 
-  /// Kernel-descriptor aggregate: same per-key state model and
-  /// migration behavior as the lambda form above, but declared as an
+  /// Kernel-descriptor aggregate: same per-key state model, codec
+  /// rules and migration behavior as the lambda form above (arithmetic
+  /// States only; richer ones pass a codec), but declared as an
   /// api::KernelDesc so the engine updates keyed state batch at a
   /// time and the fusion pass can chain it. `fn` emits through an
   /// api::RowEmitter (unset origin timestamps inherit the input's).

@@ -24,7 +24,9 @@
 // Keyed state lives in a KeyedStateTable, keyed by the grouping Field
 // itself. The kernel aggregate (TypedAggregate) and the lambda
 // dsl::KeyedStream::Aggregate both hold one, so they share key
-// identity, migration hand-off and checkpoint codecs.
+// identity and the one keyed-state hand-off: a checkpoint codec every
+// table carries, which moves state through checkpoints and live
+// migrations alike.
 #pragma once
 
 #include <cstdint>
@@ -68,18 +70,10 @@ class AggregateExec {
  public:
   virtual ~AggregateExec() = default;
   virtual void UpdateRow(const Tuple& in, RowEmitter& out) = 0;
-  /// Live-migration hand-off, mirroring api::Operator's contract:
-  /// export clears the local state.
-  virtual std::vector<KeyedStateEntry> ExportKeyedState() = 0;
-  virtual void ImportKeyedState(std::vector<KeyedStateEntry> entries) = 0;
-  /// Checkpoint hooks, mirroring api::Operator's contract: Snapshot
-  /// copies state without clearing it, Restore installs entries into a
-  /// fresh replica. Defaults make a stage non-checkpointable (state is
-  /// rebuilt only through source replay).
-  virtual std::vector<CheckpointEntry> SnapshotKeyedState() { return {}; }
-  virtual void RestoreKeyedState(std::vector<CheckpointEntry> entries) {
-    (void)entries;
-  }
+  /// Keyed-state hooks, mirroring api::Operator's contract: Snapshot
+  /// copies state without clearing it, Restore replaces it.
+  virtual std::vector<CheckpointEntry> SnapshotKeyedState() = 0;
+  virtual void RestoreKeyedState(std::vector<CheckpointEntry> entries) = 0;
 };
 
 /// One pipeline stage. `kind` picks which members are meaningful:
@@ -164,81 +158,64 @@ struct FieldKeyHash {
   }
 };
 
+/// The one-field checkpoint codec of an arithmetic State: integers
+/// travel as int64, floating point as double.
+template <typename State>
+Tuple EncodeArithmetic(const State& s) {
+  if constexpr (std::is_floating_point_v<State>) {
+    return Tuple{Field(static_cast<double>(s))};
+  } else {
+    return Tuple{Field(static_cast<int64_t>(s))};
+  }
+}
+
+template <typename State>
+State DecodeArithmetic(const Tuple& t) {
+  if constexpr (std::is_floating_point_v<State>) {
+    return static_cast<State>(t.fields[0].AsDouble());
+  } else {
+    return static_cast<State>(t.fields[0].AsInt());
+  }
+}
+
 /// One replica's keyed state: one `State` (copied from `init`) per
 /// distinct grouping Field. The per-tuple lookup hashes the field in
 /// place and copies it only when the key is first seen.
 ///
-/// Migration moves entries out as (Field key, shared_ptr<State>);
-/// the engine re-buckets them by the fields-grouping hash and imports
-/// each bucket by assignment (each key lives in exactly one old
-/// replica). Checkpoints copy entries through a codec: arithmetic
-/// States get a one-field codec unless they pass one, richer States
-/// pass one (it must round-trip bit-exactly) or stay out of
-/// checkpoints.
+/// Every table carries a checkpoint codec (it must round-trip the
+/// State bit-exactly). Snapshot copies the entries through it; Restore
+/// replaces the table's contents with decoded entries. Checkpoints and
+/// live migrations both move state this way: the engine re-buckets
+/// snapshotted entries by the fields-grouping hash and restores each
+/// bucket into its owner replica.
 template <typename State>
 class KeyedStateTable {
  public:
   using Encoder = std::function<Tuple(const State&)>;
   using Decoder = std::function<State(const Tuple&)>;
 
-  explicit KeyedStateTable(State init, Encoder encode = nullptr,
-                           Decoder decode = nullptr)
+  KeyedStateTable(State init, Encoder encode, Decoder decode)
       : init_(std::move(init)),
         encode_(std::move(encode)),
-        decode_(std::move(decode)) {
-    if constexpr (std::is_arithmetic_v<State>) {
-      using Wire = std::conditional_t<std::is_floating_point_v<State>, double,
-                                      int64_t>;
-      if (!encode_) {
-        encode_ = [](const State& s) { return Tuple{Field(Wire(s))}; };
-      }
-      if (!decode_) {
-        decode_ = [](const Tuple& t) {
-          if constexpr (std::is_floating_point_v<State>) {
-            return static_cast<State>(t.fields[0].AsDouble());
-          } else {
-            return static_cast<State>(t.fields[0].AsInt());
-          }
-        };
-      }
-    }
-  }
+        decode_(std::move(decode)) {}
 
   /// The state of `key`, created from `init` the first time.
   State& At(const Field& key) {
     return states_.try_emplace(key, init_).first->second;
   }
 
-  /// Live-migration hand-off: moves every entry out and clears.
-  std::vector<KeyedStateEntry> Export() {
-    std::vector<KeyedStateEntry> out;
-    out.reserve(states_.size());
-    for (auto& [k, v] : states_) {
-      out.push_back({k, std::make_shared<State>(std::move(v))});
-    }
-    states_.clear();
-    return out;
-  }
-
-  void Import(std::vector<KeyedStateEntry> entries) {
-    for (auto& e : entries) {
-      states_.insert_or_assign(
-          std::move(e.key),
-          std::move(*std::static_pointer_cast<State>(e.state)));
-    }
-  }
-
-  /// Checkpoint copy (state keeps running); empty without a codec.
+  /// Copies every entry out (state keeps running).
   std::vector<CheckpointEntry> Snapshot() const {
     std::vector<CheckpointEntry> out;
-    if (!encode_) return out;
     out.reserve(states_.size());
     for (const auto& [k, v] : states_) out.push_back({k, encode_(v)});
     return out;
   }
 
+  /// Replaces every entry with `entries`.
   void Restore(std::vector<CheckpointEntry> entries) {
-    if (!decode_) return;
+    states_.clear();
+    states_.reserve(entries.size());
     for (auto& e : entries) {
       states_.insert_or_assign(std::move(e.key), decode_(e.state));
     }
@@ -252,9 +229,9 @@ class KeyedStateTable {
 };
 
 /// Keyed aggregate over `State`: `fn` updates the key's state from
-/// each row and decides what to emit. Interoperates with live plan
-/// migration and checkpoints exactly like dsl::KeyedStream::Aggregate,
-/// through the same KeyedStateTable.
+/// each row and decides what to emit. Moves through checkpoints and
+/// live migrations exactly like dsl::KeyedStream::Aggregate, through
+/// the same KeyedStateTable.
 template <typename State>
 class TypedAggregate final : public AggregateExec {
  public:
@@ -265,12 +242,6 @@ class TypedAggregate final : public AggregateExec {
 
   void UpdateRow(const Tuple& in, RowEmitter& out) override {
     fn_(table_.At(in.fields[key_field_]), in, out);
-  }
-  std::vector<KeyedStateEntry> ExportKeyedState() override {
-    return table_.Export();
-  }
-  void ImportKeyedState(std::vector<KeyedStateEntry> entries) override {
-    table_.Import(std::move(entries));
   }
   std::vector<CheckpointEntry> SnapshotKeyedState() override {
     return table_.Snapshot();
@@ -285,10 +256,11 @@ class TypedAggregate final : public AggregateExec {
   Fn fn_;
 };
 
-/// AggregateOf with an explicit checkpoint codec, for States richer
-/// than a single arithmetic value (windows, sketches): `encode` must
-/// capture the state bit-exactly — recovery asserts restored replicas
-/// behave identically to never-crashed ones.
+/// Keyed aggregate descriptor with an explicit checkpoint codec, which
+/// States richer than a single arithmetic value (windows, sketches)
+/// must pass: `encode` must capture the state bit-exactly — recovery
+/// and migration tests hold restored replicas to never-crashed
+/// behavior.
 template <typename State>
 KernelDesc AggregateOf(
     size_t key_field, State init,
@@ -311,15 +283,18 @@ KernelDesc AggregateOf(
   return d;
 }
 
-/// Keyed aggregate descriptor without a codec: arithmetic States are
-/// checkpointed through the table's one-field codec, others are not.
+/// Keyed aggregate descriptor for an arithmetic State, which carries
+/// the one-field codec.
 template <typename State>
 KernelDesc AggregateOf(
     size_t key_field, State init,
     std::function<void(State&, const Tuple&, RowEmitter&)> fn,
     double selectivity_hint = 1.0, std::string debug = "aggregate") {
-  return AggregateOf<State>(key_field, std::move(init), std::move(fn), nullptr,
-                            nullptr, selectivity_hint, std::move(debug));
+  static_assert(std::is_arithmetic_v<State>,
+                "a non-arithmetic State needs a checkpoint codec");
+  return AggregateOf<State>(key_field, std::move(init), std::move(fn),
+                            EncodeArithmetic<State>, DecodeArithmetic<State>,
+                            selectivity_hint, std::move(debug));
 }
 
 }  // namespace brisk::api

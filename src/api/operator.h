@@ -82,23 +82,13 @@ class OutputCollector {
   virtual void EmitTo(uint16_t stream_id, Tuple t) = 0;
 };
 
-/// One keyed-state entry exported for live re-partitioning (§5.3 plan
-/// migration): the grouping key as a re-hashable Field — the engine
-/// routes the entry to its new owner with the same hash the fields
-/// grouping uses on tuples — plus the replica-local state behind a
-/// type-erased handle (all replicas of one operator share the concrete
-/// state type, so the cast back is safe by construction).
-struct KeyedStateEntry {
-  Field key;
-  std::shared_ptr<void> state;
-};
-
-/// One keyed-state entry captured for a checkpoint. Unlike
-/// KeyedStateEntry this is a value snapshot, not a handle hand-off: the
+/// One keyed-state entry, the single hand-off format for keyed state:
+/// checkpoints capture it and live migration re-partitions it. The
 /// state is encoded as a plain Tuple so it survives serialization
 /// (common/serde) and the operator keeps running untouched after the
-/// capture. The key Field re-buckets the entry on restore exactly like
-/// a live re-partition does.
+/// capture. The engine routes the entry to its owner replica by
+/// hashing the key Field exactly like the fields grouping routes
+/// tuples.
 struct CheckpointEntry {
   Field key;
   Tuple state;
@@ -134,37 +124,25 @@ class Operator {
   /// Called at shutdown so stateful operators can emit final results.
   virtual void Flush(OutputCollector* out) { (void)out; }
 
-  // Live-migration hooks. When an operator's replication level changes
-  // at runtime, the key → replica mapping (hash % replicas) changes for
-  // every key, so the engine quiesces the job, Exports the keyed state
-  // of every old replica, re-buckets the entries with the new replica
-  // count, and Imports each bucket into its new owner. Both calls run
-  // on the migration thread while no execution thread is live. A
-  // stateful operator that implements neither loses its per-key state
-  // when its replication changes (never on pure moves — the operator
-  // object travels with its replica).
-
-  /// Exports this replica's per-key state and clears it locally.
-  /// Default: stateless (nothing to hand off).
-  virtual std::vector<KeyedStateEntry> ExportKeyedState() { return {}; }
-
-  /// Merges entries re-bucketed to this replica by the engine.
-  virtual void ImportKeyedState(std::vector<KeyedStateEntry> entries) {
-    (void)entries;
-  }
-
-  // Checkpoint hooks. Snapshot runs while the job is quiesced (same
-  // no-live-thread guarantee as Export/Import) but must NOT disturb the
-  // replica's state — the job resumes from it afterwards. Restore runs
-  // on a freshly Prepared replica during crash recovery and replaces
-  // its (empty) keyed state. A stateful operator that implements
-  // neither checkpoints as stateless: recovery then rebuilds its state
-  // only through source replay.
+  // Keyed-state hooks, shared by checkpoints and live migration. Both
+  // run while the job is quiesced, with no execution thread live.
+  // Snapshot must NOT disturb the replica's state: a checkpointed job
+  // resumes from it. Restore *replaces* the replica's keyed state with
+  // the entries the engine routed to it (HashField(key) % replicas):
+  // crash recovery restores into freshly Prepared replicas, and a
+  // migration that changes an operator's replication snapshots every
+  // old replica, then restores every new one — surviving replicas
+  // included, with an empty list where no key maps to them, so keys
+  // that moved away are dropped. A stateful operator that implements
+  // neither is stateless to both: its per-key state is rebuilt only
+  // through source replay after a crash and lost when its replication
+  // changes (never on pure moves — the operator object travels with
+  // its replica).
 
   /// Copies this replica's per-key state into serializable entries.
   virtual std::vector<CheckpointEntry> SnapshotKeyedState() { return {}; }
 
-  /// Installs entries re-bucketed to this replica from a checkpoint.
+  /// Replaces this replica's per-key state with `entries`.
   virtual void RestoreKeyedState(std::vector<CheckpointEntry> entries) {
     (void)entries;
   }

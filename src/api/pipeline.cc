@@ -195,16 +195,6 @@ void CompiledPipeline::RunRowFrom(size_t stage, Tuple t,
   out->Emit(std::move(t));
 }
 
-std::vector<KeyedStateEntry> CompiledPipeline::ExportKeyedState() {
-  if (agg_stage_ < 0) return {};
-  return aggs_[agg_stage_]->ExportKeyedState();
-}
-
-void CompiledPipeline::ImportKeyedState(std::vector<KeyedStateEntry> entries) {
-  if (agg_stage_ < 0) return;
-  aggs_[agg_stage_]->ImportKeyedState(std::move(entries));
-}
-
 std::vector<CheckpointEntry> CompiledPipeline::SnapshotKeyedState() {
   if (agg_stage_ < 0) return {};
   return aggs_[agg_stage_]->SnapshotKeyedState();
@@ -232,15 +222,6 @@ Status KernelBolt::Prepare(const OperatorContext& ctx) {
 void KernelBolt::Process(const Tuple& in, OutputCollector* out) {
   BRISK_CHECK(pipeline_ != nullptr) << compile_status_.ToString();
   pipeline_->RunRow(in, out);
-}
-
-std::vector<KeyedStateEntry> KernelBolt::ExportKeyedState() {
-  return pipeline_ ? pipeline_->ExportKeyedState()
-                   : std::vector<KeyedStateEntry>{};
-}
-
-void KernelBolt::ImportKeyedState(std::vector<KeyedStateEntry> entries) {
-  if (pipeline_) pipeline_->ImportKeyedState(std::move(entries));
 }
 
 std::vector<CheckpointEntry> KernelBolt::SnapshotKeyedState() {

@@ -64,12 +64,8 @@ class CompiledPipeline {
   const std::vector<KernelDesc>& stages() const { return stages_; }
   bool has_aggregate() const { return agg_stage_ >= 0; }
 
-  /// Live-migration hand-off for the chain's aggregate stage (no-ops
-  /// for stateless chains).
-  std::vector<KeyedStateEntry> ExportKeyedState();
-  void ImportKeyedState(std::vector<KeyedStateEntry> entries);
-
-  /// Checkpoint capture/restore for the chain's aggregate stage.
+  /// Keyed-state snapshot/restore for the chain's aggregate stage
+  /// (no-ops for stateless chains).
   std::vector<CheckpointEntry> SnapshotKeyedState();
   void RestoreKeyedState(std::vector<CheckpointEntry> entries);
 
@@ -101,8 +97,6 @@ class KernelBolt final : public Operator {
   void Process(const Tuple& in, OutputCollector* out) override;
   CompiledPipeline* pipeline() override { return pipeline_.get(); }
 
-  std::vector<KeyedStateEntry> ExportKeyedState() override;
-  void ImportKeyedState(std::vector<KeyedStateEntry> entries) override;
   std::vector<CheckpointEntry> SnapshotKeyedState() override;
   void RestoreKeyedState(std::vector<CheckpointEntry> entries) override;
 

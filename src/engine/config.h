@@ -54,15 +54,6 @@ struct EngineConfig {
   /// footprint §5.1 eliminates (exception scaffolding, config checks).
   bool extra_condition_checks = false;
 
-  /// Dispatch whole batches through an operator's compiled pipeline
-  /// (api::KernelBolt chains) instead of per-tuple Process calls.
-  /// Only effective in the pass-by-reference mode (serialization and
-  /// the per-tuple legacy overheads force the row-wise path, since
-  /// those costs are precisely what they model). Off reproduces the
-  /// interpreted engine bit-for-bit — the differential matrix runs
-  /// both.
-  bool compile_pipelines = true;
-
   /// Charge Formula-2 remote-fetch stalls (busy-wait) for batches that
   /// cross virtual sockets in the plan (hardware substitution — see
   /// DESIGN.md §1).
@@ -154,7 +145,6 @@ struct EngineConfig {
     c.serialize_tuples = true;
     c.duplicate_headers = true;
     c.extra_condition_checks = true;
-    c.compile_pipelines = false;
     c.steal_work = false;  // legacy schedulers hash-pin executors
     return c;
   }
@@ -167,7 +157,6 @@ struct EngineConfig {
     c.queue_capacity = 512;
     c.serialize_tuples = true;
     c.duplicate_headers = true;
-    c.compile_pipelines = false;
     c.steal_work = false;  // legacy schedulers hash-pin executors
     return c;
   }

@@ -178,6 +178,32 @@ Status BriskRuntime::StartExecutor() {
   return executor_->Start();
 }
 
+Status BriskRuntime::Die(Status why) {
+  running_ = false;
+  dead_ = true;
+  return why;
+}
+
+Status BriskRuntime::ResumeOrDie() {
+  const Status resumed = StartExecutor();
+  return resumed.ok() ? resumed : Die(resumed);
+}
+
+void BriskRuntime::RestoreOperatorState(
+    int op, std::vector<api::CheckpointEntry> entries) {
+  const int repl = plan_.replication(op);
+  std::vector<std::vector<api::CheckpointEntry>> buckets(repl);
+  for (auto& entry : entries) {
+    buckets[HashField(entry.key) % static_cast<size_t>(repl)].push_back(
+        std::move(entry));
+  }
+  for (int r = 0; r < repl; ++r) {
+    api::Operator* bolt = tasks_[plan_.InstanceId(op, r)]->bolt();
+    BRISK_CHECK(bolt != nullptr) << "keyed state for a spout";
+    bolt->RestoreKeyedState(std::move(buckets[r]));
+  }
+}
+
 Status BriskRuntime::Start() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (running_) return Status::FailedPrecondition("already running");
@@ -339,19 +365,14 @@ Status BriskRuntime::ApplyMigration(const opt::MigrationPlan& migration) {
     // the old graph is intact and fully drained, so roll back by
     // resuming it. Zero tuples were lost either way.
     ++fault_fires_[fm_index];
-    const Status resumed = StartExecutor();
-    if (!resumed.ok()) {
-      running_ = false;
-      dead_ = true;
-      return resumed;
-    }
+    BRISK_RETURN_NOT_OK(ResumeOrDie());
     return Status::Internal(
         "injected migration failure after the pause; rolled back");
   }
 
   // 3. Harvest operator instances and stats by (op, replica), and
-  // export keyed state wherever the replication level changes (the
-  // key → replica mapping changes for every key there).
+  // snapshot the keyed state of every bolt whose replication level
+  // changes (the key → replica mapping changes for every key there).
   const model::ExecutionPlan old_plan = plan_;
   std::map<std::pair<int, int>, Harvested> harvested;
   for (size_t i = 0; i < tasks_.size(); ++i) {
@@ -363,8 +384,7 @@ Status BriskRuntime::ApplyMigration(const opt::MigrationPlan& migration) {
     h.valid = true;
     harvested[{pi.op, pi.replica}] = std::move(h);
   }
-  std::vector<std::vector<api::KeyedStateEntry>> exported(
-      topo_->num_operators());
+  std::map<int, std::vector<api::CheckpointEntry>> repartitioned;
   for (int op = 0; op < topo_->num_operators(); ++op) {
     const int old_repl = old_plan.replication(op);
     const int new_repl = next.replication(op);
@@ -372,10 +392,10 @@ Status BriskRuntime::ApplyMigration(const opt::MigrationPlan& migration) {
     for (int r = 0; r < old_repl; ++r) {
       Harvested& h = harvested[{op, r}];
       if (h.bolt != nullptr) {
-        auto entries = h.bolt->ExportKeyedState();
-        exported[op].insert(exported[op].end(),
-                            std::make_move_iterator(entries.begin()),
-                            std::make_move_iterator(entries.end()));
+        auto entries = h.bolt->SnapshotKeyedState();
+        auto& all = repartitioned[op];
+        all.insert(all.end(), std::make_move_iterator(entries.begin()),
+                   std::make_move_iterator(entries.end()));
       }
       // Retired replicas: counters fold into the per-op totals so
       // run-level conservation invariants keep holding.
@@ -396,29 +416,13 @@ Status BriskRuntime::ApplyMigration(const opt::MigrationPlan& migration) {
     // graph was dismantled. Mark the job dead (safe to Stop()/destroy,
     // and Stop still reports the accumulated counters) instead of
     // pretending the old plan still runs.
-    running_ = false;
-    dead_ = true;
-    return rebuilt;
+    return Die(rebuilt);
   }
 
-  // 5. Re-partition exported keyed state with the same hash the
-  // fields grouping applies to tuples: entry → replica
-  // HashField(key) % new_replication.
-  for (int op = 0; op < topo_->num_operators(); ++op) {
-    if (exported[op].empty()) continue;
-    const int new_repl = plan_.replication(op);
-    std::vector<std::vector<api::KeyedStateEntry>> buckets(new_repl);
-    for (auto& entry : exported[op]) {
-      const size_t target =
-          HashField(entry.key) % static_cast<size_t>(new_repl);
-      buckets[target].push_back(std::move(entry));
-    }
-    for (int r = 0; r < new_repl; ++r) {
-      if (buckets[r].empty()) continue;
-      api::Operator* bolt = tasks_[plan_.InstanceId(op, r)]->bolt();
-      BRISK_CHECK(bolt != nullptr) << "keyed state exported by a spout";
-      bolt->ImportKeyedState(std::move(buckets[r]));
-    }
+  // 5. Re-partition the snapshotted keyed state over the new replicas,
+  // replacing what the surviving ones still hold.
+  for (auto& [op, entries] : repartitioned) {
+    RestoreOperatorState(op, std::move(entries));
   }
 
   if (fm != nullptr && fm->at_phase >= 2) {
@@ -426,19 +430,12 @@ Status BriskRuntime::ApplyMigration(const opt::MigrationPlan& migration) {
     // one never starts. The job is down until a checkpoint Restore
     // (the supervisor's recovery path) revives it.
     ++fault_fires_[fm_index];
-    running_ = false;
-    dead_ = true;
-    return Status::Internal(
-        "injected migration failure after the rebuild; job down");
+    return Die(Status::Internal(
+        "injected migration failure after the rebuild; job down"));
   }
 
   // 6. Resume on a fresh executor honoring the new placement.
-  const Status resumed = StartExecutor();
-  if (!resumed.ok()) {
-    running_ = false;  // as above: quiesced and cannot resume
-    dead_ = true;
-    return resumed;
-  }
+  BRISK_RETURN_NOT_OK(ResumeOrDie());
   ++migrations_;
   epoch_.fetch_add(1, std::memory_order_release);
   return Status::OK();
@@ -492,12 +489,7 @@ StatusOr<JobCheckpoint> BriskRuntime::Checkpoint() {
     }
   }
   if (!consistent) {
-    const Status resumed = StartExecutor();
-    if (!resumed.ok()) {
-      running_ = false;
-      dead_ = true;
-      return resumed;
-    }
+    BRISK_RETURN_NOT_OK(ResumeOrDie());
     return Status::Unavailable(
         "checkpoint refused: a replica failed or holds undelivered input, "
         "so captured state would trail the source positions");
@@ -520,12 +512,7 @@ StatusOr<JobCheckpoint> BriskRuntime::Checkpoint() {
   }
 
   // Resume on a fresh executor — same graph, same plan, no epoch bump.
-  const Status resumed = StartExecutor();
-  if (!resumed.ok()) {
-    running_ = false;
-    dead_ = true;
-    return resumed;
-  }
+  BRISK_RETURN_NOT_OK(ResumeOrDie());
   ++checkpoints_;
   cp.pause_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - pause_start)
@@ -598,34 +585,16 @@ Status BriskRuntime::Restore(const JobCheckpoint& cp,
   // fault fire-counts from the dying tasks first, so a one-shot
   // injected fault does not re-fire after the recovery it caused.)
   const Status rebuilt = WireGraph(cp.plan, nullptr);
-  if (!rebuilt.ok()) {
-    running_ = false;
-    dead_ = true;
-    return rebuilt;
-  }
+  if (!rebuilt.ok()) return Die(rebuilt);
 
-  // Re-partition captured keyed state exactly like a fields grouping
-  // routes tuples: entry → replica HashField(key) % replication.
-  std::vector<std::vector<api::CheckpointEntry>> per_op(
-      topo_->num_operators());
+  // Re-partition captured keyed state over the checkpoint's plan.
+  std::map<int, std::vector<api::CheckpointEntry>> per_op;
   for (const auto& s : cp.state) {
-    per_op[s.op].insert(per_op[s.op].end(), s.entries.begin(),
-                        s.entries.end());
+    auto& all = per_op[s.op];
+    all.insert(all.end(), s.entries.begin(), s.entries.end());
   }
-  for (int op = 0; op < topo_->num_operators(); ++op) {
-    if (per_op[op].empty()) continue;
-    const int repl = plan_.replication(op);
-    std::vector<std::vector<api::CheckpointEntry>> buckets(repl);
-    for (auto& entry : per_op[op]) {
-      buckets[HashField(entry.key) % static_cast<size_t>(repl)].push_back(
-          std::move(entry));
-    }
-    for (int r = 0; r < repl; ++r) {
-      if (buckets[r].empty()) continue;
-      api::Operator* bolt = tasks_[plan_.InstanceId(op, r)]->bolt();
-      BRISK_CHECK(bolt != nullptr) << "validated above";
-      bolt->RestoreKeyedState(std::move(buckets[r]));
-    }
+  for (auto& [op, entries] : per_op) {
+    RestoreOperatorState(op, std::move(entries));
   }
 
   // Rewind replayable sources to the captured positions. A source
@@ -643,12 +612,7 @@ Status BriskRuntime::Restore(const JobCheckpoint& cp,
     }
   }
 
-  const Status resumed = StartExecutor();
-  if (!resumed.ok()) {
-    running_ = false;
-    dead_ = true;
-    return resumed;
-  }
+  BRISK_RETURN_NOT_OK(ResumeOrDie());
   running_ = true;
   dead_ = false;
   ++restores_;

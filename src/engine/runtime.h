@@ -143,16 +143,17 @@ class BriskRuntime {
   ///      the sinks (operators are NOT flushed: the job continues);
   ///   3. harvest — operator instances move out of their tasks,
   ///      keeping all internal state; replicas of operators whose
-  ///      replication changes export their keyed state
-  ///      (api::Operator::ExportKeyedState);
+  ///      replication changes snapshot their keyed state
+  ///      (api::Operator::SnapshotKeyedState, the checkpoint codec);
   ///   4. rebuild — tasks and channels are rewired against the new
   ///      plan; surviving (op, replica) identities adopt their old
   ///      operator instance and cumulative stats, new replicas are
   ///      constructed and Prepared, retired replicas fold their stats
   ///      into the per-operator totals;
-  ///   5. re-partition — exported keyed state is re-bucketed with the
-  ///      fields-grouping hash over the new replica count and imported
-  ///      into its new owners;
+  ///   5. re-partition — snapshotted keyed state is re-bucketed with
+  ///      the fields-grouping hash over the new replica count and
+  ///      restored into every new replica, replacing what surviving
+  ///      replicas held (exactly as Restore installs a checkpoint);
   ///   6. resume — a fresh worker pool starts, with thread pinning
   ///      derived from the *new* socket assignment.
   ///
@@ -225,6 +226,21 @@ class BriskRuntime {
 
   /// Binds tasks and stands up a fresh executor for the current graph.
   Status StartExecutor();
+
+  /// Marks the job dead — executor down, graph unusable until a
+  /// Restore, counters still reportable through Stop() — and returns
+  /// `why`.
+  Status Die(Status why);
+
+  /// StartExecutor after a pause; a job that cannot resume dies.
+  Status ResumeOrDie();
+
+  /// Buckets bolt `op`'s keyed-state entries exactly like a fields
+  /// grouping routes tuples (HashField(key) % replication of the
+  /// current plan) and restores every replica's bucket — empty ones
+  /// too, so a surviving replica drops keys that now live elsewhere.
+  /// The one keyed-state hand-off of ApplyMigration and Restore.
+  void RestoreOperatorState(int op, std::vector<api::CheckpointEntry> entries);
 
   /// Stops spouts, waits for drain, halts and joins the executor, and
   /// folds its counters into the accumulated totals. Returns whether

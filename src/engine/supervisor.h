@@ -13,7 +13,7 @@
 //     which also catches drain deadlocks (a wedged producer never
 //     retires its parked envelope);
 //   - recovers: bounded exponential backoff, then restore from the
-//     last checkpoint (sources rewound, keyed state re-imported,
+//     last checkpoint (sources rewound, keyed state restored,
 //     at-least-once replay of the window since the checkpoint);
 //   - gives up cleanly: after max_restarts the circuit breaker opens
 //     and the report carries Status::Unavailable instead of a retry

@@ -68,9 +68,8 @@ void Task::Bind(const StopSignals* signals) {
   // overheads (serialization, duplicated headers, condition checks)
   // are *modeled per tuple*, so any of them forces the row-wise path.
   pipe_ = bolt_ ? bolt_->pipeline() : nullptr;
-  vec_ok_ = pipe_ != nullptr && config_.compile_pipelines &&
-            !config_.serialize_tuples && !config_.duplicate_headers &&
-            !config_.extra_condition_checks;
+  vec_ok_ = pipe_ != nullptr && !config_.serialize_tuples &&
+            !config_.duplicate_headers && !config_.extra_condition_checks;
   source_done_ = false;
   finalized_ = false;
   finalizing_ = false;

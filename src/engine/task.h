@@ -306,9 +306,9 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   /// Non-null when the bolt exposes a compiled pipeline (KernelBolt);
   /// owned by the bolt. Set at Bind.
   api::CompiledPipeline* pipe_ = nullptr;
-  /// Batch dispatch is legal: a pipeline exists, the config asks for
-  /// it, and no per-tuple legacy overhead is configured (those costs
-  /// are modeled per tuple, so they force the row-wise path).
+  /// Batch dispatch is legal: a pipeline exists and no per-tuple
+  /// legacy overhead is configured (those costs are modeled per tuple,
+  /// so they force the row-wise path).
   bool vec_ok_ = false;
 
   std::vector<Channel*> inputs_;

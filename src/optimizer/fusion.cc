@@ -10,26 +10,6 @@ namespace brisk::opt {
 
 namespace {
 
-/// Collector that feeds a producer's emissions straight into the
-/// downstream operator within the same instance (no queue, no T_f).
-class InlineCollector : public api::OutputCollector {
- public:
-  InlineCollector(api::Operator* downstream, api::OutputCollector* out)
-      : downstream_(downstream), out_(out) {}
-
-  void Emit(Tuple t) override { downstream_->Process(t, out_); }
-  void EmitTo(uint16_t stream_id, Tuple t) override {
-    // Fusion legality restricts the producer to a single (default)
-    // output stream.
-    (void)stream_id;
-    downstream_->Process(t, out_);
-  }
-
- private:
-  api::Operator* downstream_;
-  api::OutputCollector* out_;
-};
-
 /// N member bolts executing back-to-back in one instance — the
 /// interpreted lowering of a fused chain. Used whenever at least one
 /// member is not kernel-backed (fully kernel-backed chains lower to
@@ -60,26 +40,6 @@ class FusedChainBolt : public api::Operator {
     }
   }
 
-  std::vector<api::KeyedStateEntry> ExportKeyedState() override {
-    std::vector<api::KeyedStateEntry> all;
-    for (auto& m : members_) {
-      auto part = m->ExportKeyedState();
-      for (auto& e : part) all.push_back(std::move(e));
-    }
-    return all;
-  }
-
-  void ImportKeyedState(std::vector<api::KeyedStateEntry> entries) override {
-    // Every member sees every entry; stateless members ignore them. At
-    // most one chain member is stateful (a second aggregate would need
-    // a fields-grouped input, which fusion legality excludes), so no
-    // member ever casts another's state.
-    for (size_t i = 0; i + 1 < members_.size(); ++i) {
-      members_[i]->ImportKeyedState(entries);
-    }
-    members_.back()->ImportKeyedState(std::move(entries));
-  }
-
   std::vector<api::CheckpointEntry> SnapshotKeyedState() override {
     std::vector<api::CheckpointEntry> all;
     for (auto& m : members_) {
@@ -90,17 +50,21 @@ class FusedChainBolt : public api::Operator {
   }
 
   void RestoreKeyedState(std::vector<api::CheckpointEntry> entries) override {
-    // Same fan-out as ImportKeyedState: at most one member is stateful.
+    // Every member sees every entry; stateless members ignore them. At
+    // most one chain member is stateful (a second aggregate would need
+    // a fields-grouped input, which fusion legality excludes), so no
+    // member ever decodes another's state.
     for (size_t i = 0; i + 1 < members_.size(); ++i) {
       members_[i]->RestoreKeyedState(entries);
     }
     members_.back()->RestoreKeyedState(std::move(entries));
   }
 
- private:
   /// Forwards emissions of member `next-1` into member `next` (or the
-  /// real collector past the end). Intermediate named streams collapse
-  /// onto the chain, as with InlineCollector.
+  /// real collector past the end); `next` 0 feeds the whole chain.
+  /// Intermediate named streams collapse onto the chain: fusion
+  /// legality restricts every producer but the last to its default
+  /// stream.
   class StepCollector : public api::OutputCollector {
    public:
     StepCollector(FusedChainBolt* chain, size_t next,
@@ -128,6 +92,7 @@ class FusedChainBolt : public api::Operator {
     api::OutputCollector* out_;
   };
 
+ private:
   void ProcessFrom(size_t idx, const Tuple& t, api::OutputCollector* out) {
     StepCollector step(this, idx + 1, out);
     members_[idx]->Process(t, &step);
@@ -152,8 +117,8 @@ class FusedChainSpout : public api::Spout {
   }
 
   size_t NextBatch(size_t max_tuples, api::OutputCollector* out) override {
-    InlineCollector inline_out(chain_.get(), out);
-    return head_->NextBatch(max_tuples, &inline_out);
+    FusedChainBolt::StepCollector chain_in(chain_.get(), 0, out);
+    return head_->NextBatch(max_tuples, &chain_in);
   }
 
   // Replay rides on the head spout; the fused bolts are downstream of

@@ -302,39 +302,64 @@ TEST(DslAdapterTest, AggregatePartitionsStateByKey) {
   EXPECT_EQ(out.stream(0)[3].GetInt(1), 3);  // ka
 }
 
-/// Feeds each key of `keys` to counting aggregate `op` of `topo` (it
-/// emits [key, count]) twice, hands the state to three fresh replicas
-/// re-bucketed by the fields-grouping hash, and feeds each key once
-/// more to its new owner: every key must count 1, 2, 3 on its own.
+/// Feeds `key` to counting aggregate `replica` (it emits [key, count])
+/// and returns the count it emitted.
+int64_t Feed(api::Operator& replica, const Field& key) {
+  CapturingCollector out;
+  Tuple t;
+  t.fields = {key};
+  replica.Process(t, &out);
+  return out.stream(0).back().GetInt(1);
+}
+
+/// Feeds each key of `keys` to counting aggregate `op` of `topo`
+/// twice, hands the state to three fresh replicas re-bucketed by the
+/// fields-grouping hash (snapshot, then restore each bucket), and
+/// feeds each key once more to its new owner: every key must count 1,
+/// 2, 3 on its own.
 void ExpectKeysCountApartThroughRepartitioning(const api::Topology& topo,
                                                const std::string& op,
                                                const std::vector<Field>& keys) {
   auto before = Instantiate(topo, op);
-  CapturingCollector out;
-  auto feed = [&](api::Operator& replica, const Field& key) {
-    Tuple t;
-    t.fields = {key};
-    replica.Process(t, &out);
-    return out.stream(0).back().GetInt(1);
-  };
   for (int64_t round = 1; round <= 2; ++round) {
-    for (const Field& key : keys) EXPECT_EQ(feed(*before, key), round);
+    for (const Field& key : keys) EXPECT_EQ(Feed(*before, key), round);
   }
-  std::vector<std::vector<api::KeyedStateEntry>> buckets(3);
-  for (auto& e : before->ExportKeyedState()) {
+  std::vector<std::vector<api::CheckpointEntry>> buckets(3);
+  for (auto& e : before->SnapshotKeyedState()) {
     buckets[HashField(e.key) % 3].push_back(std::move(e));
   }
   std::vector<std::unique_ptr<api::Operator>> after;
-  size_t exported = 0;
+  size_t snapshotted = 0;
   for (auto& bucket : buckets) {
-    exported += bucket.size();
+    snapshotted += bucket.size();
     after.push_back(Instantiate(topo, op));
-    after.back()->ImportKeyedState(std::move(bucket));
+    after.back()->RestoreKeyedState(std::move(bucket));
   }
-  EXPECT_EQ(exported, keys.size());
+  EXPECT_EQ(snapshotted, keys.size());
   for (const Field& key : keys) {
-    EXPECT_EQ(feed(*after[HashField(key) % 3], key), 3);
+    EXPECT_EQ(Feed(*after[HashField(key) % 3], key), 3);
   }
+}
+
+/// A lambda Aggregate counting per key of field 0.
+api::Topology LambdaCounterTopology() {
+  Pipeline p("lambda-agg");
+  p.Source("src", SourceFn([](size_t, Collector&) { return size_t{0}; }))
+      .KeyBy(0)
+      .Aggregate<int64_t>("counter", 0,
+                          [](int64_t& count, const Tuple& in,
+                             Collector& out) {
+                            out.Emit(in, {in.fields[0], Field(++count)});
+                          });
+  auto topo = std::move(p).Build();
+  EXPECT_TRUE(topo.ok()) << topo.status();
+  return std::move(topo).value();
+}
+
+api::Topology WordCountTopology() {
+  auto wc = apps::BuildWordCountDsl(std::make_shared<apps::SinkTelemetry>());
+  EXPECT_TRUE(wc.ok()) << wc.status();
+  return std::move(wc).value();
 }
 
 // Keys are equal only with the same kind and equal int64 bits, double
@@ -345,21 +370,37 @@ TEST(DslAdapterTest, AggregateKeysByKindAndBitsThroughRepartitioning) {
   std::vector<Field> keys = {Field(int64_t{0}), Field(0.0), Field(-0.0)};
   for (const char* s : {"0", "s"}) keys.emplace_back(s);
   keys.emplace_back(int64_t{'s'});
-  Pipeline p("lambda-agg");
-  p.Source("src", SourceFn([](size_t, Collector&) { return size_t{0}; }))
-      .KeyBy(0)
-      .Aggregate<int64_t>("counter", 0,
-                          [](int64_t& count, const Tuple& in,
-                             Collector& out) {
-                            out.Emit(in, {in.fields[0], Field(++count)});
-                          });
-  auto lambda_topo = std::move(p).Build();
-  ASSERT_TRUE(lambda_topo.ok()) << lambda_topo.status();
-  ExpectKeysCountApartThroughRepartitioning(*lambda_topo, "counter", keys);
+  ExpectKeysCountApartThroughRepartitioning(LambdaCounterTopology(), "counter",
+                                            keys);
+  ExpectKeysCountApartThroughRepartitioning(WordCountTopology(), "counter",
+                                            keys);
+}
 
-  auto wc = apps::BuildWordCountDsl(std::make_shared<apps::SinkTelemetry>());
-  ASSERT_TRUE(wc.ok()) << wc.status();
-  ExpectKeysCountApartThroughRepartitioning(*wc, "counter", keys);
+/// A replica of counting aggregate `op` that holds keys a and b and is
+/// then restored with b's entry alone (as a migration hands a
+/// surviving replica its new bucket) counts a from scratch and b on
+/// from the restored entry: Restore replaces keyed state, it does not
+/// merge into it.
+void ExpectRestoreReplacesKeyedState(const api::Topology& topo,
+                                     const std::string& op) {
+  const Field a("a"), b("b");
+  auto donor = Instantiate(topo, op);
+  for (int i = 0; i < 5; ++i) Feed(*donor, b);
+  auto replica = Instantiate(topo, op);
+  Feed(*replica, a);
+  Feed(*replica, a);
+  Feed(*replica, b);
+  auto entries = donor->SnapshotKeyedState();
+  ASSERT_EQ(entries.size(), 1u);
+  replica->RestoreKeyedState(std::move(entries));
+  EXPECT_EQ(Feed(*replica, a), 1) << op << " kept a key it was not given";
+  EXPECT_EQ(Feed(*replica, b), 6) << op << " did not take the restored b";
+  EXPECT_EQ(replica->SnapshotKeyedState().size(), 2u);
+}
+
+TEST(DslAdapterTest, AggregateRestoreReplacesKeyedState) {
+  ExpectRestoreReplacesKeyedState(LambdaCounterTopology(), "counter");
+  ExpectRestoreReplacesKeyedState(WordCountTopology(), "counter");
 }
 
 TEST(DslAdapterTest, ReplicaStateIsIndependentAcrossInstances) {

@@ -216,7 +216,7 @@ TEST(CompiledPipelineTest, FlatMapGrowsPastInlineFieldCapacity) {
   EXPECT_EQ(sink.out[0].GetInt(5), 100 + 0 * 10 + 5 + 1);
 }
 
-TEST(CompiledPipelineTest, AggregateExportImportRoundTrip) {
+TEST(CompiledPipelineTest, AggregateSnapshotRestoreRoundTrip) {
   auto sum = [](int64_t& s, const Tuple& in, RowEmitter& out) {
     s += in.GetInt(1);
     Tuple t;
@@ -240,12 +240,13 @@ TEST(CompiledPipelineTest, AggregateExportImportRoundTrip) {
     JumboTuple batch = BatchOf(first);
     a.value()->RunBatch(&batch, &sa);
   }
-  // Migrate: export from a (clears it), import into b, keep going.
+  // Migrate: snapshot a (it keeps its state), restore into b, keep
+  // going.
   ASSERT_TRUE(a.value()->has_aggregate());
-  auto entries = a.value()->ExportKeyedState();
+  auto entries = a.value()->SnapshotKeyedState();
   EXPECT_EQ(entries.size(), 2u);
-  EXPECT_TRUE(a.value()->ExportKeyedState().empty());  // export cleared
-  b.value()->ImportKeyedState(std::move(entries));
+  EXPECT_EQ(a.value()->SnapshotKeyedState().size(), 2u);  // not cleared
+  b.value()->RestoreKeyedState(std::move(entries));
   VectorSink sb;
   {
     JumboTuple batch = BatchOf(second);

@@ -73,12 +73,13 @@ api::Topology LinearRoadTopology() {
   return std::move(topo).value();
 }
 
-/// Moves every key of `from` into `to`, as a live migration hands
-/// keyed state to a re-partitioned replica.
+/// Hands every key of `from` to `to`, as a live migration moves keyed
+/// state to a re-partitioned replica: a snapshot through the
+/// checkpoint codec, restored into the new owner.
 void HandOff(api::Operator& from, api::Operator& to) {
-  auto entries = from.ExportKeyedState();
+  auto entries = from.SnapshotKeyedState();
   EXPECT_FALSE(entries.empty());
-  to.ImportKeyedState(std::move(entries));
+  to.RestoreKeyedState(std::move(entries));
 }
 
 /// Snapshots a replica of `name` after `prefix`, restores the

@@ -439,6 +439,73 @@ TEST(MigrationTest, InjectedFailureAfterPauseRollsBackWithoutLoss) {
   CheckInvariants(run, stats, 10);
 }
 
+/// Per-word counts the sink saw must be gap-free (1..n for every word,
+/// duplicates from a replayed window allowed), and the final counts
+/// must add up to `expected`, the exact stream population.
+void CheckGapFreeTotal(const WcRun& run, uint64_t expected) {
+  std::lock_guard<std::mutex> lock(run.log->mu);
+  std::map<std::string, std::set<int64_t>> counts;
+  for (const auto& [word, count] : run.log->entries) {
+    counts[word].insert(count);
+  }
+  uint64_t total = 0;
+  for (const auto& [word, seen] : counts) {
+    const int64_t max = *seen.rbegin();
+    EXPECT_EQ(static_cast<int64_t>(seen.size()), max)
+        << "word '" << word << "' has gaps in 1.." << max;
+    total += static_cast<uint64_t>(max);
+  }
+  EXPECT_EQ(total, expected);
+}
+
+/// Sum over words of the highest count the sink saw so far.
+uint64_t FinalCountSum(const WcRun& run) {
+  std::lock_guard<std::mutex> lock(run.log->mu);
+  std::map<std::string, int64_t> max_count;
+  for (const auto& [word, count] : run.log->entries) {
+    int64_t& m = max_count[word];
+    if (count > m) m = count;
+  }
+  uint64_t sum = 0;
+  for (const auto& [word, m] : max_count) sum += static_cast<uint64_t>(m);
+  return sum;
+}
+
+// Resizes, a checkpoint and a restore in one run: the counter grows
+// 2 -> 3, the job is checkpointed, shrinks 3 -> 1, and is restored to
+// the checkpoint (back to 3 counters). A surviving replica that kept
+// keys which moved to another replica at the grow would put them into
+// the checkpoint next to their live copies, and the restore could
+// bring back a stale count: the final totals would then fall short.
+TEST(MigrationTest, ResizeCheckpointResizeRestoreKeepsCountsExact) {
+  WordCountParams params;
+  // About 500 ms of paced source: every event below lands mid-stream.
+  params.max_sentences = 15000;
+  WcRun run = MakeWcRun({1, 1, 2, 2, 1}, TestConfig(), params);
+  ASSERT_TRUE(run.rt->Start().ok());
+  SleepMs(100);
+  run.Migrate(Grow(run.plan, kCounter, 1, 0));  // 2 -> 3
+  SleepMs(100);
+  auto cp = run.rt->Checkpoint();
+  ASSERT_TRUE(cp.ok()) << cp.status();
+  ASSERT_EQ(cp->plan.replication(kCounter), 3);
+  SleepMs(100);
+  run.Migrate(Shrink(run.plan, kCounter, 2));  // 3 -> 1
+  SleepMs(50);
+  ASSERT_TRUE(run.rt->Restore(*cp).ok());
+  EXPECT_EQ(run.rt->plan().replication(kCounter), 3);
+
+  const uint64_t expected = 15000 * 10;
+  for (int i = 0; i < 400 && FinalCountSum(run) < expected; ++i) {
+    SleepMs(50);
+  }
+  RunStats stats = run.rt->Stop();
+  EXPECT_EQ(stats.migrations, 2);
+  EXPECT_EQ(stats.checkpoints, 1);
+  EXPECT_EQ(stats.restores, 1);
+  CheckGapFreeTotal(run, expected);
+}
+
 TEST(MigrationTest, InjectedFailureAfterRebuildIsRecoveredFromCheckpoint) {
   EngineConfig config = TestConfig();
   config.faults.FailMigration(/*at_phase=*/2);
@@ -461,18 +528,7 @@ TEST(MigrationTest, InjectedFailureAfterRebuildIsRecoveredFromCheckpoint) {
   // The supervisor notices the dead engine and restores the last
   // checkpoint (taken on the *old* plan); the bounded run completes.
   const uint64_t expected = 4000 * 10;
-  auto state_complete = [&run] {
-    std::lock_guard<std::mutex> lock(run.log->mu);
-    std::map<std::string, int64_t> max_count;
-    for (const auto& [word, count] : run.log->entries) {
-      int64_t& m = max_count[word];
-      if (count > m) m = count;
-    }
-    uint64_t sum = 0;
-    for (const auto& [word, m] : max_count) sum += static_cast<uint64_t>(m);
-    return sum;
-  };
-  for (int i = 0; i < 400 && state_complete() < expected; ++i) {
+  for (int i = 0; i < 400 && FinalCountSum(run) < expected; ++i) {
     SleepMs(50);
   }
   SupervisionReport sup_report = sup.Stop();
@@ -483,19 +539,7 @@ TEST(MigrationTest, InjectedFailureAfterRebuildIsRecoveredFromCheckpoint) {
   // Zero tuple loss under replay: gap-free dense counts per word and
   // the exact full-stream total in final state (duplicate deliveries
   // from the replayed window are allowed; lost ones are not).
-  std::lock_guard<std::mutex> lock(run.log->mu);
-  std::map<std::string, std::set<int64_t>> counts;
-  for (const auto& [word, count] : run.log->entries) {
-    counts[word].insert(count);
-  }
-  uint64_t total = 0;
-  for (const auto& [word, seen] : counts) {
-    const int64_t max = *seen.rbegin();
-    EXPECT_EQ(static_cast<int64_t>(seen.size()), max)
-        << "word '" << word << "' has gaps in 1.." << max;
-    total += static_cast<uint64_t>(max);
-  }
-  EXPECT_EQ(total, expected);
+  CheckGapFreeTotal(run, expected);
 }
 
 }  // namespace

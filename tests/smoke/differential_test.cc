@@ -7,12 +7,12 @@
 // envelope, a serde mismatch, per-key state landing on the wrong
 // replica) breaks exact equality.
 //
-// The matrix: {Brisk, Storm-like, Brisk row-wise} on the worker pool,
-// word_count and spike_detection, identical plans, one seed. The
-// row-wise arm disables compiled pipelines on the native config, so
-// the batch (RunBatch) and row-wise (Process) executions of the same
-// kernel operators are held to the same sink multiset as everything
-// else.
+// The matrix: {Brisk, Storm-like} on the worker pool, word_count and
+// spike_detection, identical plans, one seed. Brisk dispatches kernel
+// operators batch at a time (RunBatch); Storm-like's per-tuple
+// serialization forces the row-wise Process path, so the two
+// executions of the same kernel operators are held to the same sink
+// multiset.
 #include <algorithm>
 #include <chrono>
 #include <memory>
@@ -45,17 +45,10 @@ struct Cell {
   const char* name;
 };
 
-EngineConfig BriskRowWise() {
-  EngineConfig c = EngineConfig::Brisk();
-  c.compile_pipelines = false;  // force interpreted execution
-  return c;
-}
-
 std::vector<Cell> Matrix() {
   return {
       {EngineConfig::Brisk(), "brisk"},
       {EngineConfig::StormLike(), "storm"},
-      {BriskRowWise(), "brisk/rowwise"},
   };
 }
 
