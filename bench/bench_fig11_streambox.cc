@@ -4,11 +4,11 @@
 // Paper: BriskStream wins at every core count; StreamBox — even with
 // ordering disabled — flattens past one socket because of (1) its
 // centralized locked scheduler and (2) remote misses from data
-// shuffling. Reproduction strategy (DESIGN.md §1): BriskStream points
-// come from RLAS + simulation at each core budget; StreamBox points
-// come from its contention model calibrated against the real
-// morsel-driven engine in src/streambox (which also runs here, on this
-// host's cores, as a functional check).
+// shuffling. Reproduction strategy (README, "Hardware substitution"):
+// BriskStream points come from RLAS + simulation at each core budget;
+// StreamBox points come from its contention model calibrated against
+// the real morsel-driven engine in src/streambox (which also runs
+// here, on this host's cores, as a functional check).
 #include <cstdio>
 
 #include "bench_util.h"

@@ -4,9 +4,9 @@
 // 3.2 (SD), 18.7 (LR); Brisk/Flink = 11.2, 8.4, 2.8, 12.8.
 // The legacy systems here are the engine's cost-model equivalents
 // (serialization, per-tuple headers, bigger instruction footprints, no
-// RLAS — DESIGN.md §1); the expected reproduction is the *shape*:
-// order-of-magnitude wins on WC/LR, smaller wins on FD/SD where the
-// operator function dominates per-tuple cost.
+// RLAS — README, "Hardware substitution"); the expected reproduction
+// is the *shape*: order-of-magnitude wins on WC/LR, smaller wins on
+// FD/SD where the operator function dominates per-tuple cost.
 #include <cstdio>
 
 #include "bench_util.h"

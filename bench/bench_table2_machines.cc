@@ -1,6 +1,6 @@
 // Table 2 — Characteristics of the two evaluation servers.
 //
-// Prints the modeled machines (DESIGN.md §1's hardware substitution):
+// Prints the modeled machines (README, "Hardware substitution"):
 // the latency/bandwidth matrices RLAS optimizes against, built from the
 // paper's published numbers.
 #include <cstdio>

@@ -5,7 +5,7 @@
 // (WC 0.08, FD 0.14, SD 0.02, LR 0.06).
 //
 // Here "measured" is the discrete-event simulation of the RLAS plan
-// (the hardware substitution, DESIGN.md §1) and "estimated" the
+// (README, "Hardware substitution") and "estimated" the
 // performance model — the same two quantities the paper compares.
 #include <cstdio>
 

@@ -1,5 +1,5 @@
 // Shared helpers for the experiment harness binaries (one per paper
-// table/figure — see DESIGN.md §3 for the index).
+// table/figure; bench/CMakeLists.txt lists them).
 #pragma once
 
 #include <memory>

@@ -119,7 +119,7 @@ Status CmdPlan(const Args& args) {
   BRISK_ASSIGN_OR_RETURN(opt::RlasResult plan,
                          PlanApp(args, &bundle, &machine));
   std::printf("%s on %s (compress r=%d)\n", bundle.name.c_str(),
-              machine.name().c_str(), args.ratio);
+              machine.name().c_str(), plan.compress_ratio);
   std::printf("%s", plan.plan.ToString().c_str());
   std::printf(
       "predicted throughput %.1f K events/s | %d scaling iterations, "

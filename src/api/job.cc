@@ -40,6 +40,11 @@ std::string JobReport::ToString() const {
        << " pool workers): " << sink_tuples << " tuples at the sink ("
        << sink_throughput_tps() << " tuples/s), p99 latency "
        << sink_latency_ns.Percentile(0.99) / 1e6 << " ms\n";
+    const double stall = numa_stall_share();
+    if (stall > 0.0) {
+      os << "emulated NUMA stall: " << stall * 100
+         << "% of pool-worker time\n";
+    }
     const uint64_t vec = vectorized_tuples();
     if (vec > 0) {
       os << "compiled pipelines: " << vec

@@ -126,6 +126,16 @@ struct JobReport {
                    : 0.0;
   }
 
+  /// Share of pool-worker time spent in the emulated NUMA stall (all
+  /// operators, across migration epochs); 0 with emulation off.
+  double numa_stall_share() const {
+    uint64_t stall = 0;
+    for (const auto& t : stats.op_totals) stall += t.numa_stall_ns;
+    const double worker_ns =
+        stats.duration_s * 1e9 * static_cast<double>(stats.executor.threads);
+    return worker_ns > 0.0 ? static_cast<double>(stall) / worker_ns : 0.0;
+  }
+
   std::string ToString() const;
 };
 

@@ -55,8 +55,8 @@ struct EngineConfig {
   bool extra_condition_checks = false;
 
   /// Charge Formula-2 remote-fetch stalls (busy-wait) for batches that
-  /// cross virtual sockets in the plan (hardware substitution — see
-  /// DESIGN.md §1).
+  /// cross virtual sockets in the plan (README, "Hardware
+  /// substitution").
   bool numa_emulation = false;
 
   /// Pin execution threads to physical cores, derived from the plan's

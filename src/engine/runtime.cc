@@ -192,10 +192,18 @@ Status BriskRuntime::ResumeOrDie() {
 void BriskRuntime::RestoreOperatorState(
     int op, std::vector<api::CheckpointEntry> entries) {
   const int repl = plan_.replication(op);
+  // Hash each key once, then size every bucket exactly before filling.
+  std::vector<uint32_t> owner(entries.size());
+  std::vector<size_t> sizes(repl, 0);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    owner[i] = static_cast<uint32_t>(HashField(entries[i].key) %
+                                     static_cast<size_t>(repl));
+    ++sizes[owner[i]];
+  }
   std::vector<std::vector<api::CheckpointEntry>> buckets(repl);
-  for (auto& entry : entries) {
-    buckets[HashField(entry.key) % static_cast<size_t>(repl)].push_back(
-        std::move(entry));
+  for (int r = 0; r < repl; ++r) buckets[r].reserve(sizes[r]);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    buckets[owner[i]].push_back(std::move(entries[i]));
   }
   for (int r = 0; r < repl; ++r) {
     api::Operator* bolt = tasks_[plan_.InstanceId(op, r)]->bolt();

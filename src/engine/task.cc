@@ -360,7 +360,8 @@ void Task::Consume(Envelope env, Channel* from) {
     tuples = &env.batch->tuples;
   }
   // NUMA charge: the consumer-side stall of fetching a remote batch
-  // (emulated busy-wait, DESIGN.md §1), one Formula-2 cost per tuple.
+  // (emulated busy-wait, README "Hardware substitution"), one Formula-2
+  // cost per tuple.
   if (numa_ != nullptr && numa_->enabled() && !tuples->empty() &&
       instance_sockets_ != nullptr && env.from_instance >= 0) {
     const int from_socket = (*instance_sockets_)[env.from_instance];
@@ -368,8 +369,10 @@ void Task::Consume(Envelope env, Channel* from) {
       const double per_tuple_ns = numa_->machine().FetchCostNs(
           from_socket, socket_,
           static_cast<double>(tuples->front().SizeBytes()));
-      hw::SpinForNs(
-          static_cast<int64_t>(per_tuple_ns * tuples->size()));
+      const auto stall_ns =
+          static_cast<int64_t>(per_tuple_ns * tuples->size());
+      hw::SpinForNs(stall_ns);
+      stats_.numa_stall_ns += static_cast<uint64_t>(stall_ns);
     }
   }
   // Count before executing: the compiled path may move tuples out of

@@ -62,6 +62,9 @@ struct TaskStats {
   /// to tuples_in when the bolt runs fully vectorized; 0 when it runs
   /// interpreted — the JobReport's execution-mode indicator.
   RelaxedCounter tuples_vec;
+  /// Emulated remote-fetch stall charged in Consume before the operator
+  /// runs, ns. Kept out of busy_ns so observed T_e stays the operator's.
+  RelaxedCounter numa_stall_ns;
 
   /// Member-wise accumulation (per-operator totals across migration
   /// epochs). Caller-thread-only, like every other mutation.
@@ -74,6 +77,7 @@ struct TaskStats {
     backpressure_parks += o.backpressure_parks;
     busy_ns += o.busy_ns;
     tuples_vec += o.tuples_vec;
+    numa_stall_ns += o.numa_stall_ns;
   }
 };
 

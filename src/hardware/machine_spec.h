@@ -6,7 +6,8 @@
 // the cache line size S. The two evaluation servers from the paper are
 // provided as factories with the published Table 2 numbers, so the
 // optimizer solves the *identical* problem instance the paper did even
-// though this repo runs on single-socket hardware (see DESIGN.md §1).
+// though this repo runs on single-socket hardware (see README,
+// "Hardware substitution").
 #pragma once
 
 #include <string>

@@ -5,8 +5,8 @@
 // fetch cost as a calibrated busy-wait: when a consumer placed on
 // (virtual) socket j pops a batch produced on socket i != j, it spins
 // for ceil(N/S) * L(i,j) ns before processing each tuple — the same
-// stall pattern a dependent remote cache-line walk produces. DESIGN.md
-// §1 documents this substitution.
+// stall pattern a dependent remote cache-line walk produces. README,
+// "Hardware substitution", documents this substitution.
 #pragma once
 
 #include <chrono>

@@ -2,6 +2,9 @@
 // grouped into "units" of at most `ratio` instances that are placed
 // together. ratio = 1 gives instance-granular placement (finest, most
 // expensive); the paper uses 5 as a good trade-off (Table 7).
+// OptimizePlacement builds the graph at ratio 1 whenever the
+// uncompressed search fits its node budget, so compression only ever
+// shrinks searches that would otherwise be cut short.
 #pragma once
 
 #include <vector>

@@ -21,11 +21,11 @@ using model::PerfModel;
 class Solver {
  public:
   Solver(const PerfModel& model, ExecutionPlan plan,
-         const PlacementOptions& opts)
+         const PlacementOptions& opts, int ratio)
       : model_(model),
         plan_(std::move(plan)),
         opts_(opts),
-        graph_(CompressedGraph::Build(plan_, opts.compress_ratio)),
+        graph_(CompressedGraph::Build(plan_, ratio)),
         n_sockets_(model.machine().num_sockets()),
         cores_per_socket_(model.machine().cores_per_socket()) {}
 
@@ -324,6 +324,22 @@ StatusOr<PlacementResult> Solver::Run() {
   return result;
 }
 
+/// True when the uncompressed search tree fits `max_nodes`: one level
+/// per instance, each node branching to at most `sockets` children, so
+/// at most Σ_{k=0..n} S^k nodes. Stops summing once past the budget.
+bool UncompressedSearchFits(int sockets, int instances, uint64_t max_nodes) {
+  if (max_nodes < 1) return false;
+  const auto s = static_cast<uint64_t>(std::max(sockets, 1));
+  uint64_t level = 1;
+  uint64_t total = 1;
+  for (int k = 0; k < instances; ++k) {
+    if (level > (max_nodes - total) / s) return false;
+    level *= s;
+    total += level;
+  }
+  return true;
+}
+
 }  // namespace
 
 StatusOr<PlacementResult> OptimizePlacement(const PerfModel& model,
@@ -332,8 +348,17 @@ StatusOr<PlacementResult> OptimizePlacement(const PerfModel& model,
   if (options.compress_ratio < 1) {
     return Status::InvalidArgument("compress_ratio must be >= 1");
   }
-  Solver solver(model, std::move(plan), options);
-  return solver.Run();
+  // Compression trades optimality for search time; when the exact
+  // search already fits the node budget it buys nothing.
+  const int ratio =
+      UncompressedSearchFits(model.machine().num_sockets(),
+                             plan.num_instances(), options.max_nodes)
+          ? 1
+          : options.compress_ratio;
+  Solver solver(model, std::move(plan), options, ratio);
+  BRISK_ASSIGN_OR_RETURN(PlacementResult result, solver.Run());
+  result.compress_ratio = ratio;
+  return result;
 }
 
 }  // namespace brisk::opt

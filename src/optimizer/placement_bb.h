@@ -9,7 +9,8 @@
 //   1. collocation decisions per producer→consumer edge,
 //   2. best-fit with redundancy elimination when all predecessors of a
 //      unit are already placed (plus empty-socket symmetry breaking),
-//   3. graph compression (see CompressedGraph).
+//   3. graph compression (see CompressedGraph), applied only when the
+//      uncompressed search could exceed the node budget.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,11 @@ namespace brisk::opt {
 
 /// Knobs for one placement search.
 struct PlacementOptions {
-  /// Heuristic-3 compression ratio (1 = per-replica placement).
+  /// Heuristic-3 compression ratio (1 = per-replica placement). Used
+  /// only when the uncompressed tree bound, Σ_{k=0..n} S^k for n
+  /// instances on S sockets, exceeds `max_nodes`; otherwise the search
+  /// places replica by replica (PlacementResult::compress_ratio says
+  /// which).
   int compress_ratio = 5;
   /// Hard cap on explored nodes; the search returns the incumbent when
   /// exhausted (reported via PlacementResult::search_complete).
@@ -62,6 +67,7 @@ struct PlacementResult {
   uint64_t nodes_explored = 0;
   uint64_t nodes_pruned = 0;
   bool search_complete = true;     ///< false if max_nodes was hit
+  int compress_ratio = 1;          ///< ratio the search actually used
 };
 
 /// Runs Algorithm 2. Returns ResourceExhausted when no placement

@@ -49,6 +49,7 @@ StatusOr<RlasResult> RlasOptimizer::Optimize(const api::Topology& topo) const {
     if (!have_best || placed->model.throughput > best.model.throughput) {
       best.plan = placed->plan;
       best.model = placed->model;
+      best.compress_ratio = placed->compress_ratio;
       have_best = true;
     }
     best.scaling_iterations = iter + 1;

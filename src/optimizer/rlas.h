@@ -33,6 +33,7 @@ struct RlasResult {
   int scaling_iterations = 0;
   uint64_t nodes_explored = 0;
   double optimize_seconds = 0.0;
+  int compress_ratio = 1;  ///< ratio of the placement search behind `plan`
 };
 
 /// RLAS optimizer bound to one machine + profile set.

@@ -1,10 +1,10 @@
 // Discrete-event simulator of a placed execution plan.
 //
 // This is the measurement substrate that stands in for the paper's
-// eight-socket servers (DESIGN.md §1): it executes a plan
-// instance-by-instance with per-tuple service times from the profiles
-// (T_e) plus relative-location fetch costs (Formula 2), jumbo-tuple
-// batching, bounded queues with back-pressure, and spout rate control.
+// eight-socket servers (README, "Hardware substitution"): it executes a
+// plan instance-by-instance with per-tuple service times from the
+// profiles (T_e) plus relative-location fetch costs (Formula 2),
+// jumbo-tuple batching, bounded queues with back-pressure, and spout rate control.
 // Unlike the analytical model it captures queueing, batching and
 // pipeline-stall effects, so simulated ("measured") throughput differs
 // from the model's estimate the same way the paper's Table 4 does.

@@ -86,8 +86,8 @@ class StreamBoxEngine {
 StreamBoxEngine MakeWordCountStreamBox(const StreamBoxConfig& config,
                                        uint64_t seed = 11);
 
-/// Analytic scaling curve for core counts beyond this host (DESIGN.md
-/// §1 substitution): throughput under a centralized scheduler with
+/// Analytic scaling curve for core counts beyond this host (README,
+/// "Hardware substitution"): throughput under a centralized scheduler with
 /// per-morsel critical section `sched_ns`, per-record work `work_ns`,
 /// morsel size B, and per-record shuffle RMA `shuffle_rma_ns` charged
 /// once workers span more than `cores_per_socket` cores.

@@ -157,6 +157,35 @@ TEST_F(EngineTest, NumaEmulationReducesRemoteThroughput) {
   EXPECT_GT(local, remote);
 }
 
+TEST_F(EngineTest, NumaStallIsChargedToTheRemoteConsumerOnly) {
+  // WC at replication 1 on two sockets: only the sink (instance 4)
+  // consumes from the other socket.
+  auto RunStalls = [&](bool emulate) -> std::vector<uint64_t> {
+    auto app = App(apps::AppId::kWordCount);
+    EXPECT_TRUE(app.ok());
+    auto plan = ExecutionPlan::CreateDefault(app->topology_ptr.get());
+    EXPECT_TRUE(plan.ok());
+    plan->PlaceAllOn(0);
+    plan->SetSocket(4, 1);
+    hw::NumaEmulator numa(
+        hw::MachineSpec::Symmetric(2, 4, 2.0, 100, 300, 40, 12), emulate);
+    auto rt = BriskRuntime::Create(app->topology_ptr.get(), *plan,
+                                   EngineConfig::Brisk(), &numa);
+    EXPECT_TRUE(rt.ok());
+    auto stats = (*rt)->RunFor(0.2);
+    EXPECT_TRUE(stats.ok());
+    EXPECT_GT(stats->tasks[4].tuples_in, 0u);
+    std::vector<uint64_t> stalls;
+    for (const auto& t : stats->tasks) stalls.push_back(t.numa_stall_ns);
+    return stalls;
+  };
+  const std::vector<uint64_t> on = RunStalls(true);
+  ASSERT_EQ(on.size(), 5u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(on[i], 0u) << "instance " << i;
+  EXPECT_GT(on[4], 0u);
+  for (const uint64_t stall : RunStalls(false)) EXPECT_EQ(stall, 0u);
+}
+
 TEST_F(EngineTest, RejectsUnplacedPlan) {
   auto app = App(apps::AppId::kWordCount);
   ASSERT_TRUE(app.ok());

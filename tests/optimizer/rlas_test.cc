@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "apps/apps.h"
 #include "optimizer/baselines.h"
 
@@ -55,6 +57,27 @@ TEST(PlacementBbTest, SplitsWhenCoreConstraintForcesIt) {
   for (int s = 0; s < m.num_sockets(); ++s) {
     EXPECT_LE(result->plan.InstancesOnSocket(s), 2);
   }
+}
+
+TEST(PlacementBbTest, CompressesOnlyPastTheExactTreeBound) {
+  // WC at replication 1 is five instances; on two sockets the exact
+  // search tree has at most 1 + 2 + 4 + 8 + 16 + 32 = 63 nodes.
+  MachineSpec m = MachineSpec::Symmetric(2, 8, 1.0, 50, 500, 50, 10);
+  auto app = apps::MakeApp(AppId::kWordCount);
+  ASSERT_TRUE(app.ok());
+  auto plan = ExecutionPlan::CreateDefault(app->topology_ptr.get());
+  ASSERT_TRUE(plan.ok());
+  PerfModel model(&m, &app->profiles);
+  PlacementOptions opts;
+  opts.compress_ratio = 3;
+  opts.max_nodes = 63;
+  auto fits = OptimizePlacement(model, *plan, opts);
+  ASSERT_TRUE(fits.ok()) << fits.status();
+  EXPECT_EQ(fits->compress_ratio, 1);
+  opts.max_nodes = 62;
+  auto past = OptimizePlacement(model, *plan, opts);
+  ASSERT_TRUE(past.ok()) << past.status();
+  EXPECT_EQ(past->compress_ratio, 3);
 }
 
 TEST(PlacementBbTest, InfeasibleWhenMoreInstancesThanCores) {
@@ -205,6 +228,83 @@ TEST(BaselinesTest, RoundRobinSpreadsInstances) {
   EXPECT_EQ(rr->InstancesOnSocket(0), 2);
   EXPECT_EQ(rr->InstancesOnSocket(1), 1);
   EXPECT_EQ(rr->InstancesOnSocket(3), 1);
+}
+
+// Job's default CI machine (2 sockets x 4 cores): every plan RLAS can
+// build fits the exact search's node budget, so the default search
+// places replica by replica and matches an explicit ratio-1 search.
+TEST(RlasTest, SmallMachineDefaultPlanMatchesExactSearch) {
+  const MachineSpec m = MachineSpec::Symmetric(2, 4, 2.0, 100, 300, 40, 12);
+  for (const AppId id : {AppId::kWordCount, AppId::kSpikeDetection,
+                         AppId::kFraudDetection}) {
+    auto app = apps::MakeApp(id);
+    ASSERT_TRUE(app.ok());
+    auto by_default =
+        RlasOptimizer(&m, &app->profiles).Optimize(app->topology());
+    ASSERT_TRUE(by_default.ok()) << by_default.status();
+    RlasOptions exact;
+    exact.placement.compress_ratio = 1;
+    auto by_exact =
+        RlasOptimizer(&m, &app->profiles, exact).Optimize(app->topology());
+    ASSERT_TRUE(by_exact.ok()) << by_exact.status();
+    EXPECT_EQ(by_default->compress_ratio, 1) << app->name;
+    EXPECT_GE(by_default->model.throughput,
+              by_exact->model.throughput * (1 - 1e-9))
+        << app->name;
+    if (id != AppId::kSpikeDetection) continue;
+    // One 4-replica unit would fill a socket and push every tuple across
+    // sockets twice; per-replica placement splits moving_avg instead.
+    auto moving_avg = app->topology().OpId("moving_avg");
+    ASSERT_TRUE(moving_avg.ok());
+    const auto& plan = by_default->plan;
+    bool on_socket[2] = {false, false};
+    for (int r = 0; r < plan.replication(*moving_avg); ++r) {
+      on_socket[plan.SocketOf(plan.InstanceId(*moving_avg, r))] = true;
+    }
+    EXPECT_TRUE(on_socket[0] && on_socket[1]) << plan.ToString();
+  }
+}
+
+// One tray of Server A (4 sockets x 18 cores): WC's and LR's plans are
+// far past the exact search's budget, so they still compress at the
+// default ratio and keep their plans.
+TEST(RlasTest, TrayPlansStillCompress) {
+  const MachineSpec m =
+      MachineSpec::Symmetric(4, 18, 1.2, 50, 307.7, 54.3, 13.2);
+  const std::pair<AppId, const char*> golden[] = {
+      {AppId::kWordCount,
+       "ExecutionPlan (64 instances)\n"
+       "  spout x2 -> [S0,S0]\n"
+       "  parser x2 -> [S0,S0]\n"
+       "  splitter x8 -> [S0,S0,S0,S0,S0,S0,S0,S0]\n"
+       "  counter x35 -> [S0,S0,S0,S0,S0,S1,S1,S1,S1,S1,S1,S1,S1,S1,S1,S1,"
+       "S1,S1,S1,S1,S2,S2,S2,S2,S2,S2,S2,S2,S2,S2,S2,S2,S2,S2,S2]\n"
+       "  sink x17 -> [S3,S3,S3,S3,S3,S3,S3,S3,S3,S3,S3,S3,S3,S3,S3,S1,S1]"
+       "\n"},
+      {AppId::kLinearRoad,
+       "ExecutionPlan (70 instances)\n"
+       "  spout x2 -> [S0,S0]\n"
+       "  parser x3 -> [S0,S0,S0]\n"
+       "  dispatcher x4 -> [S0,S0,S0,S0]\n"
+       "  avg_speed x7 -> [S0,S0,S0,S0,S0,S0,S0]\n"
+       "  las_avg_speed x5 -> [S3,S3,S3,S3,S3]\n"
+       "  accident_detect x7 -> [S1,S1,S1,S1,S1,S0,S0]\n"
+       "  count_vehicle x7 -> [S1,S1,S1,S1,S1,S1,S1]\n"
+       "  accident_notify x5 -> [S1,S1,S1,S1,S1]\n"
+       "  toll_notify x23 -> [S2,S2,S2,S2,S2,S2,S2,S2,S2,S2,S2,S2,S2,S2,S2,"
+       "S3,S3,S3,S3,S3,S3,S3,S3]\n"
+       "  daily_expense x1 -> [S1]\n"
+       "  account_balance x1 -> [S2]\n"
+       "  sink x5 -> [S3,S3,S3,S3,S3]\n"},
+  };
+  for (const auto& [id, plan] : golden) {
+    auto app = apps::MakeApp(id);
+    ASSERT_TRUE(app.ok());
+    auto result = RlasOptimizer(&m, &app->profiles).Optimize(app->topology());
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->compress_ratio, 5) << app->name;
+    EXPECT_EQ(result->plan.ToString(), plan) << app->name;
+  }
 }
 
 TEST(CompressedGraphTest, RatioControlsUnitCount) {

@@ -11,6 +11,8 @@
 // loudly if any seam between them breaks.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "api/job.h"
 #include "apps/apps.h"
 #include "hardware/machine_spec.h"
@@ -56,6 +58,15 @@ TEST(PipelineSmokeTest, WordCountProfilesOptimizesAndRuns) {
   EXPECT_GT(report->stats.total_emitted, 0u);
   EXPECT_GT(report->sink_tuples, 0u);
   EXPECT_GT(app->telemetry->count(), 0u);
+
+  // The emulated stall is a share of pool-worker time, printed when
+  // the plan made any consumer fetch across sockets.
+  const double stall = report->numa_stall_share();
+  EXPECT_GE(stall, 0.0);
+  EXPECT_LT(stall, 1.0);
+  EXPECT_EQ(report->ToString().find("emulated NUMA stall") !=
+                std::string::npos,
+            stall > 0.0);
 }
 
 }  // namespace
