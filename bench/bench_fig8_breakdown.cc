@@ -5,8 +5,9 @@
 // Measured single-threaded over the real code paths (this host has one
 // core, so a pipelined multi-thread measurement would only measure the
 // scheduler):
-//   Execute — wall time of the operator's Process() on real tuples
-//             (profiling harness);
+//   Execute — the operator's measured T_e: mean wall time per tuple in
+//             the engine's one-worker profiling run
+//             (engine::ProfileTopology);
 //   Others  — wall time of the runtime path a tuple crosses between
 //             operators: BriskStream = jumbo-tuple buffer append + SPSC
 //             push/pop amortized over the batch; Storm-like = per-tuple
@@ -22,7 +23,7 @@
 #include "common/serde.h"
 #include "common/spsc_queue.h"
 #include "engine/channel.h"
-#include "profiler/profiler.h"
+#include "engine/observed_profiles.h"
 
 using namespace brisk;
 
@@ -99,10 +100,10 @@ int main() {
 
   auto app = apps::MakeApp(apps::AppId::kWordCount);
   if (!app.ok()) return 1;
-  profiler::ProfilerConfig pcfg;
+  engine::ProfilerConfig pcfg;
   pcfg.samples = 8000;
   pcfg.reference_ghz = 1.0;  // report measured ns directly
-  auto prof = profiler::ProfileApp(app->topology(), pcfg);
+  auto prof = engine::ProfileTopology(app->topology(), pcfg);
   if (!prof.ok()) {
     std::fprintf(stderr, "%s\n", prof.status().ToString().c_str());
     return 1;
@@ -133,8 +134,7 @@ int main() {
   bench::PrintRule(widths);
 
   for (const auto& op : kOps) {
-    const auto& m = prof->measurements.at(op.name);
-    const double execute = m.te_cycles.Percentile(0.5);  // ns (1 GHz ref)
+    const double execute = prof->Get(op.name)->te_cycles;  // ns (1 GHz ref)
     const std::vector<Tuple> samples = {op.input};
     const double brisk_others = BriskOthersNs(samples, /*batch=*/64);
     const double storm_others = StormOthersNs(samples);

@@ -7,11 +7,12 @@
 //                 [--save <file>]
 //       run RLAS and print the execution plan + predicted throughput;
 //       --save writes the plan in the brisk-plan v1 text format
-//       (model/plan_io.h) for later deployment
+//       (model/plan_io.h), for inspection or diffing
 //   briskadm simulate <wc|fd|sd|lr> [--machine a|b] [--sockets N]
 //       plan, then "measure" by discrete-event simulation
 //   briskadm profile <wc|fd|sd|lr>
-//       profile the real operators on this host (§3.1 methodology)
+//       profile the real operators on this host: a one-worker engine
+//       run measures T_e, N, M and per-stream selectivity (§3.1)
 //   briskadm baselines <wc|fd|sd|lr> [--machine a|b]
 //       compare RLAS against OS / FF / RR placements
 #include <cstdio>
@@ -19,12 +20,12 @@
 #include <string>
 
 #include "apps/apps.h"
+#include "engine/observed_profiles.h"
 #include "hardware/machine_spec.h"
 #include "model/perf_model.h"
 #include "model/plan_io.h"
 #include "optimizer/baselines.h"
 #include "optimizer/rlas.h"
-#include "profiler/profiler.h"
 #include "sim/simulator.h"
 
 using namespace brisk;
@@ -164,19 +165,24 @@ Status CmdSimulate(const Args& args) {
 Status CmdProfile(const Args& args) {
   BRISK_ASSIGN_OR_RETURN(apps::AppId id, AppFromName(args.app));
   BRISK_ASSIGN_OR_RETURN(apps::AppBundle bundle, apps::MakeApp(id));
-  profiler::ProfilerConfig cfg;
+  engine::ProfilerConfig cfg;
   cfg.samples = 10000;
-  BRISK_ASSIGN_OR_RETURN(profiler::AppProfile profile,
-                         profiler::ProfileApp(bundle.topology(), cfg));
-  std::printf("profiled %s on this host (%d samples/operator, cycles at "
-              "%.1f GHz reference):\n",
+  BRISK_ASSIGN_OR_RETURN(model::ProfileSet profiles,
+                         engine::ProfileTopology(bundle.topology(), cfg));
+  std::printf("profiled %s on this host (%d spout tuples on one worker, "
+              "mean cycles at %.1f GHz reference):\n",
               bundle.name.c_str(), cfg.samples, cfg.reference_ghz);
-  std::printf("  %-16s %10s %10s %10s %12s\n", "operator", "te p50",
-              "te p95", "N bytes", "selectivity");
-  for (const auto& [name, m] : profile.measurements) {
-    std::printf("  %-16s %10.0f %10.0f %10.0f %12.2f\n", name.c_str(),
-                m.te_cycles.Percentile(0.5), m.te_cycles.Percentile(0.95),
-                m.n_bytes, m.selectivity.empty() ? 0.0 : m.selectivity[0]);
+  std::printf("  %-16s %10s %10s  %s\n", "operator", "te", "M bytes",
+              "selectivity / N bytes per output stream");
+  for (const auto& op : bundle.topology().ops()) {
+    BRISK_ASSIGN_OR_RETURN(model::OperatorProfile p, profiles.Get(op.name));
+    std::printf("  %-16s %10.0f %10.1f ", op.name.c_str(), p.te_cycles,
+                p.m_bytes);
+    for (size_t s = 0; s < p.selectivity.size(); ++s) {
+      std::printf(" %s %.4f / %.1f", op.output_streams[s].c_str(),
+                  p.selectivity[s], p.output_bytes[s]);
+    }
+    std::printf("\n");
   }
   return Status::OK();
 }

@@ -61,7 +61,7 @@ int main() {
 
   // One call: profile → RLAS optimize → deploy with NUMA emulation →
   // run for a second → report.
-  profiler::ProfilerConfig pcfg;
+  engine::ProfilerConfig pcfg;
   pcfg.samples = 5000;  // a quick calibration pass for the demo
   pcfg.warmup_samples = 500;
   engine::EngineConfig ecfg = engine::EngineConfig::Brisk();

@@ -9,10 +9,10 @@
 
 #include "apps/apps.h"
 #include "apps/word_count.h"
+#include "engine/observed_profiles.h"
 #include "engine/runtime.h"
 #include "hardware/machine_spec.h"
 #include "optimizer/rlas.h"
-#include "profiler/profiler.h"
 
 using namespace brisk;
 
@@ -26,18 +26,18 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", app->topology().ToString().c_str());
 
-  // Profile the real operators (§3.1 methodology) and show how the
-  // live measurements compare with the calibrated defaults.
-  profiler::ProfilerConfig pcfg;
+  // Profile the real operators (§3.1: a one-worker engine run) and
+  // show how the measurements compare with the calibrated defaults.
+  engine::ProfilerConfig pcfg;
   pcfg.samples = 5000;
-  auto profiled = profiler::ProfileApp(app->topology(), pcfg);
+  auto profiled = engine::ProfileTopology(app->topology(), pcfg);
   if (profiled.ok()) {
-    std::printf("\nprofiled T_e (cycles @%.1f GHz ref, p50):\n",
+    std::printf("\nprofiled T_e (cycles @%.1f GHz ref, mean):\n",
                 pcfg.reference_ghz);
-    for (const auto& [name, m] : profiled->measurements) {
+    for (const auto& [name, m] : profiled->all()) {
       const auto calibrated = app->profiles.Get(name);
       std::printf("  %-10s measured %7.0f   calibrated %7.0f\n",
-                  name.c_str(), m.te_cycles.Percentile(0.5),
+                  name.c_str(), m.te_cycles,
                   calibrated.ok() ? calibrated->te_cycles : 0.0);
     }
   }

@@ -2,8 +2,8 @@
 //
 // A Pipeline is written as a chain of verbs on Stream handles and
 // *lowers* onto the validated api::Topology (§2.2's operator/stream
-// DAG), so the profiler, the RLAS optimizer, the simulator, and the
-// engine consume DSL programs unchanged. Each verb maps onto a paper
+// DAG), so the profiling run, the RLAS optimizer, the simulator, and
+// the engine consume DSL programs unchanged. Each verb maps onto a paper
 // concept:
 //
 //   DSL verb                     | Topology lowering (paper anchor)

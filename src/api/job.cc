@@ -128,7 +128,7 @@ Job& Job::WithProfiles(model::ProfileSet profiles) {
   return *this;
 }
 
-Job& Job::WithProfiler(profiler::ProfilerConfig config) {
+Job& Job::WithProfiler(engine::ProfilerConfig config) {
   profiler_config_ = config;
   return *this;
 }
@@ -190,14 +190,13 @@ StatusOr<std::unique_ptr<Job::Deployment>> Job::Deploy() {
   report.planner = planner_;
   report.topology = topo_;
 
-  // 1. Operator cost profiles: supplied, or measured in isolation
-  // (§3.1) by the profiler.
+  // 1. Operator cost profiles: supplied, or measured by a one-worker
+  // engine run (§3.1).
   if (profiles_.has_value()) {
     report.profiles = *profiles_;
   } else {
-    BRISK_ASSIGN_OR_RETURN(profiler::AppProfile app_profile,
-                           profiler::ProfileApp(*topo_, profiler_config_));
-    report.profiles = std::move(app_profile.profiles);
+    BRISK_ASSIGN_OR_RETURN(report.profiles,
+                           engine::ProfileTopology(*topo_, profiler_config_));
     report.profiled = true;
   }
 
@@ -241,8 +240,8 @@ StatusOr<std::unique_ptr<Job::Deployment>> Job::Deploy() {
       engine::BriskRuntime::Create(topo_.get(), report.plan, config_,
                                    deployment->numa_.get()));
 
-  // Profiling pre-executes sink operators, which report into the same
-  // telemetry; reset so the report covers only the live run.
+  // The profiling run executes sink operators, which report into the
+  // same telemetry; reset so the report covers only the live run.
   if (deployment->telemetry_) deployment->telemetry_->Reset();
   BRISK_RETURN_NOT_OK(deployment->runtime_->Start());
 
@@ -342,19 +341,9 @@ void Job::Deployment::AutopilotLoop() {
     }
     // Windowed deltas: observe the *recent* workload, not the
     // whole-run average, so drift shows up within one interval.
-    engine::RunStats window;
-    window.tasks.resize(now.tasks.size());
-    uint64_t window_tuples = 0;
-    for (size_t i = 0; i < now.tasks.size(); ++i) {
-      window.tasks[i].tuples_in =
-          now.tasks[i].tuples_in - base.tasks[i].tuples_in;
-      window.tasks[i].tuples_out =
-          now.tasks[i].tuples_out - base.tasks[i].tuples_out;
-      window.tasks[i].busy_ns = now.tasks[i].busy_ns - base.tasks[i].busy_ns;
-      window_tuples += window.tasks[i].tuples_in;
-    }
+    const engine::RunStats window = engine::StatsWindow(base, now);
     base = std::move(now);
-    if (window_tuples == 0) continue;  // idle window: nothing to learn
+    if (window.total_consumed == 0) continue;  // idle: nothing to learn
 
     auto observed = engine::ObserveProfiles(*topo_, autopilot_plan_, window,
                                             autopilot_profiles_, observation);

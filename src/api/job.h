@@ -7,8 +7,8 @@
 //     .Run(seconds);              // profile → optimize → deploy → report
 //
 // Run()/Deploy() internally execute the pipeline every caller used to
-// hand-wire: profile each operator in isolation (§3.1) unless profiles
-// were supplied, construct an execution plan with the selected planner
+// hand-wire: profile the operators with a one-worker engine run (§3.1,
+// engine::ProfileTopology) unless profiles were supplied, construct an execution plan with the selected planner
 // (RLAS, §4, or a §6.4 baseline), stand up the NUMA emulator when the
 // engine config asks for it, and drive BriskRuntime. The JobReport
 // bundles the plan, the model's prediction for it, the engine's
@@ -41,7 +41,6 @@
 #include "model/perf_model.h"
 #include "optimizer/dynamic.h"
 #include "optimizer/rlas.h"
-#include "profiler/profiler.h"
 
 namespace brisk {
 
@@ -72,7 +71,7 @@ struct JobReport {
   /// Keeps the plan's topology pointer valid for the report's lifetime.
   std::shared_ptr<const api::Topology> topology;
 
-  /// True when the §3.1 profiler ran (no profiles were supplied).
+  /// True when the §3.1 profiling run ran (no profiles were supplied).
   bool profiled = false;
   model::ProfileSet profiles;  ///< profiles the planner consumed
 
@@ -165,16 +164,17 @@ class Job {
   /// placement input rate also feeds the baseline planners.
   Job& WithPlannerOptions(opt::RlasOptions options);
 
-  /// Supplies operator cost profiles, skipping the profiler stage.
+  /// Supplies operator cost profiles, skipping the profiling run.
   Job& WithProfiles(model::ProfileSet profiles);
 
-  /// Profiler knobs for the auto-profiling stage.
-  Job& WithProfiler(profiler::ProfilerConfig config);
+  /// Knobs of the profiling run (engine::ProfileTopology) Run() and
+  /// Deploy() make when no profiles were supplied.
+  Job& WithProfiler(engine::ProfilerConfig config);
 
   /// Telemetry the application's sinks report into; the report reads
   /// tuple counts and latency from it. (DSL pipelines wire this into
   /// their Sink lambdas; reset happens right before the engine starts
-  /// so profiler traffic is not counted.)
+  /// so profiling traffic is not counted.)
   Job& WithTelemetry(std::shared_ptr<SinkTelemetry> telemetry);
 
   /// Deterministic run seed: every operator replica gets a stable
@@ -305,7 +305,7 @@ class Job {
   Planner planner_ = Planner::kRlas;
   opt::RlasOptions options_;
   std::optional<model::ProfileSet> profiles_;
-  profiler::ProfilerConfig profiler_config_;
+  engine::ProfilerConfig profiler_config_;
   std::shared_ptr<SinkTelemetry> telemetry_;
   bool autopilot_enabled_ = false;
   double autopilot_interval_s_ = 0.5;

@@ -1,6 +1,6 @@
 // Streaming histogram with log-spaced buckets, used for latency
-// distributions (Fig. 7 CDF, Table 5 tail latencies) and the profiler's
-// per-tuple execution time CDF (Fig. 3).
+// distributions (Fig. 7 CDF, Table 5 tail latencies) and the windowed
+// per-tuple execution time CDF of the profiling run (Fig. 3).
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,16 @@
-// Runtime statistics → operator profiles (§3.1/§5.3 closing the loop):
+// Runtime statistics → operator profiles: the one place operator costs
+// are measured. §3.1 instantiates the cost model from a profiling run
+// (ProfileTopology: the topology on one worker, measured by the
+// engine's own counters), and §5.3 closes the loop on the live job:
 // "In practice, they can be periodically collected during runtime and
 // the optimization needs to be re-performed accordingly."
 //
-// Derives a ProfileSet from an engine run's TaskStats so the
-// DynamicReoptimizer (optimizer/dynamic.h) can compare the live
-// workload against what the current plan was optimized for.
+// Both derive a ProfileSet from an engine run's TaskStats, so the
+// profiles the planner starts from and the ones the DynamicReoptimizer
+// (optimizer/dynamic.h) compares against them share one definition.
 #pragma once
+
+#include <vector>
 
 #include "api/topology.h"
 #include "common/status.h"
@@ -22,18 +27,56 @@ struct ObservationConfig {
   double reference_ghz = 1.0;
 };
 
-/// Aggregates per-task statistics into per-operator observed profiles:
+/// The counters accrued between two snapshots of the same plan epoch
+/// (`base` taken first): per-task and per-operator TaskStats::Since,
+/// the totals and the elapsed time. Both snapshots must cover the same
+/// task list.
+RunStats StatsWindow(const RunStats& base, const RunStats& now);
+
+/// Aggregates per-task statistics into per-operator observed profiles,
+/// summing each operator's replicas:
 ///   T_e          = Σ busy_ns / Σ tuples_in (converted to cycles),
-///   selectivity  = Σ tuples_out_on_stream / Σ tuples_in, approximated
-///                  from total out (stream split requires the planned
-///                  profile's stream mix, which is carried over),
-///   N, M         = carried over from `planned` (tuple layouts do not
-///                  drift with rate).
-/// Operators whose tasks processed no tuples keep their planned entry.
+///   selectivity  = Σ stream_tuples_out[s] / Σ tuples_in, per stream,
+///   N            = Σ stream_bytes_out[s] / Σ stream_tuples_flushed[s],
+///                  per stream that flushed tuples to a consumer,
+///   M            = input + output bytes per processed tuple, the input
+///                  size read off the producers' streams it subscribes
+///                  to (0 for spouts).
+/// N of a stream that flushed nothing keeps the planned entry (64
+/// bytes without one). Operators whose tasks processed no tuples keep
+/// their planned entry, or are left out when `planned` has none.
 StatusOr<model::ProfileSet> ObserveProfiles(
     const api::Topology& topo, const model::ExecutionPlan& plan,
     const RunStats& stats, const model::ProfileSet& planned,
     const ObservationConfig& config = {});
+
+/// Knobs of the §3.1 profiling run (ProfileTopology).
+struct ProfilerConfig {
+  /// Spout tuples in the measured window.
+  int samples = 20000;
+  /// Reference clock used to convert measured ns to cycles (profiles
+  /// store cycles so they transfer across machines, §3.1).
+  double reference_ghz = 1.2;
+  /// Spout tuples produced before the window opens (caches, allocator
+  /// pools and operator state warm up).
+  int warmup_samples = 2000;
+};
+
+/// §3.1 model instantiation: runs `topo` with every operator at
+/// replication 1 on one worker of socket 0 — no NUMA emulation,
+/// faults, pacing or pinning — and observes the window between the
+/// snapshots after `warmup_samples` and after `warmup_samples +
+/// samples` spout tuples. T_e is therefore the mean over the window
+/// (what the autopilot observes too). The window stays open until
+/// every operator has processed a tuple in it; past a fixed deadline
+/// (5 s) the run fails with an error naming the operators that saw
+/// none. When `windows` is non-null it receives the profiles of the
+/// consecutive ~1 ms polling windows inside the measured one, each
+/// holding the operators that processed tuples in it (Fig. 3's
+/// distribution).
+StatusOr<model::ProfileSet> ProfileTopology(
+    const api::Topology& topo, const ProfilerConfig& config = {},
+    std::vector<model::ProfileSet>* windows = nullptr);
 
 /// Exponentially smooths a stream of windowed observations:
 ///   into = alpha * sample + (1 - alpha) * into

@@ -72,7 +72,7 @@ Status BriskRuntime::WireGraph(
     const auto& pi = plan.instance(i);
     const auto& op = topo_->op(pi.op);
     auto task = std::make_unique<Task>(i, pi.socket, config_, numa_);
-    task->SetIdentity(pi.op, pi.replica, op.name);
+    task->SetIdentity(pi.op, pi.replica, op.name, op.output_streams.size());
     Harvested h;
     if (reuse) h = reuse(pi.op, pi.replica);
     if (op.is_spout) {
@@ -300,7 +300,7 @@ void BriskRuntime::SweepResiduals() {
   for (int pass = 0; pass < 64; ++pass) {
     for (const int op : topo_->topological_order()) {
       for (size_t i = 0; i < tasks_.size(); ++i) {
-        if (instance_op_[i] == op) tasks_[i]->DrainResidual();
+        if (instance_op_[i] == op) tasks_[i]->Drain(/*flush_operator=*/false);
       }
     }
     bool quiescent = true;
@@ -728,7 +728,7 @@ RunStats BriskRuntime::Stop() {
   // sinks even though no execution thread is running anymore.
   for (const int op : topo_->topological_order()) {
     for (size_t i = 0; i < tasks_.size(); ++i) {
-      if (instance_op_[i] == op) tasks_[i]->Finalize();
+      if (instance_op_[i] == op) tasks_[i]->Drain(/*flush_operator=*/true);
     }
   }
   stats.executor = retired_executor_;

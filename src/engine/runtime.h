@@ -138,7 +138,7 @@ class BriskRuntime {
   ///   1. quiesce — spouts stop at a batch boundary, bolts drain
   ///      in-flight envelopes (the PR-4 park machinery idles the
   ///      workers), the executor joins;
-  ///   2. residual sweep — repeated topological DrainResidual passes
+  ///   2. residual sweep — repeated topological Task::Drain passes
   ///      push every remaining staged/parked/queued tuple through to
   ///      the sinks (operators are NOT flushed: the job continues);
   ///   3. harvest — operator instances move out of their tasks,
@@ -255,7 +255,7 @@ class BriskRuntime {
   /// the accumulated totals — the epilogue shared by every teardown.
   void JoinExecutorAndFold();
 
-  /// Repeated topological DrainResidual passes until every channel is
+  /// Repeated topological Task::Drain passes until every channel is
   /// empty and nothing is parked (single-threaded; executor joined).
   void SweepResiduals();
 

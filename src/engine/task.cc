@@ -26,10 +26,56 @@ struct SimulatedTupleHeader {
   char context[32];
 };
 
+/// `into[s] += from[s]` (sign +1) or `into[s] -= from[s]` (sign -1)
+/// per stream, growing `into` to cover `from`.
+void CombineStreams(std::vector<RelaxedCounter>* into,
+                    const std::vector<RelaxedCounter>& from, int sign) {
+  if (into->size() < from.size()) into->resize(from.size());
+  for (size_t s = 0; s < from.size(); ++s) {
+    (*into)[s] = sign > 0 ? (*into)[s] + from[s] : (*into)[s] - from[s];
+  }
+}
+
 }  // namespace
+
+void TaskStats::Accumulate(const TaskStats& o) {
+  tuples_in += o.tuples_in;
+  tuples_out += o.tuples_out;
+  batches_in += o.batches_in;
+  batches_out += o.batches_out;
+  batches_recycled += o.batches_recycled;
+  backpressure_parks += o.backpressure_parks;
+  busy_ns += o.busy_ns;
+  tuples_vec += o.tuples_vec;
+  numa_stall_ns += o.numa_stall_ns;
+  CombineStreams(&stream_tuples_out, o.stream_tuples_out, +1);
+  CombineStreams(&stream_tuples_flushed, o.stream_tuples_flushed, +1);
+  CombineStreams(&stream_bytes_out, o.stream_bytes_out, +1);
+}
+
+TaskStats TaskStats::Since(const TaskStats& base) const {
+  TaskStats d;
+  d.tuples_in = tuples_in - base.tuples_in;
+  d.tuples_out = tuples_out - base.tuples_out;
+  d.batches_in = batches_in - base.batches_in;
+  d.batches_out = batches_out - base.batches_out;
+  d.batches_recycled = batches_recycled - base.batches_recycled;
+  d.backpressure_parks = backpressure_parks - base.backpressure_parks;
+  d.busy_ns = busy_ns - base.busy_ns;
+  d.tuples_vec = tuples_vec - base.tuples_vec;
+  d.numa_stall_ns = numa_stall_ns - base.numa_stall_ns;
+  d.stream_tuples_out = stream_tuples_out;
+  d.stream_tuples_flushed = stream_tuples_flushed;
+  d.stream_bytes_out = stream_bytes_out;
+  CombineStreams(&d.stream_tuples_out, base.stream_tuples_out, -1);
+  CombineStreams(&d.stream_tuples_flushed, base.stream_tuples_flushed, -1);
+  CombineStreams(&d.stream_bytes_out, base.stream_bytes_out, -1);
+  return d;
+}
 
 int Task::AddBuffer() {
   buffers_.emplace_back();
+  buffer_stream_.push_back(-1);
   return static_cast<int>(buffers_.size()) - 1;
 }
 
@@ -37,6 +83,16 @@ void Task::AddOutRoute(OutRoute route) {
   const uint16_t sid = route.stream_id;
   if (last_route_for_stream_.size() <= sid) {
     last_route_for_stream_.resize(sid + 1, -1);
+  }
+  // Each emitted tuple's bytes count once: on the stream's last route
+  // (the one it moves into), and on a single replica of a broadcast.
+  if (const int prev = last_route_for_stream_[sid]; prev >= 0) {
+    for (const int b : routes_[prev].buffer_index) buffer_stream_[b] = -1;
+  }
+  for (size_t i = 0; i < route.buffer_index.size(); ++i) {
+    if (i == 0 || route.grouping != api::GroupingType::kBroadcast) {
+      buffer_stream_[route.buffer_index[i]] = sid;
+    }
   }
   last_route_for_stream_[sid] = static_cast<int>(routes_.size());
   routes_.push_back(std::move(route));
@@ -71,8 +127,7 @@ void Task::Bind(const StopSignals* signals) {
   vec_ok_ = pipe_ != nullptr && !config_.serialize_tuples &&
             !config_.duplicate_headers && !config_.extra_condition_checks;
   source_done_ = false;
-  finalized_ = false;
-  finalizing_ = false;
+  draining_ = false;
   pending_.clear();
   pending_head_ = 0;
   pending_live_ = 0;
@@ -124,6 +179,9 @@ void Task::AppendTuple(OutRoute& route, size_t i, Tuple&& t) {
 
 void Task::EmitTo(uint16_t stream_id, Tuple t) {
   ++stats_.tuples_out;
+  if (stream_id < stats_.stream_tuples_out.size()) {
+    ++stats_.stream_tuples_out[stream_id];
+  }
   LegacyPerTupleWork(t);
   t.stream_id = stream_id;
   // The last route on the stream receives the tuple by move; earlier
@@ -242,11 +300,11 @@ bool Task::PushEnvelope(Envelope&& env, Channel* channel) {
   if (!faults_.empty() && MaybeWedgePush(env, channel)) return false;
   // Preserve per-channel batch order: while anything is parked, new
   // envelopes queue behind it instead of overtaking. The in-flight cap
-  // is lifted during the finalize/migration epilogues — they run
+  // is lifted during Drain (shutdown and migration epilogues) — they run
   // single-threaded after the executor joined, each consumer drains
   // everything in its own pass, and capping here would drop stateful
   // finals early.
-  const size_t cap = finalizing_ ? ~size_t{0} : soft_cap_;
+  const size_t cap = draining_ ? ~size_t{0} : soft_cap_;
   if (pending_head_ >= pending_.size() && channel->SizeApprox() < cap &&
       channel->TryPush(std::move(env))) {
     return true;
@@ -257,7 +315,7 @@ bool Task::PushEnvelope(Envelope&& env, Channel* channel) {
   // preserve mode — checking in any other order can read a stale
   // `preserve == false` next to a fresh `stop_all == true` and drop
   // the batch the residual sweep is about to collect.
-  if (!finalizing_ && signals_ != nullptr &&
+  if (!draining_ && signals_ != nullptr &&
       signals_->stop_all.load(std::memory_order_acquire) &&
       !signals_->preserve_inflight.load(std::memory_order_relaxed)) {
     return true;  // plain halt: the in-flight batch is dropped
@@ -269,7 +327,7 @@ bool Task::PushEnvelope(Envelope&& env, Channel* channel) {
 }
 
 bool Task::TryDrainPending() {
-  const size_t cap = finalizing_ ? ~size_t{0} : soft_cap_;
+  const size_t cap = draining_ ? ~size_t{0} : soft_cap_;
   while (pending_head_ < pending_.size()) {
     PendingPush& p = pending_[pending_head_];
     if (pending_head_ == wedged_slot_ ||  // injected permanent park
@@ -307,6 +365,13 @@ bool Task::FlushBuffer(int buffer_idx, Channel* channel, bool force) {
   Envelope env;
   env.count = static_cast<uint32_t>(buf.tuples.size());
   env.from_instance = instance_id_;
+  const int stream = buffer_stream_[buffer_idx];
+  if (stream >= 0 &&
+      static_cast<size_t>(stream) < stats_.stream_bytes_out.size()) {
+    stats_.stream_tuples_flushed[stream] += buf.tuples.size();
+    stats_.stream_bytes_out[stream] +=
+        buf.tuples.front().SizeBytes() * buf.tuples.size();
+  }
   if (config_.serialize_tuples) {
     SerializeBatch(buf.tuples, &batch->bytes);
     buf.tuples.clear();  // keeps staging capacity
@@ -517,27 +582,11 @@ PollResult Task::Poll(int budget) {
   return spout_ ? PollSpout(budget) : PollBolt(budget);
 }
 
-void Task::DrainResidual() {
-  finalizing_ = true;
+void Task::Drain(bool flush_operator) {
+  draining_ = true;
   TryDrainPending();
   if (bolt_) {
-    Envelope env;
-    for (Channel* ch : inputs_) {
-      while (ch->TryPop(&env)) Consume(std::move(env), ch);
-    }
-  }
-  FlushAll(true);
-  TryDrainPending();
-  finalizing_ = false;
-}
-
-void Task::Finalize() {
-  if (finalized_) return;
-  finalized_ = true;
-  finalizing_ = true;
-  TryDrainPending();
-  if (bolt_ && !failed_.load(std::memory_order_relaxed)) {
-    // Upstream operators finalized before us (topological order), so
+    // Upstream operators drained before us (topological order), so
     // anything still queued on the inputs — late partials, upstream
     // finals — is consumed now, before this operator's own flush.
     Envelope env;
@@ -546,19 +595,23 @@ void Task::Finalize() {
     }
     // Flush is an operator call too: contain its exceptions like
     // Process's, so a throwing final cannot take the epilogue down.
-    try {
-      bolt_->Flush(this);
-    } catch (const std::exception& e) {
-      RecordFailure(e.what());
-    } catch (...) {
-      RecordFailure("unknown exception");
+    if (flush_operator && !failed_.load(std::memory_order_relaxed)) {
+      try {
+        bolt_->Flush(this);
+      } catch (const std::exception& e) {
+        RecordFailure(e.what());
+      } catch (...) {
+        RecordFailure("unknown exception");
+      }
     }
   }
   FlushAll(true);
+  // Anything still parked after a final drain found the ring itself
+  // full — more finals per consumer channel than queue slots; it drops
+  // with the task, the one bounded-memory ceiling of the shutdown
+  // epilogue.
   TryDrainPending();
-  // Anything still parked now found the ring itself full — more
-  // finals per consumer channel than queue slots; it drops with the
-  // task, the one bounded-memory ceiling of the shutdown epilogue.
+  draining_ = false;
 }
 
 }  // namespace brisk::engine

@@ -65,20 +65,24 @@ struct TaskStats {
   /// Emulated remote-fetch stall charged in Consume before the operator
   /// runs, ns. Kept out of busy_ns so observed T_e stays the operator's.
   RelaxedCounter numa_stall_ns;
+  /// Per declared output stream (index = stream id): tuples emitted,
+  /// counted next to tuples_out; and, once per batch flushed to a
+  /// consumer, its tuple count and its bytes as the first tuple's
+  /// SizeBytes() x that count (the size the NUMA emulator charges).
+  /// Average tuple size is bytes / flushed: emitted tuples still staged
+  /// at a snapshot would skew it on low-rate streams. Sized at wiring,
+  /// before the task runs, so readers never see them resize.
+  std::vector<RelaxedCounter> stream_tuples_out;
+  std::vector<RelaxedCounter> stream_tuples_flushed;
+  std::vector<RelaxedCounter> stream_bytes_out;
 
   /// Member-wise accumulation (per-operator totals across migration
   /// epochs). Caller-thread-only, like every other mutation.
-  void Accumulate(const TaskStats& o) {
-    tuples_in += o.tuples_in;
-    tuples_out += o.tuples_out;
-    batches_in += o.batches_in;
-    batches_out += o.batches_out;
-    batches_recycled += o.batches_recycled;
-    backpressure_parks += o.backpressure_parks;
-    busy_ns += o.busy_ns;
-    tuples_vec += o.tuples_vec;
-    numa_stall_ns += o.numa_stall_ns;
-  }
+  void Accumulate(const TaskStats& o);
+
+  /// The counters accrued since `base`, an earlier snapshot of the same
+  /// task: the windowed view every statistics observer reads.
+  TaskStats Since(const TaskStats& base) const;
 };
 
 /// Stop protocol shared by every executor: `stop_spouts` halts
@@ -140,11 +144,17 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   }
 
   /// Records which logical replica this task wraps, for failure
-  /// diagnostics and fault arming. Called by the runtime at wiring.
-  void SetIdentity(int op, int replica, std::string op_name) {
+  /// diagnostics and fault arming, and sizes the per-stream output
+  /// counters to the operator's declared streams. Called by the
+  /// runtime at wiring.
+  void SetIdentity(int op, int replica, std::string op_name,
+                   size_t num_streams = 1) {
     op_ = op;
     replica_ = replica;
     op_name_ = std::move(op_name);
+    stats_.stream_tuples_out.resize(num_streams);
+    stats_.stream_tuples_flushed.resize(num_streams);
+    stats_.stream_bytes_out.resize(num_streams);
   }
 
   /// Arms an injected fault (engine/fault.h) against this replica.
@@ -206,23 +216,17 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   /// One cooperative quantum (see PollResult). Requires a prior Bind.
   PollResult Poll(int budget);
 
-  /// Shutdown epilogue, exactly once per run: consume what is still
-  /// queued on the inputs, flush the operator (stateful bolts emit
-  /// final results), and force out staged batches. The runtime calls
-  /// it after all execution threads joined, in topological operator
-  /// order — so upstream finals propagate all the way to the sinks.
-  /// Idempotent.
-  void Finalize();
-
-  /// Migration-time drain: like Finalize but *without* the operator
-  /// Flush (the job keeps running on the next plan epoch — stateful
-  /// finals must not fire) and without the once-only latch. Consumes
-  /// everything still queued on the inputs, forces staged batches out,
-  /// and retries parked envelopes; while it runs, back-pressured
-  /// pushes park instead of dropping, so repeated topological passes
-  /// converge with zero tuple loss. Single-threaded: only call after
-  /// all execution threads joined.
-  void DrainResidual();
+  /// Post-join drain: consumes everything still queued on the inputs,
+  /// forces staged batches out and retries parked envelopes, with the
+  /// in-flight cap lifted, so repeated topological passes converge
+  /// with zero tuple loss. With `flush_operator` (the shutdown
+  /// epilogue, once per run) the operator's Flush runs after the
+  /// inputs are consumed, so stateful bolts' finals propagate to the
+  /// sinks; the migration and checkpoint sweeps pass false, since the
+  /// job keeps running on the next plan epoch. A failed replica drops
+  /// what it pops and is not flushed. Single-threaded: only call after
+  /// all execution threads joined, in topological operator order.
+  void Drain(bool flush_operator);
 
   const TaskStats& stats() const { return stats_; }
 
@@ -324,14 +328,17 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   /// one receives it by move.
   std::vector<int> last_route_for_stream_;
   std::vector<JumboTuple> buffers_;
+  /// Per buffer: the stream whose output bytes its flushes count, or -1
+  /// when another buffer already counts the same tuples (an earlier
+  /// route on a multi-consumer stream, or a broadcast copy).
+  std::vector<int> buffer_stream_;
   uint64_t batch_seq_ = 0;
 
   const StopSignals* signals_ = nullptr;
   bool source_done_ = false;
-  bool finalized_ = false;
-  /// Inside Finalize: the in-flight cap is lifted (pushes bound only
-  /// by the ring) since consumers drain in their own Finalize.
-  bool finalizing_ = false;
+  /// Inside Drain: the in-flight cap is lifted (pushes bound only by
+  /// the ring) since consumers drain in their own Drain.
+  bool draining_ = false;
   /// Per-channel in-flight cap in batches (see
   /// EngineConfig::pool_inflight_batches); ~0 when uncapped or unbound.
   size_t soft_cap_ = ~size_t{0};

@@ -1,52 +1,12 @@
 #include "model/plan_io.h"
 
-#include <map>
 #include <sstream>
-#include <vector>
 
 namespace brisk::model {
 
-namespace {
-
-constexpr char kPlanHeader[] = "brisk-plan v1";
-constexpr char kProfilesHeader[] = "brisk-profiles v1";
-
-/// Splits a line into whitespace-separated tokens.
-std::vector<std::string> Tokens(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) out.push_back(tok);
-  return out;
-}
-
-StatusOr<double> ParseDouble(const std::string& tok) {
-  try {
-    size_t used = 0;
-    const double v = std::stod(tok, &used);
-    if (used != tok.size()) {
-      return Status::InvalidArgument("trailing junk in number '" + tok + "'");
-    }
-    return v;
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("not a number: '" + tok + "'");
-  }
-}
-
-StatusOr<int> ParseInt(const std::string& tok) {
-  BRISK_ASSIGN_OR_RETURN(double v, ParseDouble(tok));
-  const int i = static_cast<int>(v);
-  if (static_cast<double>(i) != v) {
-    return Status::InvalidArgument("not an integer: '" + tok + "'");
-  }
-  return i;
-}
-
-}  // namespace
-
 std::string SerializePlan(const ExecutionPlan& plan) {
   std::ostringstream os;
-  os << kPlanHeader << "\n";
+  os << "brisk-plan v1\n";
   const api::Topology& topo = plan.topology();
   for (const auto& op : topo.ops()) {
     os << "op " << op.name << " replication " << plan.replication(op.id)
@@ -57,150 +17,6 @@ std::string SerializePlan(const ExecutionPlan& plan) {
     os << "\n";
   }
   return os.str();
-}
-
-StatusOr<ExecutionPlan> ParsePlan(const api::Topology* topo,
-                                  const std::string& text) {
-  if (topo == nullptr) return Status::InvalidArgument("null topology");
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || Tokens(line) != Tokens(kPlanHeader)) {
-    return Status::InvalidArgument("missing '" + std::string(kPlanHeader) +
-                                   "' header");
-  }
-
-  std::map<std::string, std::pair<int, std::vector<int>>> parsed;
-  while (std::getline(is, line)) {
-    const auto toks = Tokens(line);
-    if (toks.empty()) continue;
-    if (toks[0] != "op" || toks.size() < 5 || toks[2] != "replication" ||
-        toks[4] != "sockets") {
-      return Status::InvalidArgument("malformed plan line: '" + line + "'");
-    }
-    const std::string& name = toks[1];
-    BRISK_ASSIGN_OR_RETURN(int repl, ParseInt(toks[3]));
-    if (repl < 1) {
-      return Status::InvalidArgument("replication < 1 for '" + name + "'");
-    }
-    if (static_cast<int>(toks.size()) != 5 + repl) {
-      return Status::InvalidArgument("socket list of '" + name +
-                                     "' does not match replication");
-    }
-    std::vector<int> sockets;
-    for (int r = 0; r < repl; ++r) {
-      BRISK_ASSIGN_OR_RETURN(int s, ParseInt(toks[5 + r]));
-      sockets.push_back(s);
-    }
-    if (!parsed.emplace(name, std::make_pair(repl, std::move(sockets)))
-             .second) {
-      return Status::InvalidArgument("duplicate operator '" + name + "'");
-    }
-  }
-
-  std::vector<int> replication(topo->num_operators(), 0);
-  for (const auto& op : topo->ops()) {
-    auto it = parsed.find(op.name);
-    if (it == parsed.end()) {
-      return Status::NotFound("plan is missing operator '" + op.name + "'");
-    }
-    replication[op.id] = it->second.first;
-  }
-  if (parsed.size() != static_cast<size_t>(topo->num_operators())) {
-    return Status::InvalidArgument(
-        "plan mentions operators the topology does not have");
-  }
-  BRISK_ASSIGN_OR_RETURN(ExecutionPlan plan,
-                         ExecutionPlan::Create(topo, replication));
-  for (const auto& op : topo->ops()) {
-    const auto& sockets = parsed[op.name].second;
-    for (int r = 0; r < plan.replication(op.id); ++r) {
-      plan.SetSocket(plan.InstanceId(op.id, r), sockets[r]);
-    }
-  }
-  return plan;
-}
-
-std::string SerializeProfiles(const ProfileSet& profiles) {
-  std::ostringstream os;
-  os << kProfilesHeader << "\n";
-  for (const auto& [name, p] : profiles.all()) {
-    os << "op " << name << " te " << p.te_cycles << " m " << p.m_bytes
-       << " streams " << p.selectivity.size() << "\n";
-    for (size_t s = 0; s < p.selectivity.size(); ++s) {
-      os << "stream " << s << " selectivity " << p.selectivity[s]
-         << " bytes "
-         << (s < p.output_bytes.size() ? p.output_bytes[s] : 64.0) << "\n";
-    }
-  }
-  return os.str();
-}
-
-StatusOr<ProfileSet> ParseProfiles(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || Tokens(line) != Tokens(kProfilesHeader)) {
-    return Status::InvalidArgument("missing '" +
-                                   std::string(kProfilesHeader) +
-                                   "' header");
-  }
-  ProfileSet out;
-  std::string current_name;
-  OperatorProfile current;
-  size_t expected_streams = 0;
-
-  auto flush = [&]() -> Status {
-    if (current_name.empty()) return Status::OK();
-    if (current.selectivity.size() != expected_streams) {
-      return Status::InvalidArgument(
-          "operator '" + current_name + "' declares " +
-          std::to_string(expected_streams) + " streams but lists " +
-          std::to_string(current.selectivity.size()));
-    }
-    out.Set(current_name, current);
-    current_name.clear();
-    return Status::OK();
-  };
-
-  while (std::getline(is, line)) {
-    const auto toks = Tokens(line);
-    if (toks.empty()) continue;
-    if (toks[0] == "op") {
-      BRISK_RETURN_NOT_OK(flush());
-      if (toks.size() != 8 || toks[2] != "te" || toks[4] != "m" ||
-          toks[6] != "streams") {
-        return Status::InvalidArgument("malformed profile line: '" + line +
-                                       "'");
-      }
-      current_name = toks[1];
-      current = OperatorProfile();
-      current.selectivity.clear();
-      current.output_bytes.clear();
-      BRISK_ASSIGN_OR_RETURN(current.te_cycles, ParseDouble(toks[3]));
-      BRISK_ASSIGN_OR_RETURN(current.m_bytes, ParseDouble(toks[5]));
-      BRISK_ASSIGN_OR_RETURN(int streams, ParseInt(toks[7]));
-      if (streams < 0) {
-        return Status::InvalidArgument("negative stream count");
-      }
-      expected_streams = static_cast<size_t>(streams);
-    } else if (toks[0] == "stream") {
-      if (current_name.empty()) {
-        return Status::InvalidArgument("stream line before any op line");
-      }
-      if (toks.size() != 6 || toks[2] != "selectivity" ||
-          toks[4] != "bytes") {
-        return Status::InvalidArgument("malformed stream line: '" + line +
-                                       "'");
-      }
-      BRISK_ASSIGN_OR_RETURN(double sel, ParseDouble(toks[3]));
-      BRISK_ASSIGN_OR_RETURN(double bytes, ParseDouble(toks[5]));
-      current.selectivity.push_back(sel);
-      current.output_bytes.push_back(bytes);
-    } else {
-      return Status::InvalidArgument("unrecognized line: '" + line + "'");
-    }
-  }
-  BRISK_RETURN_NOT_OK(flush());
-  return out;
 }
 
 }  // namespace brisk::model

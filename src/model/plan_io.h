@@ -1,45 +1,20 @@
-// Textual serialization of execution plans and profile sets.
-//
-// The optimization workflow is offline (§5.3: a plan is computed once
-// and used for the application's whole lifetime), so plans and the
-// profiles they were derived from need to survive process boundaries:
-// profile on the target machine, optimize wherever, deploy the saved
-// plan. The format is a line-oriented text format, stable and
-// diff-friendly:
+// Textual serialization of execution plans: what `briskadm plan
+// --save` writes. A line-oriented format, stable and diff-friendly, so
+// two plans (two machines, two optimizer versions) can be compared
+// with ordinary text tools:
 //
 //   brisk-plan v1
 //   op <name> replication <n> sockets <s0> <s1> ... <sn-1>
-//
-//   brisk-profiles v1
-//   op <name> te <cycles> m <bytes> streams <k>
-//   stream <idx> selectivity <s> bytes <b>
 #pragma once
 
 #include <string>
 
-#include "api/topology.h"
-#include "common/status.h"
 #include "model/execution_plan.h"
-#include "model/operator_profile.h"
 
 namespace brisk::model {
 
-/// Serializes replication + placement. Unplaced instances encode as -1.
+/// Serializes replication + placement, one line per operator in
+/// topology order. Unplaced instances encode as -1.
 std::string SerializePlan(const ExecutionPlan& plan);
-
-/// Parses a plan against `topo`: every operator must appear exactly
-/// once, replication must be >= 1, socket lists must match replication.
-/// Socket ids are not validated against a machine here (a plan may be
-/// deployed on any machine with enough sockets); PerfModel::Evaluate
-/// rejects out-of-range sockets.
-StatusOr<ExecutionPlan> ParsePlan(const api::Topology* topo,
-                                  const std::string& text);
-
-/// Serializes a profile set (all operators, all streams).
-std::string SerializeProfiles(const ProfileSet& profiles);
-
-/// Parses a profile set; purely syntactic (operator names are matched
-/// against a topology only when the profiles are used).
-StatusOr<ProfileSet> ParseProfiles(const std::string& text);
 
 }  // namespace brisk::model

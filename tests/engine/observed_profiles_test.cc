@@ -1,8 +1,10 @@
-// Tests for runtime-statistics-derived profiles (§5.3 loop closure).
+// Tests for runtime-statistics-derived profiles: the §3.1 profiling run
+// (ProfileTopology) and the §5.3 live observation (ObserveProfiles).
 #include "engine/observed_profiles.h"
 
 #include <gtest/gtest.h>
 
+#include "api/dsl.h"
 #include "apps/apps.h"
 #include "optimizer/dynamic.h"
 
@@ -17,9 +19,9 @@ struct RunOutcome {
   RunStats stats;
 };
 
-StatusOr<RunOutcome> RunWordCount(double seconds) {
+StatusOr<RunOutcome> RunApp(apps::AppId id, double seconds) {
   RunOutcome out;
-  BRISK_ASSIGN_OR_RETURN(out.app, apps::MakeApp(apps::AppId::kWordCount));
+  BRISK_ASSIGN_OR_RETURN(out.app, apps::MakeApp(id));
   BRISK_ASSIGN_OR_RETURN(
       out.plan, ExecutionPlan::CreateDefault(out.app.topology_ptr.get()));
   out.plan.PlaceAllOn(0);
@@ -29,6 +31,10 @@ StatusOr<RunOutcome> RunWordCount(double seconds) {
                            EngineConfig::Brisk()));
   BRISK_ASSIGN_OR_RETURN(out.stats, rt->RunFor(seconds));
   return out;
+}
+
+StatusOr<RunOutcome> RunWordCount(double seconds) {
+  return RunApp(apps::AppId::kWordCount, seconds);
 }
 
 TEST(ObservedProfilesTest, SelectivityMatchesOperatorSemantics) {
@@ -58,19 +64,65 @@ TEST(ObservedProfilesTest, MeasuredTePositiveAndOrdered) {
             observed->Get("sink")->te_cycles);
 }
 
-TEST(ObservedProfilesTest, LayoutFieldsCarriedFromPlanned) {
-  auto run = RunWordCount(0.1);
-  ASSERT_TRUE(run.ok());
+TEST(ObservedProfilesTest, LinearRoadStreamMixIsMeasuredNotCopied) {
+  // The dispatcher splits its input over three streams (position
+  // reports ~0.99, balance and daily queries ~0.005 each). A planned
+  // profile with the mix swapped must not leak into the observation:
+  // every stream's selectivity and tuple size comes from the counters.
+  auto run = RunApp(apps::AppId::kLinearRoad, 0.5);
+  ASSERT_TRUE(run.ok()) << run.status();
+  model::ProfileSet planned = run->app.profiles;
+  model::OperatorProfile wrong = *planned.Get("dispatcher");
+  wrong.selectivity = {0.005, 0.99, 0.005};
+  wrong.output_bytes = {8.0, 8.0, 8.0};
+  planned.Set("dispatcher", wrong);
   auto observed = ObserveProfiles(run->app.topology(), run->plan,
-                                  run->stats, run->app.profiles);
-  ASSERT_TRUE(observed.ok());
-  for (const auto& op : run->app.topology().ops()) {
-    const auto planned = run->app.profiles.Get(op.name);
-    const auto obs = observed->Get(op.name);
-    ASSERT_TRUE(planned.ok() && obs.ok());
-    EXPECT_EQ(obs->output_bytes, planned->output_bytes) << op.name;
-    EXPECT_DOUBLE_EQ(obs->m_bytes, planned->m_bytes) << op.name;
-  }
+                                  run->stats, planned);
+  ASSERT_TRUE(observed.ok()) << observed.status();
+  const auto d = observed->Get("dispatcher");
+  ASSERT_TRUE(d.ok());
+  ASSERT_EQ(d->selectivity.size(), 3u);
+  EXPECT_NEAR(d->selectivity[0], 0.99, 0.01);
+  EXPECT_NEAR(d->selectivity[1], 0.005, 0.0025);
+  EXPECT_NEAR(d->selectivity[2], 0.005, 0.0025);
+  // Position reports carry five fields, balance queries two, daily
+  // queries three.
+  EXPECT_GT(d->output_bytes[0], d->output_bytes[2]);
+  EXPECT_GT(d->output_bytes[2], d->output_bytes[1]);
+  EXPECT_GT(d->m_bytes, d->output_bytes[0]);
+}
+
+TEST(ObservedProfilesTest, StatsWindowSubtractsEveryCounter) {
+  TaskStats base;
+  base.tuples_in = 10;
+  base.busy_ns = 100;
+  base.stream_tuples_out = {RelaxedCounter(4), RelaxedCounter(1)};
+  base.stream_bytes_out = {RelaxedCounter(40), RelaxedCounter(9)};
+  TaskStats now;
+  now.tuples_in = 25;
+  now.busy_ns = 160;
+  now.stream_tuples_out = {RelaxedCounter(10), RelaxedCounter(3)};
+  now.stream_bytes_out = {RelaxedCounter(100), RelaxedCounter(27)};
+  RunStats a, b;
+  a.duration_s = 1.0;
+  b.duration_s = 1.5;
+  a.tasks = {base};
+  b.tasks = {now};
+  a.op_totals = {base};
+  b.op_totals = {now};
+  a.total_consumed = 10;
+  b.total_consumed = 25;
+  const RunStats w = StatsWindow(a, b);
+  EXPECT_DOUBLE_EQ(w.duration_s, 0.5);
+  EXPECT_EQ(w.total_consumed, 15u);
+  ASSERT_EQ(w.tasks.size(), 1u);
+  EXPECT_EQ(w.tasks[0].tuples_in, 15u);
+  EXPECT_EQ(w.tasks[0].busy_ns, 60u);
+  ASSERT_EQ(w.tasks[0].stream_tuples_out.size(), 2u);
+  EXPECT_EQ(w.tasks[0].stream_tuples_out[0], 6u);
+  EXPECT_EQ(w.tasks[0].stream_tuples_out[1], 2u);
+  EXPECT_EQ(w.tasks[0].stream_bytes_out[1], 18u);
+  EXPECT_EQ(w.op_totals[0].tuples_in, 15u);
 }
 
 TEST(ObservedProfilesTest, MismatchedStatsRejected) {
@@ -102,6 +154,115 @@ TEST(ObservedProfilesTest, FeedsDriftDetectorEndToEnd) {
   // tightly here.
   EXPECT_NEAR(obs1->Get("splitter")->selectivity[0],
               obs2->Get("splitter")->selectivity[0], 0.2);
+}
+
+// ---- The §3.1 profiling run ----------------------------------------
+
+TEST(ProfileTopologyTest, EveryOperatorOfAllFourAppsIsProfiled) {
+  for (const auto id : apps::kAllApps) {
+    auto app = apps::MakeApp(id);
+    ASSERT_TRUE(app.ok());
+    ProfilerConfig cfg;
+    cfg.samples = 1200;
+    cfg.warmup_samples = 100;
+    auto profiles = ProfileTopology(app->topology(), cfg);
+    ASSERT_TRUE(profiles.ok()) << apps::AppName(id) << ": "
+                               << profiles.status();
+    EXPECT_EQ(profiles->size(),
+              static_cast<size_t>(app->topology().num_operators()))
+        << apps::AppName(id);
+    for (const auto& op : app->topology().ops()) {
+      const auto p = profiles->Get(op.name);
+      ASSERT_TRUE(p.ok()) << apps::AppName(id) << " " << op.name;
+      EXPECT_GT(p->te_cycles, 0.0) << apps::AppName(id) << " " << op.name;
+      EXPECT_EQ(p->selectivity.size(), op.output_streams.size());
+    }
+  }
+}
+
+TEST(ProfileTopologyTest, WordCountSemanticsAndSizes) {
+  auto app = apps::MakeApp(apps::AppId::kWordCount);
+  ASSERT_TRUE(app.ok());
+  auto profiles = ProfileTopology(app->topology());
+  ASSERT_TRUE(profiles.ok()) << profiles.status();
+  // Splitter emits ~10 words per sentence (§2.2); parser and counter
+  // are selectivity one; the sink emits nothing.
+  EXPECT_NEAR(profiles->Get("splitter")->selectivity[0], 10.0, 0.2);
+  EXPECT_NEAR(profiles->Get("parser")->selectivity[0], 1.0, 0.01);
+  EXPECT_NEAR(profiles->Get("counter")->selectivity[0], 1.0, 0.01);
+  EXPECT_DOUBLE_EQ(profiles->Get("sink")->selectivity[0], 0.0);
+  // Sentences are much bigger than words (N), and the splitter (substr
+  // per word) costs more per input tuple than the sink (T_e).
+  EXPECT_GT(profiles->Get("spout")->output_bytes[0],
+            profiles->Get("splitter")->output_bytes[0]);
+  EXPECT_GT(profiles->Get("splitter")->te_cycles,
+            profiles->Get("sink")->te_cycles);
+  // M: input + output bytes per tuple; the spout reads no input.
+  EXPECT_NEAR(profiles->Get("spout")->m_bytes,
+              profiles->Get("spout")->output_bytes[0], 1.0);
+  EXPECT_GT(profiles->Get("parser")->m_bytes,
+            profiles->Get("parser")->output_bytes[0]);
+}
+
+TEST(ProfileTopologyTest, ReportsConsecutiveWindows) {
+  auto app = apps::MakeApp(apps::AppId::kWordCount);
+  ASSERT_TRUE(app.ok());
+  ProfilerConfig cfg;
+  cfg.samples = 5000;
+  cfg.warmup_samples = 500;
+  std::vector<model::ProfileSet> windows;
+  auto profiles = ProfileTopology(app->topology(), cfg, &windows);
+  ASSERT_TRUE(profiles.ok()) << profiles.status();
+  ASSERT_FALSE(windows.empty());
+  bool splitter_seen = false;
+  for (const auto& w : windows) {
+    for (const auto& [name, p] : w.all()) {
+      EXPECT_GT(p.te_cycles, 0.0) << name;
+      splitter_seen |= name == "splitter";
+    }
+  }
+  EXPECT_TRUE(splitter_seen);
+}
+
+TEST(ProfileTopologyTest, RejectsBadConfig) {
+  auto app = apps::MakeApp(apps::AppId::kWordCount);
+  ASSERT_TRUE(app.ok());
+  ProfilerConfig cfg;
+  cfg.samples = 0;
+  EXPECT_EQ(ProfileTopology(app->topology(), cfg).status().code(),
+            StatusCode::kInvalidArgument);
+  cfg.samples = 100;
+  cfg.reference_ghz = 0.0;
+  EXPECT_EQ(ProfileTopology(app->topology(), cfg).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ProfileTopologyTest, StarvedOperatorFailsByName) {
+  // The filter drops everything, so the sink never sees a tuple: past
+  // the deadline the run fails and names it (and only it).
+  dsl::Pipeline p("starved");
+  p.Source("numbers",
+           [](const api::OperatorContext&) {
+             return [](size_t max_tuples, dsl::Collector& out) {
+               for (size_t i = 0; i < max_tuples; ++i) {
+                 out.Emit(Tuple{Field(static_cast<int64_t>(i))});
+               }
+               return max_tuples;
+             };
+           })
+      .Filter("drop_all", [](const Tuple&) { return false; })
+      .Sink("sink", [](const Tuple&) {});
+  auto topo = std::move(p).Build();
+  ASSERT_TRUE(topo.ok()) << topo.status();
+  ProfilerConfig cfg;
+  cfg.samples = 1000;
+  cfg.warmup_samples = 100;
+  auto profiles = ProfileTopology(*topo, cfg);
+  ASSERT_FALSE(profiles.ok());
+  EXPECT_EQ(profiles.status().code(), StatusCode::kDeadlineExceeded);
+  const std::string msg = profiles.status().ToString();
+  EXPECT_NE(msg.find("'sink'"), std::string::npos) << msg;
+  EXPECT_EQ(msg.find("drop_all"), std::string::npos) << msg;
 }
 
 TEST(BlendProfilesTest, ExponentiallySmoothsTeAndSelectivity) {

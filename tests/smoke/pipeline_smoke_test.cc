@@ -2,12 +2,12 @@
 // driven through the brisk::Job facade.
 //
 // Job::Of(word_count).Run(s) internally performs what this test used
-// to hand-wire: MakeApp -> ProfileApp -> RlasOptimizer::Optimize ->
+// to hand-wire: MakeApp -> ProfileTopology -> RlasOptimizer::Optimize ->
 // BriskRuntime Create/Start/Stop with NUMA emulation. The assertions
 // are the same: the optimizer produced a feasible plan with a positive
 // prediction, the engine ran every planned instance, and the sink
 // observed real traffic. This is the one test that touches every layer
-// (apps, profiler, model, optimizer, engine, hardware) and fails
+// (apps, profiling, model, optimizer, engine, hardware) and fails
 // loudly if any seam between them breaks.
 #include <gtest/gtest.h>
 
@@ -28,7 +28,7 @@ TEST(PipelineSmokeTest, WordCountProfilesOptimizesAndRuns) {
   // 2–4. Profile (reduced sample count: smoke, not calibration),
   // RLAS on a small symmetric machine so the optimized plan stays
   // runnable on a CI-sized host, deploy under NUMA emulation.
-  profiler::ProfilerConfig pcfg;
+  engine::ProfilerConfig pcfg;
   pcfg.samples = 2000;
   pcfg.warmup_samples = 200;
   engine::EngineConfig ecfg = engine::EngineConfig::Brisk();
@@ -44,7 +44,7 @@ TEST(PipelineSmokeTest, WordCountProfilesOptimizesAndRuns) {
                     .Run(0.4);
   ASSERT_TRUE(report.ok()) << report.status();
 
-  // The profiler stage ran and the optimizer scaled the plan.
+  // The profiling run happened and the optimizer scaled the plan.
   EXPECT_TRUE(report->profiled);
   EXPECT_GT(report->model.throughput, 0.0);
   EXPECT_GE(report->scaling_iterations, 1);
