@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "engine/executor.h"
 #include "optimizer/baselines.h"
 
 namespace brisk {
@@ -203,10 +204,16 @@ StatusOr<std::unique_ptr<Job::Deployment>> Job::Deploy() {
   // 2. Replication + placement with the selected planner. RLAS runs
   // its joint scaling+placement search; every baseline shares one
   // shape: base-parallelism plan -> placement heuristic -> evaluate.
-  const model::PerfModel perf_model(&machine_, &report.profiles);
-  const double rate = options_.placement.input_rate_tps;
+  // Both plan for the workers the pool will run per socket, not for
+  // the machine's cores.
+  opt::RlasOptions options = options_;
+  options.workers_per_socket = engine::WorkersPerSocketFor(
+      config_, &machine_, machine_.num_sockets());
+  const model::PerfModel perf_model(&machine_, &report.profiles,
+                                    options.workers_per_socket);
+  const double rate = options.placement.input_rate_tps;
   if (planner_ == Planner::kRlas) {
-    const opt::RlasOptimizer optimizer(&machine_, &report.profiles, options_);
+    const opt::RlasOptimizer optimizer(&machine_, &report.profiles, options);
     BRISK_ASSIGN_OR_RETURN(opt::RlasResult result, optimizer.Optimize(*topo_));
     report.plan = std::move(result.plan);
     report.model = std::move(result.model);

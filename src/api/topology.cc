@@ -276,7 +276,22 @@ StatusOr<Topology> TopologyBuilder::Build() && {
     topo.out_edges_[e.producer_op].push_back(e);
   }
 
+  // Chain heads, producers first so a chain inherits its head.
+  topo.chain_head_.resize(n);
+  for (const int op : topo.topo_order_) {
+    const auto& in = topo.in_edges_[op];
+    topo.chain_head_[op] = in.size() == 1 && topo.IsChainEdge(in[0])
+                               ? topo.chain_head_[in[0].producer_op]
+                               : op;
+  }
+
   return topo;
+}
+
+bool Topology::IsChainEdge(const StreamEdge& e) const {
+  return e.grouping == GroupingType::kShuffle && e.stream_id == 0 &&
+         out_edges_[e.producer_op].size() == 1 &&
+         in_edges_[e.consumer_op].size() == 1;
 }
 
 }  // namespace brisk::api

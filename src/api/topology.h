@@ -118,6 +118,16 @@ class Topology {
   /// validated acyclic at Build time so this always succeeds.
   const std::vector<int>& topological_order() const { return topo_order_; }
 
+  /// True when `e` links a replica chain: a shuffle edge that is its
+  /// producer's only out-edge, on the default stream, and its
+  /// consumer's only in-edge. Fusing such a pair preserves semantics,
+  /// and a plan may wire its replicas one-to-one.
+  bool IsChainEdge(const StreamEdge& e) const;
+
+  /// First operator of the chain `op` belongs to (following chain
+  /// edges upstream); `op` itself when no chain edge enters it.
+  int ChainHead(int op) const { return chain_head_[op]; }
+
   std::string ToString() const;
 
  private:
@@ -130,6 +140,7 @@ class Topology {
   std::vector<int> spouts_;
   std::vector<int> sinks_;
   std::vector<int> topo_order_;
+  std::vector<int> chain_head_;
   std::map<std::string, int> by_name_;
 };
 

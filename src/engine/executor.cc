@@ -141,7 +141,10 @@ class WorkerPoolExecutor final : public Executor {
     const int per_socket = WorkersPerSocketFor(
         config_, machine_, worker_groups_);
     // One Worker object per (socket, index); tasks round-robin within
-    // their socket's group. Never spawn workers with nothing to do.
+    // their socket's group. While a socket has at least as many
+    // one-to-one replica chains as workers, a chain is dealt as one:
+    // its hand-offs then stay on one worker's cache until a steal
+    // moves a task. Never spawn workers with nothing to do.
     // Deques are sized for the worst case (every task stolen into one
     // queue), so PushBack cannot fail mid-run.
     socket_to_group_.assign(static_cast<size_t>(max_socket) + 1, -1);
@@ -160,9 +163,16 @@ class WorkerPoolExecutor final : public Executor {
         workers_.back()->deque =
             std::make_unique<StealDeque>(total_tasks);
       }
+      std::map<int, size_t> chain_slot;  // chain head -> round-robin slot
+      for (Task* t : socket_tasks) {
+        chain_slot.emplace(t->chain_head(), chain_slot.size());
+      }
+      const bool by_chain = chain_slot.size() >= static_cast<size_t>(n);
       for (size_t i = 0; i < socket_tasks.size(); ++i) {
+        const size_t slot =
+            by_chain ? chain_slot[socket_tasks[i]->chain_head()] : i;
         BRISK_CHECK(
-            workers_[first + i % n]->deque->PushBack(socket_tasks[i]));
+            workers_[first + slot % n]->deque->PushBack(socket_tasks[i]));
       }
     }
     group_rotors_.reset(new std::atomic<uint32_t>[groups_.size()]());

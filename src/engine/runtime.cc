@@ -108,18 +108,25 @@ Status BriskRuntime::WireGraph(
         static_cast<int>(fi), spec);
   }
 
-  // Wire channels per topology edge.
+  // Wire channels per topology edge: a replica chain the plan aligns
+  // replica k -> replica k, every other edge all-to-all.
   for (const auto& e : topo_->edges()) {
+    const bool one_to_one = model::WiredOneToOne(plan, e);
     for (int pr = 0; pr < plan.replication(e.producer_op); ++pr) {
       const int pinst = plan.InstanceId(e.producer_op, pr);
       OutRoute route;
       route.stream_id = e.stream_id;
       route.grouping = e.grouping;
       route.key_field = e.key_field;
-      const int consumers = e.grouping == api::GroupingType::kGlobal
-                                ? 1
-                                : plan.replication(e.consumer_op);
-      for (int cr = 0; cr < consumers; ++cr) {
+      int first = 0;
+      int last = e.grouping == api::GroupingType::kGlobal
+                     ? 1
+                     : plan.replication(e.consumer_op);
+      if (one_to_one) {
+        first = pr;
+        last = pr + 1;
+      }
+      for (int cr = first; cr < last; ++cr) {
         const int cinst = plan.InstanceId(e.consumer_op, cr);
         channels_.push_back(
             std::make_unique<Channel>(pinst, cinst, config_.queue_capacity));
@@ -129,6 +136,16 @@ Status BriskRuntime::WireGraph(
         route.buffer_index.push_back(tasks_[pinst]->AddBuffer());
       }
       tasks_[pinst]->AddOutRoute(std::move(route));
+    }
+  }
+  // A one-to-one chain's tasks share their head, producers first.
+  for (const int op : topo_->topological_order()) {
+    for (const auto& e : topo_->InEdges(op)) {
+      if (!model::WiredOneToOne(plan, e)) continue;
+      for (int r = 0; r < plan.replication(op); ++r) {
+        tasks_[plan.InstanceId(op, r)]->SetChainHead(
+            tasks_[plan.InstanceId(e.producer_op, r)]->chain_head());
+      }
     }
   }
 

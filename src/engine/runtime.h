@@ -207,6 +207,9 @@ class BriskRuntime {
   HealthReport ProbeHealth();
 
   int num_tasks() const { return static_cast<int>(tasks_.size()); }
+  /// Channels the current plan is wired with (model::WiredOneToOne
+  /// chains get one per replica, every other edge one per pair).
+  int num_channels() const { return static_cast<int>(channels_.size()); }
 
  private:
   BriskRuntime() = default;

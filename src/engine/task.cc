@@ -179,9 +179,7 @@ void Task::AppendTuple(OutRoute& route, size_t i, Tuple&& t) {
 
 void Task::EmitTo(uint16_t stream_id, Tuple t) {
   ++stats_.tuples_out;
-  if (stream_id < stats_.stream_tuples_out.size()) {
-    ++stats_.stream_tuples_out[stream_id];
-  }
+  if (stream_id < stream_out_tally_.size()) ++stream_out_tally_[stream_id];
   LegacyPerTupleWork(t);
   t.stream_id = stream_id;
   // The last route on the stream receives the tuple by move; earlier
@@ -286,7 +284,16 @@ bool Task::MaybeWedgePush(Envelope& env, Channel* channel) {
   return false;
 }
 
+void Task::FoldStreamTally() {
+  for (size_t s = 0; s < stream_out_tally_.size(); ++s) {
+    if (stream_out_tally_[s] == 0) continue;
+    stats_.stream_tuples_out[s] += stream_out_tally_[s];
+    stream_out_tally_[s] = 0;
+  }
+}
+
 void Task::RecordFailure(const std::string& what) {
+  FoldStreamTally();  // the failed batch's emits did leave the task
   failure_message_ = "operator '" + op_name_ + "' replica " +
                      std::to_string(replica_) + ": " + what;
   BRISK_LOG(Warn) << "task " << instance_id_ << " failed: "
@@ -472,6 +479,7 @@ void Task::Consume(Envelope env, Channel* from) {
   }
   stats_.busy_ns += static_cast<uint64_t>(NowNs() - t0);
   stats_.tuples_in += n_in;
+  FoldStreamTally();
   ++stats_.batches_in;
   if (from != nullptr && !config_.serialize_tuples) {
     // Hand the drained shell back to the producer instead of freeing
@@ -526,6 +534,7 @@ PollResult Task::PollSpout(int budget) {
     }
     stats_.busy_ns += static_cast<uint64_t>(NowNs() - t0);
     stats_.tuples_in += produced;
+    FoldStreamTally();
     if (produced == 0) {
       if (!FlushAll(true)) return PollResult::kBlocked;
       // An external source with no input right now is idle, not done —
@@ -603,6 +612,7 @@ void Task::Drain(bool flush_operator) {
       } catch (...) {
         RecordFailure("unknown exception");
       }
+      FoldStreamTally();
     }
   }
   FlushAll(true);

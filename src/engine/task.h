@@ -66,9 +66,11 @@ struct TaskStats {
   /// runs, ns. Kept out of busy_ns so observed T_e stays the operator's.
   RelaxedCounter numa_stall_ns;
   /// Per declared output stream (index = stream id): tuples emitted,
-  /// counted next to tuples_out; and, once per batch flushed to a
-  /// consumer, its tuple count and its bytes as the first tuple's
-  /// SizeBytes() x that count (the size the NUMA emulator charges).
+  /// added when the batch that emitted them is added to tuples_in (so
+  /// a snapshot never sees a batch's outputs without its inputs); and,
+  /// once per batch flushed to a consumer, its tuple count and its
+  /// bytes as the first tuple's SizeBytes() x that count (the size the
+  /// NUMA emulator charges).
   /// Average tuple size is bytes / flushed: emitted tuples still staged
   /// at a snapshot would skew it on low-rate streams. Sized at wiring,
   /// before the task runs, so readers never see them resize.
@@ -117,6 +119,7 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   Task(int instance_id, int socket, EngineConfig config,
        const hw::NumaEmulator* numa)
       : instance_id_(instance_id),
+        chain_head_(instance_id),
         socket_(socket),
         config_(config),
         numa_(numa) {}
@@ -142,6 +145,10 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   void SetSpoutRate(double tuples_per_sec) {
     rate_per_instance_ = tuples_per_sec;
   }
+  /// First instance of the one-to-one wired replica chain this task
+  /// belongs to (its own id when none); the pool starts a chain's
+  /// tasks on one worker.
+  void SetChainHead(int instance_id) { chain_head_ = instance_id; }
 
   /// Records which logical replica this task wraps, for failure
   /// diagnostics and fault arming, and sizes the per-stream output
@@ -153,6 +160,7 @@ class Task : public api::OutputCollector, public api::PipelineSink {
     replica_ = replica;
     op_name_ = std::move(op_name);
     stats_.stream_tuples_out.resize(num_streams);
+    stream_out_tally_.assign(num_streams, 0);
     stats_.stream_tuples_flushed.resize(num_streams);
     stats_.stream_bytes_out.resize(num_streams);
   }
@@ -175,6 +183,7 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   }
 
   int instance_id() const { return instance_id_; }
+  int chain_head() const { return chain_head_; }
   int socket() const { return socket_; }
   bool is_spout() const { return spout_ != nullptr; }
   api::Operator* bolt() { return bolt_.get(); }
@@ -304,7 +313,12 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   /// then the failed_ release-store.
   void RecordFailure(const std::string& what);
 
+  /// Adds the emits tallied since the last call to
+  /// stats_.stream_tuples_out.
+  void FoldStreamTally();
+
   int instance_id_;
+  int chain_head_;
   int socket_;
   EngineConfig config_;
   const hw::NumaEmulator* numa_;
@@ -323,6 +337,8 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   const std::vector<int>* instance_sockets_ = nullptr;
   size_t in_cursor_ = 0;
   std::vector<OutRoute> routes_;
+  /// Per-stream emits of the batch in progress (FoldStreamTally).
+  std::vector<uint64_t> stream_out_tally_;
   /// routes_ index of the last route on each stream id (-1 = none):
   /// every earlier matching route copies the emitted tuple, the last
   /// one receives it by move.

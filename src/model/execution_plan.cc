@@ -89,4 +89,17 @@ std::string ExecutionPlan::ToString() const {
   return os.str();
 }
 
+bool WiredOneToOne(const ExecutionPlan& plan, const api::StreamEdge& edge) {
+  if (!plan.topology().IsChainEdge(edge)) return false;
+  const int repl = plan.replication(edge.producer_op);
+  if (plan.replication(edge.consumer_op) != repl) return false;
+  for (int r = 0; r < repl; ++r) {
+    if (plan.SocketOf(plan.InstanceId(edge.producer_op, r)) !=
+        plan.SocketOf(plan.InstanceId(edge.consumer_op, r))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace brisk::model

@@ -77,4 +77,11 @@ class ExecutionPlan {
   std::vector<PlanInstance> instances_;
 };
 
+/// True when `plan` wires `edge` replica k -> replica k: a chain edge
+/// (api::Topology::IsChainEdge) whose producer and consumer have equal
+/// replication and the same socket at every replica index. The engine
+/// wires such an edge one channel per replica; every other edge is
+/// wired all-to-all. The performance model delivers by the same rule.
+bool WiredOneToOne(const ExecutionPlan& plan, const api::StreamEdge& edge);
+
 }  // namespace brisk::model

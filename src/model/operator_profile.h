@@ -56,12 +56,18 @@ class ProfileSet {
     profiles_[op_name] = std::move(profile);
   }
 
-  StatusOr<OperatorProfile> Get(const std::string& op_name) const {
+  /// The profile of `op_name`, or nullptr; valid until the next Set.
+  const OperatorProfile* Find(const std::string& op_name) const {
     auto it = profiles_.find(op_name);
-    if (it == profiles_.end()) {
+    return it == profiles_.end() ? nullptr : &it->second;
+  }
+
+  StatusOr<OperatorProfile> Get(const std::string& op_name) const {
+    const OperatorProfile* p = Find(op_name);
+    if (p == nullptr) {
       return Status::NotFound("no profile for operator '" + op_name + "'");
     }
-    return it->second;
+    return *p;
   }
 
   bool Has(const std::string& op_name) const {

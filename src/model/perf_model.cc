@@ -46,24 +46,96 @@ std::string ConstraintViolation::ToString() const {
 StatusOr<ModelResult> PerfModel::Evaluate(const ExecutionPlan& plan,
                                           double input_rate_tps,
                                           const ModelOptions& options) const {
+  if (!budgeted()) return Propagate(plan, input_rate_tps, options);
+
+  // Processor sharing. Below saturation the model is linear in the
+  // ingress rate, so one pass at 1 tuple/s gives each socket's CPU per
+  // ingress tuple, of which its worker group serves W·1e9 ns/s, and
+  // each instance's share of the ingress, of which its one thread
+  // serves 1/T. Back-pressure paces the whole plan to the first of
+  // these to run out: the plan runs as if fed at that rate.
+  BRISK_ASSIGN_OR_RETURN(ModelResult result, Propagate(plan, 1.0, options));
+  const double cap = workers_per_socket_ * kNsPerSec;
+  double paced = input_rate_tps;
+  for (const SocketUsage& u : result.sockets) {
+    if (u.cpu_ns_per_sec > 0.0) paced = std::min(paced, cap / u.cpu_ns_per_sec);
+  }
+  for (const InstanceStats& st : result.instances) {
+    if (st.processed > 0.0) paced = std::min(paced, st.capacity / st.processed);
+  }
+  result.throughput *= paced;
+  for (InstanceStats& st : result.instances) {
+    st.input_rate *= paced;
+    st.processed *= paced;
+  }
+  for (SocketUsage& u : result.sockets) {
+    u.cpu_ns_per_sec *= paced;
+    u.bw_bytes_per_sec *= paced;
+  }
+  for (double& t : result.link_traffic) t *= paced;
+  result.violations.clear();
+  CheckConstraints(&result);
+  return result;
+}
+
+void PerfModel::CheckConstraints(ModelResult* result) const {
+  const int n_sockets = machine_->num_sockets();
+  const double cpu_limit = budgeted() ? workers_per_socket_ * kNsPerSec
+                                      : machine_->cpu_ns_per_sec();
+  for (int s = 0; s < n_sockets; ++s) {
+    const SocketUsage& u = result->sockets[s];
+    if (u.cpu_ns_per_sec > cpu_limit * (1 + 1e-9)) {
+      result->violations.push_back({ConstraintViolation::kCpu, s, -1,
+                                    u.cpu_ns_per_sec, cpu_limit});
+    }
+    if (u.bw_bytes_per_sec > machine_->local_bandwidth_bps() * (1 + 1e-9)) {
+      result->violations.push_back({ConstraintViolation::kLocalBandwidth, s,
+                                    -1, u.bw_bytes_per_sec,
+                                    machine_->local_bandwidth_bps()});
+    }
+    // Under a worker budget instances share workers, not cores.
+    if (!budgeted() && u.instances > machine_->cores_per_socket()) {
+      result->violations.push_back(
+          {ConstraintViolation::kCoreCount, s, -1,
+           static_cast<double>(u.instances),
+           static_cast<double>(machine_->cores_per_socket())});
+    }
+    for (int t = 0; t < n_sockets; ++t) {
+      if (s == t) continue;
+      const double traffic =
+          result->link_traffic[static_cast<size_t>(s) * n_sockets + t];
+      if (traffic > machine_->ChannelBandwidthBps(s, t) * (1 + 1e-9)) {
+        result->violations.push_back({ConstraintViolation::kChannelBandwidth,
+                                      s, t, traffic,
+                                      machine_->ChannelBandwidthBps(s, t)});
+      }
+    }
+  }
+}
+
+StatusOr<ModelResult> PerfModel::Propagate(const ExecutionPlan& plan,
+                                           double input_rate_tps,
+                                           const ModelOptions& options) const {
   const api::Topology& topo = plan.topology();
   const int n_sockets = machine_->num_sockets();
   const int n_inst = plan.num_instances();
+  const bool budgeted = this->budgeted();
 
   if (input_rate_tps < 0) {
     return Status::InvalidArgument("negative input rate");
   }
 
   // Resolve profiles and validate placement once up front.
-  std::vector<OperatorProfile> prof(topo.num_operators());
+  std::vector<const OperatorProfile*> prof(topo.num_operators());
   for (const auto& op : topo.ops()) {
-    BRISK_ASSIGN_OR_RETURN(prof[op.id], profiles_->Get(op.name));
+    prof[op.id] = profiles_->Find(op.name);
+    if (prof[op.id] == nullptr) return profiles_->Get(op.name).status();
     const size_t n_streams = op.output_streams.size();
-    if (prof[op.id].selectivity.size() < n_streams ||
-        prof[op.id].output_bytes.size() < n_streams) {
+    if (prof[op.id]->selectivity.size() < n_streams ||
+        prof[op.id]->output_bytes.size() < n_streams) {
       return Status::InvalidArgument(
           "profile for '" + op.name + "' covers fewer streams (" +
-          std::to_string(prof[op.id].selectivity.size()) +
+          std::to_string(prof[op.id]->selectivity.size()) +
           ") than declared (" + std::to_string(n_streams) + ")");
     }
   }
@@ -110,20 +182,39 @@ StatusOr<ModelResult> PerfModel::Evaluate(const ExecutionPlan& plan,
   result.sockets.assign(std::max(n_sockets, 1), SocketUsage{});
   result.link_traffic.assign(static_cast<size_t>(n_sockets) * n_sockets, 0.0);
 
-  // Per-instance, per-stream expected output rates.
-  std::vector<std::vector<double>> out_rate(n_inst);
+  // Per-instance, per-stream expected output rates, instance-major.
+  std::vector<size_t> out_base(n_inst + 1, 0);
   for (int i = 0; i < n_inst; ++i) {
-    out_rate[i].assign(topo.op(plan.instance(i).op).output_streams.size(),
-                       0.0);
+    out_base[i + 1] =
+        out_base[i] + topo.op(plan.instance(i).op).output_streams.size();
   }
-  // Arrival buckets per consumer instance.
-  std::vector<std::vector<Arrival>> arrivals(n_inst);
+  std::vector<double> out_rate(out_base[n_inst], 0.0);
+  // Arrival buckets per consumer instance, in one array: instance i
+  // fills [arrival_end[i] from arrival_begin[i]), sized for every
+  // producer replica that can deliver to it.
+  std::vector<size_t> arrival_begin(n_inst + 1, 0);
+  for (const auto& e : topo.edges()) {
+    const bool one_to_one = budgeted && WiredOneToOne(plan, e);
+    for (int c = 0; c < plan.replication(e.consumer_op); ++c) {
+      size_t senders = static_cast<size_t>(plan.replication(e.producer_op));
+      if (one_to_one) {
+        senders = 1;
+      } else if (e.grouping == api::GroupingType::kGlobal && c != 0) {
+        senders = 0;
+      }
+      arrival_begin[plan.InstanceId(e.consumer_op, c) + 1] += senders;
+    }
+  }
+  for (int i = 0; i < n_inst; ++i) arrival_begin[i + 1] += arrival_begin[i];
+  std::vector<size_t> arrival_end(arrival_begin.begin(),
+                                  arrival_begin.end() - 1);
+  std::vector<Arrival> arrivals(arrival_begin[n_inst]);
 
   // Propagate in topological operator order (producers before consumers
   // — the DAG is validated acyclic at Build()).
   for (const int op_id : topo.topological_order()) {
     const auto& op = topo.op(op_id);
-    const OperatorProfile& p = prof[op_id];
+    const OperatorProfile& p = *prof[op_id];
     const double te_ns = machine_->CyclesToNs(p.te_cycles);
     const int repl = plan.replication(op_id);
 
@@ -138,9 +229,9 @@ StatusOr<ModelResult> PerfModel::Evaluate(const ExecutionPlan& plan,
         // of the source operator is I).
         ri = input_rate_tps / repl;
       } else {
-        for (const Arrival& a : arrivals[inst]) {
-          ri += a.rate;
-          fetch_weighted += a.rate * a.fetch_ns;
+        for (size_t k = arrival_begin[inst]; k < arrival_end[inst]; ++k) {
+          ri += arrivals[k].rate;
+          fetch_weighted += arrivals[k].rate * arrivals[k].fetch_ns;
         }
       }
 
@@ -157,8 +248,8 @@ StatusOr<ModelResult> PerfModel::Evaluate(const ExecutionPlan& plan,
       st.bottleneck = ri > capacity * (1.0 + options.bottleneck_epsilon);
 
       // Expected output per stream (selectivity, Appendix B).
-      for (size_t s = 0; s < out_rate[inst].size(); ++s) {
-        out_rate[inst][s] = processed * p.selectivity[s];
+      for (size_t s = 0; s < out_base[inst + 1] - out_base[inst]; ++s) {
+        out_rate[out_base[inst] + s] = processed * p.selectivity[s];
       }
 
       // Attribute processed tuples back to producers (Case 1's
@@ -166,7 +257,8 @@ StatusOr<ModelResult> PerfModel::Evaluate(const ExecutionPlan& plan,
       const int to_socket = plan.instance(inst).socket;
       if (ri > 0) {
         const double scale = processed / ri;
-        for (const Arrival& a : arrivals[inst]) {
+        for (size_t k = arrival_begin[inst]; k < arrival_end[inst]; ++k) {
+          const Arrival& a = arrivals[k];
           if (a.from_socket >= 0 && to_socket >= 0 &&
               a.from_socket != to_socket) {
             result.link_traffic[static_cast<size_t>(a.from_socket) *
@@ -181,9 +273,10 @@ StatusOr<ModelResult> PerfModel::Evaluate(const ExecutionPlan& plan,
     for (const auto& edge : topo.OutEdges(op_id)) {
       const int consumer_repl = plan.replication(edge.consumer_op);
       const double out_bytes = p.output_bytes[edge.stream_id];
+      const bool one_to_one = budgeted && WiredOneToOne(plan, edge);
       for (int r = 0; r < repl; ++r) {
         const int pinst = plan.InstanceId(op_id, r);
-        const double rate = out_rate[pinst][edge.stream_id];
+        const double rate = out_rate[out_base[pinst] + edge.stream_id];
         if (rate <= 0.0) continue;
         const int from_socket = plan.instance(pinst).socket;
 
@@ -191,13 +284,18 @@ StatusOr<ModelResult> PerfModel::Evaluate(const ExecutionPlan& plan,
           const int cinst =
               plan.InstanceId(edge.consumer_op, consumer_replica);
           const int to_socket = plan.instance(cinst).socket;
-          arrivals[cinst].push_back(
-              {delivered_rate, fetch_cost_ns(from_socket, to_socket, out_bytes),
-               out_bytes, from_socket});
+          arrivals[arrival_end[cinst]++] = {
+              delivered_rate, fetch_cost_ns(from_socket, to_socket, out_bytes),
+              out_bytes, from_socket};
         };
 
         switch (edge.grouping) {
           case api::GroupingType::kShuffle:
+            if (one_to_one) {
+              deliver(r, rate);
+              break;
+            }
+            [[fallthrough]];
           case api::GroupingType::kFields:
             // Uniform split across replicas (keys assumed balanced; the
             // engine's hash grouping approximates this).
@@ -229,40 +327,12 @@ StatusOr<ModelResult> PerfModel::Evaluate(const ExecutionPlan& plan,
     const int s = plan.instance(i).socket;
     if (s < 0) continue;
     const InstanceStats& st = result.instances[i];
-    const OperatorProfile& p = prof[plan.instance(i).op];
+    const OperatorProfile& p = *prof[plan.instance(i).op];
     result.sockets[s].cpu_ns_per_sec += st.processed * st.t_ns;
     result.sockets[s].bw_bytes_per_sec += st.processed * p.m_bytes;
     result.sockets[s].instances += 1;
   }
-  for (int s = 0; s < n_sockets; ++s) {
-    const SocketUsage& u = result.sockets[s];
-    if (u.cpu_ns_per_sec > machine_->cpu_ns_per_sec() * (1 + 1e-9)) {
-      result.violations.push_back({ConstraintViolation::kCpu, s, -1,
-                                   u.cpu_ns_per_sec,
-                                   machine_->cpu_ns_per_sec()});
-    }
-    if (u.bw_bytes_per_sec > machine_->local_bandwidth_bps() * (1 + 1e-9)) {
-      result.violations.push_back({ConstraintViolation::kLocalBandwidth, s,
-                                   -1, u.bw_bytes_per_sec,
-                                   machine_->local_bandwidth_bps()});
-    }
-    if (u.instances > machine_->cores_per_socket()) {
-      result.violations.push_back(
-          {ConstraintViolation::kCoreCount, s, -1,
-           static_cast<double>(u.instances),
-           static_cast<double>(machine_->cores_per_socket())});
-    }
-    for (int t = 0; t < n_sockets; ++t) {
-      if (s == t) continue;
-      const double traffic =
-          result.link_traffic[static_cast<size_t>(s) * n_sockets + t];
-      if (traffic > machine_->ChannelBandwidthBps(s, t) * (1 + 1e-9)) {
-        result.violations.push_back({ConstraintViolation::kChannelBandwidth,
-                                     s, t, traffic,
-                                     machine_->ChannelBandwidthBps(s, t)});
-      }
-    }
-  }
+  CheckConstraints(&result);
 
   // Critical path: longest chain of per-operator worst-instance T(p),
   // spouts to sinks, in topological order.

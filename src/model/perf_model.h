@@ -7,6 +7,19 @@
 // application throughput R = Σ_sink r̄_o, per-instance rates and
 // bottleneck flags, per-socket resource usage, the inter-socket traffic
 // matrix, and any violated constraints (Eq. 3–5 plus core occupancy).
+//
+// Worker budget. The paper's model gives every instance its own core.
+// An engine that runs fewer workers per socket than the machine has
+// cores is modelled by processor sharing: a socket's instances share
+// its W workers, so a socket whose CPU demand Σ r̄_o·T would exceed
+// W·1e9 ns/s paces the whole plan (back-pressure), as does an
+// instance whose one thread cannot keep up; the result describes the
+// plan fed at the rate the first of these can serve. Instances share
+// workers instead of owning cores, so core occupancy is no constraint.
+// Under a budget, chain edges the plan wires one-to-one
+// (WiredOneToOne) are delivered replica k -> replica k, as the engine
+// wires them. With W >= cores per socket (the default) every result
+// is the paper's model unchanged.
 #pragma once
 
 #include <string>
@@ -96,8 +109,14 @@ struct ModelResult {
 /// The evaluator. Stateless; all inputs are explicit.
 class PerfModel {
  public:
-  PerfModel(const hw::MachineSpec* machine, const ProfileSet* profiles)
-      : machine_(machine), profiles_(profiles) {}
+  /// `workers_per_socket` is the engine's worker budget per socket;
+  /// <= 0 means one core per instance (dedicated cores, the paper's
+  /// setting).
+  PerfModel(const hw::MachineSpec* machine, const ProfileSet* profiles,
+            int workers_per_socket = 0)
+      : machine_(machine),
+        profiles_(profiles),
+        workers_per_socket_(workers_per_socket) {}
 
   /// Evaluates `plan` under external ingress rate `input_rate_tps`.
   /// Fails if a profile is missing or (without allow_unplaced) an
@@ -117,9 +136,31 @@ class PerfModel {
   const hw::MachineSpec& machine() const { return *machine_; }
   const ProfileSet& profiles() const { return *profiles_; }
 
+  /// True when the worker budget is below the machine's cores per
+  /// socket, so instances share workers.
+  bool budgeted() const {
+    return workers_per_socket_ > 0 &&
+           workers_per_socket_ < machine_->cores_per_socket();
+  }
+  /// Workers per socket the model charges against (cores when
+  /// unbudgeted).
+  int workers_per_socket() const {
+    return budgeted() ? workers_per_socket_ : machine_->cores_per_socket();
+  }
+
  private:
+  /// Formulas 1–3 at one ingress rate.
+  StatusOr<ModelResult> Propagate(const ExecutionPlan& plan,
+                                  double input_rate_tps,
+                                  const ModelOptions& options) const;
+
+  /// Eq. 3–5 and core occupancy on `result`'s usage (Eq. 3 against the
+  /// budget's workers).
+  void CheckConstraints(ModelResult* result) const;
+
   const hw::MachineSpec* machine_;
   const ProfileSet* profiles_;
+  int workers_per_socket_;
 };
 
 }  // namespace brisk::model

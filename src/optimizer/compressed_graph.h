@@ -13,11 +13,12 @@
 
 namespace brisk::opt {
 
-/// A placement unit: one or more replicas of the same operator that the
+/// A placement unit: one or more replicas of the same operator (or,
+/// with tied chains, of every member of one replica chain) that the
 /// B&B schedules as a block.
 struct Unit {
   int id = -1;
-  int op = -1;
+  int op = -1;  ///< the operator, or the head of a tied chain
   std::vector<int> instance_ids;  ///< global instance ids in the plan
 
   int size() const { return static_cast<int>(instance_ids.size()); }
@@ -37,14 +38,28 @@ class CompressedGraph {
   /// Groups each operator's replicas into ceil(replication/ratio) units
   /// and materializes the unit-level collocation decision list in
   /// topological producer order.
-  static CompressedGraph Build(const model::ExecutionPlan& plan, int ratio);
+  ///
+  /// With `tie_chains`, the members of a replica chain (chain edges,
+  /// api::Topology::IsChainEdge, between operators of equal
+  /// replication) form one vertex: a unit holds the same replica
+  /// indices of every member, so the plan wires the chain one-to-one.
+  /// Its units are striped (unit j holds replicas j, j+U, ...), and a
+  /// chain keeps at least min(replication, sockets) units so the
+  /// search can spread it over the machine.
+  static CompressedGraph Build(const model::ExecutionPlan& plan, int ratio,
+                               bool tie_chains = false, int sockets = 1);
+
+  /// Units Build(plan, 1, tie_chains) makes: one per replica of every
+  /// operator, or of every tied chain.
+  static int ExactUnitCount(const model::ExecutionPlan& plan,
+                            bool tie_chains);
 
   const std::vector<Unit>& units() const { return units_; }
   const std::vector<Decision>& decisions() const { return decisions_; }
 
   int num_units() const { return static_cast<int>(units_.size()); }
 
-  /// Unit ids belonging to operator `op`.
+  /// Unit ids holding replicas of operator `op`.
   const std::vector<int>& UnitsOf(int op) const { return units_of_op_[op]; }
 
   /// Operator ids that feed `op` (unique, from the topology).

@@ -166,14 +166,9 @@ void CarryDeclMetadata(api::TopologyBuilder::BoltDeclarer decl,
 std::vector<FusionCandidate> FindFusionCandidates(const api::Topology& topo) {
   std::vector<FusionCandidate> out;
   for (const auto& op : topo.ops()) {
-    const auto out_edges = topo.OutEdges(op.id);
-    if (out_edges.size() != 1) continue;
-    const auto& e = out_edges[0];
-    if (e.stream_id != 0) continue;  // producer must use its default stream
-    if (e.grouping != api::GroupingType::kShuffle) continue;
-    if (topo.InEdges(e.consumer_op).size() != 1) continue;
-    if (topo.op(e.consumer_op).is_spout) continue;  // impossible, defensive
-    out.push_back({op.id, e.consumer_op});
+    const auto& out_edges = topo.OutEdges(op.id);
+    if (out_edges.size() != 1 || !topo.IsChainEdge(out_edges[0])) continue;
+    out.push_back({op.id, out_edges[0].consumer_op});
   }
   return out;
 }

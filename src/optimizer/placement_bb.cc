@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -25,9 +26,14 @@ class Solver {
       : model_(model),
         plan_(std::move(plan)),
         opts_(opts),
-        graph_(CompressedGraph::Build(plan_, ratio)),
+        graph_(CompressedGraph::Build(plan_, ratio, model.budgeted(),
+                                      model.machine().num_sockets())),
         n_sockets_(model.machine().num_sockets()),
-        cores_per_socket_(model.machine().cores_per_socket()) {}
+        // Under a worker budget instances share workers, so a socket
+        // hosts any number of them.
+        socket_capacity_(model.budgeted()
+                             ? std::numeric_limits<int>::max() / 2
+                             : model.machine().cores_per_socket()) {}
 
   StatusOr<PlacementResult> Run();
 
@@ -63,7 +69,7 @@ class Solver {
     for (int u = 0; u < graph_.num_units(); ++u) {
       if (node.unit_socket[u] == socket) used += graph_.units()[u].size();
     }
-    return cores_per_socket_ - used;
+    return socket_capacity_ - used;
   }
 
   bool CanPlace(const Node& node, int unit, int socket) const {
@@ -120,11 +126,15 @@ class Solver {
   /// Best-fit placement of `unit` (all predecessors placed): the socket
   /// maximizing the unit's own processed rate; ties break to the
   /// fullest socket, and only one child is generated (§4 heuristic 2).
+  /// Under a worker budget a unit's own rate ignores the workers it
+  /// takes from its socket-mates, so the socket maximizing the plan's
+  /// budget-scaled throughput wins instead, ties to the emptiest.
   StatusOr<int> BestFitSocket(const Node& node, int unit) {
     const auto& candidates = CandidateSockets(node, unit);
     if (candidates.empty()) {
       return Status::ResourceExhausted("no socket can host unit");
     }
+    const bool budgeted = model_.budgeted();
     int best = -1;
     double best_rate = -1.0;
     int best_free = 0;
@@ -138,13 +148,19 @@ class Solver {
       auto r = model_.Evaluate(plan_, opts_.input_rate_tps, mo);
       BRISK_CHECK(r.ok()) << r.status().ToString();
       double rate = 0.0;
-      for (const int inst : graph_.units()[unit].instance_ids) {
-        rate += r->instances[inst].processed;
+      if (budgeted) {
+        rate = r->throughput;
+      } else {
+        for (const int inst : graph_.units()[unit].instance_ids) {
+          rate += r->instances[inst].processed;
+        }
       }
       const int free_after =
           FreeCores(node, s) - graph_.units()[unit].size();
+      const bool wins_tie = budgeted ? free_after > best_free
+                                     : free_after < best_free;
       if (rate > best_rate + 1e-9 ||
-          (rate > best_rate - 1e-9 && best >= 0 && free_after < best_free)) {
+          (rate > best_rate - 1e-9 && best >= 0 && wins_tie)) {
         best = s;
         best_rate = rate;
         best_free = free_after;
@@ -158,7 +174,7 @@ class Solver {
   const PlacementOptions& opts_;
   CompressedGraph graph_;
   const int n_sockets_;
-  const int cores_per_socket_;
+  const int socket_capacity_;  // instances a socket can host
 };
 
 StatusOr<PlacementResult> Solver::Run() {
@@ -170,12 +186,14 @@ StatusOr<PlacementResult> Solver::Run() {
   const int n_units = graph_.num_units();
   {
     // Structural feasibility: total replicas must fit in total cores.
-    int total = 0;
+    int64_t total = 0;
     for (const auto& u : graph_.units()) total += u.size();
-    if (total > n_sockets_ * cores_per_socket_) {
+    const int64_t cores =
+        static_cast<int64_t>(n_sockets_) * socket_capacity_;
+    if (total > cores) {
       return Status::ResourceExhausted(
           "plan needs " + std::to_string(total) + " cores; machine has " +
-          std::to_string(n_sockets_ * cores_per_socket_));
+          std::to_string(cores));
     }
   }
 
@@ -262,8 +280,13 @@ StatusOr<PlacementResult> Solver::Run() {
     // When both endpoints are unplaced the producer goes first (its
     // rate does not depend on the consumer), and the decision is
     // revisited on the next expansion for the consumer.
+    // Under a worker budget, units go in topological order instead, so
+    // every unit past the sources finds its producers placed and is
+    // placed best-fit: balancing the workers is a question about the
+    // whole plan, which best-fit answers from the budget-scaled bound.
     int branch_unit = -1;
     for (const auto& d : graph_.decisions()) {
+      if (model_.budgeted()) break;
       const bool p_placed = node.unit_socket[d.producer_unit] >= 0;
       const bool c_placed = node.unit_socket[d.consumer_unit] >= 0;
       if (p_placed && c_placed) continue;
@@ -325,14 +348,14 @@ StatusOr<PlacementResult> Solver::Run() {
 }
 
 /// True when the uncompressed search tree fits `max_nodes`: one level
-/// per instance, each node branching to at most `sockets` children, so
-/// at most Σ_{k=0..n} S^k nodes. Stops summing once past the budget.
-bool UncompressedSearchFits(int sockets, int instances, uint64_t max_nodes) {
+/// per unit, each node branching to at most `sockets` children, so at
+/// most Σ_{k=0..n} S^k nodes. Stops summing once past the budget.
+bool UncompressedSearchFits(int sockets, int units, uint64_t max_nodes) {
   if (max_nodes < 1) return false;
   const auto s = static_cast<uint64_t>(std::max(sockets, 1));
   uint64_t level = 1;
   uint64_t total = 1;
-  for (int k = 0; k < instances; ++k) {
+  for (int k = 0; k < units; ++k) {
     if (level > (max_nodes - total) / s) return false;
     level *= s;
     total += level;
@@ -351,8 +374,10 @@ StatusOr<PlacementResult> OptimizePlacement(const PerfModel& model,
   // Compression trades optimality for search time; when the exact
   // search already fits the node budget it buys nothing.
   const int ratio =
-      UncompressedSearchFits(model.machine().num_sockets(),
-                             plan.num_instances(), options.max_nodes)
+      UncompressedSearchFits(
+          model.machine().num_sockets(),
+          CompressedGraph::ExactUnitCount(plan, model.budgeted()),
+          options.max_nodes)
           ? 1
           : options.compress_ratio;
   Solver solver(model, std::move(plan), options, ratio);

@@ -15,7 +15,8 @@ struct RlasOptions {
   PlacementOptions placement;
 
   /// Ceiling on Σ replication (defaults to the machine's core count —
-  /// one instance per isolated core, §6.1).
+  /// one instance per isolated core, §6.1; unbounded under a worker
+  /// budget, see workers_per_socket).
   int max_total_replicas = -1;
 
   /// Safety cap on scaling iterations.
@@ -24,6 +25,17 @@ struct RlasOptions {
   /// Optional starting replication (empty = all ones). Appendix D's
   /// "start from a reasonably large DAG" accelerator.
   std::vector<int> initial_replication;
+
+  /// Workers the engine runs per socket (model::PerfModel's budget);
+  /// <= 0 plans for one core per instance, the paper's setting.
+  /// Job::Deploy sets it to the worker pool's size. Below the cores
+  /// per socket, instances share workers instead of owning cores, and
+  /// the search plans each replica chain as one vertex (one
+  /// replication, and one socket per replica index, so the engine
+  /// wires it one-to-one). Scaling then grows the chains of the
+  /// busiest socket, up to one replica per worker each, and stops once
+  /// a step no longer raises the budget-scaled throughput.
+  int workers_per_socket = 0;
 };
 
 /// Output of Optimize(): the best plan found plus search statistics.
@@ -43,13 +55,14 @@ class RlasOptimizer {
                 const model::ProfileSet* profiles, RlasOptions options = {})
       : machine_(machine),
         profiles_(profiles),
-        model_(machine, profiles),
+        model_(machine, profiles, options.workers_per_socket),
         options_(std::move(options)) {}
 
   /// Algorithm 1: iteratively optimize placement, then raise the
   /// replication of the bottleneck operator (reverse-topological scan)
   /// until placement fails, no bottleneck remains, or the replica
-  /// ceiling is hit. Returns the best valid plan encountered.
+  /// ceiling is hit (under a worker budget, also once a step stops
+  /// paying). Returns the best valid plan encountered.
   StatusOr<RlasResult> Optimize(const api::Topology& topo) const;
 
   /// Algorithm 2 only: placement under fixed replication.
@@ -62,6 +75,17 @@ class RlasOptimizer {
   const RlasOptions& options() const { return options_; }
 
  private:
+  /// Algorithm 1 under a worker budget (RlasOptions::workers_per_socket).
+  StatusOr<RlasResult> OptimizeUnderBudget(const api::Topology& topo,
+                                           std::vector<int> replication,
+                                           int max_replicas) const;
+
+  /// Chain heads in the order Algorithm 1 tries to grow them under a
+  /// budget: most CPU per ingress tuple on `plan`'s busiest socket
+  /// first, then most CPU overall.
+  StatusOr<std::vector<int>> GrowthCandidates(
+      const model::ExecutionPlan& plan) const;
+
   const hw::MachineSpec* machine_;
   const model::ProfileSet* profiles_;
   model::PerfModel model_;

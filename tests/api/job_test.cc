@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "api/dsl.h"
+#include "apps/apps.h"
 #include "apps/common_ops.h"  // apps::NowNs for origin timestamps
+#include "optimizer/rlas.h"
 
 namespace brisk {
 namespace {
@@ -103,6 +105,66 @@ TEST(JobTest, DeployGivesARunningHandleAndStopIsIdempotent) {
   EXPECT_GT(report.sink_tuples, 0u);
   const uint64_t first_count = report.sink_tuples;
   EXPECT_EQ((*deployment)->Stop().sink_tuples, first_count);
+}
+
+// Job::Deploy plans for the workers the pool runs per socket: with
+// fewer workers than cores the plan is the budgeted RLAS plan, whose
+// replica chains the engine wires one-to-one; with a worker per core
+// it is the paper's plan, unchanged.
+TEST(JobTest, PlansForThePoolsWorkers) {
+  const hw::MachineSpec small =
+      hw::MachineSpec::Symmetric(2, 4, 2.0, 100, 300, 40, 12);
+  for (const int workers : {2, 4}) {
+    auto app = apps::MakeApp(apps::AppId::kWordCount);
+    ASSERT_TRUE(app.ok());
+    engine::EngineConfig config = BoundedConfig();
+    config.workers_per_socket = workers;
+    auto deployment = Job::Of(app->topology_ptr)
+                          .WithMachine(small)
+                          .WithConfig(config)
+                          .WithProfiles(app->profiles)
+                          .WithTelemetry(app->telemetry)
+                          .Deploy();
+    ASSERT_TRUE(deployment.ok()) << deployment.status();
+    const JobReport& report = (*deployment)->report();
+
+    opt::RlasOptions options;
+    options.workers_per_socket = workers;
+    auto expected = opt::RlasOptimizer(&small, &app->profiles, options)
+                        .Optimize(app->topology());
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    EXPECT_EQ(report.plan.ToString(), expected->plan.ToString()) << workers;
+    EXPECT_EQ(report.model.throughput, expected->model.throughput);
+
+    int one_to_one = 0;
+    int all_to_all = 0;
+    for (const auto& e : app->topology().edges()) {
+      const int producers = report.plan.replication(e.producer_op);
+      if (model::WiredOneToOne(report.plan, e)) {
+        one_to_one += producers;
+      } else {
+        all_to_all += producers * report.plan.replication(e.consumer_op);
+      }
+    }
+    EXPECT_EQ((*deployment)->runtime().num_channels(),
+              one_to_one + all_to_all);
+    if (workers == 2) {
+      EXPECT_GT(one_to_one, 0);
+      for (const auto& e : app->topology().edges()) {
+        if (!app->topology().IsChainEdge(e)) continue;
+        EXPECT_TRUE(model::WiredOneToOne(report.plan, e))
+            << report.plan.ToString();
+      }
+    } else {
+      // A worker per core: the dedicated-core plan RLAS always made.
+      auto paper = opt::RlasOptimizer(&small, &app->profiles)
+                       .Optimize(app->topology());
+      ASSERT_TRUE(paper.ok());
+      EXPECT_EQ(report.plan.ToString(), paper->plan.ToString());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_GT((*deployment)->Stop().sink_tuples, 0u) << workers;
+  }
 }
 
 TEST(JobTest, PipelineLoweringErrorSurfacesFromRun) {

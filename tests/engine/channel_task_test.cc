@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/serde.h"
 #include "engine/channel.h"
@@ -300,6 +303,67 @@ TEST_F(RoutingFixture, EmitOnStreamWithoutRoutesIsDropped) {
   task_->EmitTo(0, WordTuple("routed"));
   EXPECT_EQ(Drain(0).size(), 1u);
   EXPECT_EQ(task_->stats().tuples_out, 2u);
+}
+
+/// Emits every input twice and records, mid-batch, the task's input
+/// and per-stream output counters.
+class DoublingBolt : public api::Operator {
+ public:
+  explicit DoublingBolt(const Task* task) : task_(task) {}
+  void Process(const Tuple& in, api::OutputCollector* out) override {
+    out->Emit(in);
+    out->Emit(in);
+    seen.emplace_back(task_->stats().tuples_in.value(),
+                      task_->stats().stream_tuples_out[0].value());
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> seen;
+
+ private:
+  const Task* task_;
+};
+
+// A stats snapshot taken mid-batch must not see a batch's outputs
+// without its inputs: the per-stream output counts land with
+// tuples_in, once per batch, so a short window's selectivity is exact.
+TEST(TaskStatsTest, StreamOutputsLandWithTheirBatchInputs) {
+  const EngineConfig config = EngineConfig::Brisk();
+  Task task(1, 0, config, nullptr);
+  task.SetIdentity(0, 0, "double", 1);
+  auto bolt = std::make_unique<DoublingBolt>(&task);
+  DoublingBolt* probe = bolt.get();
+  task.SetBolt(std::move(bolt));
+  Channel in(0, 1, 8);
+  Channel out(1, 2, 8);
+  task.AddInput(&in);
+  OutRoute route;
+  route.channels.push_back(&out);
+  route.buffer_index.push_back(task.AddBuffer());
+  task.AddOutRoute(std::move(route));
+  StopSignals signals;
+  task.Bind(&signals);
+  for (int b = 0; b < 2; ++b) {
+    Envelope env;
+    env.batch = std::make_unique<JumboTuple>();
+    for (int i = 0; i < 4; ++i) env.batch->tuples.push_back(WordTuple("t"));
+    env.count = 4;
+    env.from_instance = 0;
+    ASSERT_TRUE(in.TryPush(std::move(env)));
+  }
+
+  task.Poll(/*budget=*/1);  // one batch
+  EXPECT_EQ(task.stats().tuples_in.value(), 4u);
+  EXPECT_EQ(task.stats().stream_tuples_out[0].value(), 8u);
+  EXPECT_EQ(task.stats().tuples_out.value(), 8u);
+  task.Poll(/*budget=*/1);
+  EXPECT_EQ(task.stats().tuples_in.value(), 8u);
+  EXPECT_EQ(task.stats().stream_tuples_out[0].value(), 16u);
+
+  ASSERT_EQ(probe->seen.size(), 8u);
+  for (size_t i = 0; i < probe->seen.size(); ++i) {
+    const uint64_t before = i < 4 ? 0 : 4;  // inputs of earlier batches
+    EXPECT_EQ(probe->seen[i].first, before) << i;
+    EXPECT_EQ(probe->seen[i].second, 2 * before) << i;
+  }
 }
 
 }  // namespace

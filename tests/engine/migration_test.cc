@@ -542,5 +542,133 @@ TEST(MigrationTest, InjectedFailureAfterRebuildIsRecoveredFromCheckpoint) {
   CheckGapFreeTotal(run, expected);
 }
 
+// --- One-to-one replica chains ------------------------------------------
+
+/// Replica k of every operator on socket k mod 2: WC's two replica
+/// chains (spout-parser-splitter, counter-sink) are then aligned.
+void Stripe(ExecutionPlan* plan) {
+  for (int i = 0; i < plan->num_instances(); ++i) {
+    plan->SetSocket(i, plan->instance(i).replica % 2);
+  }
+}
+
+/// Final count of every word the sink saw.
+std::map<std::string, int64_t> FinalCounts(const WcRun& run) {
+  std::lock_guard<std::mutex> lock(run.log->mu);
+  std::map<std::string, int64_t> counts;
+  for (const auto& [word, count] : run.log->entries) {
+    int64_t& c = counts[word];
+    if (count > c) c = count;
+  }
+  return counts;
+}
+
+void WaitForCounts(const WcRun& run, uint64_t expected) {
+  for (int i = 0; i < 400 && FinalCountSum(run) < expected; ++i) {
+    SleepMs(25);
+  }
+}
+
+TEST(ChainWiringTest, AlignedChainGetsOneChannelPerReplica) {
+  WcRun run = MakeWcRun({2, 2, 2, 2, 2}, TestConfig(), WordCountParams{});
+  Stripe(&run.plan);
+  for (const auto& e : run.topo->edges()) {
+    EXPECT_EQ(model::WiredOneToOne(run.plan, e),
+              e.grouping == api::GroupingType::kShuffle)
+        << run.topo->op(e.producer_op).name;
+  }
+  auto aligned = BriskRuntime::Create(run.topo.get(), run.plan, TestConfig());
+  ASSERT_TRUE(aligned.ok()) << aligned.status();
+  // spout->parser, parser->splitter and counter->sink one per replica,
+  // the keyed splitter->counter edge all-to-all: 2 + 2 + 4 + 2.
+  EXPECT_EQ((*aligned)->num_channels(), 10);
+
+  // Sink replicas swap sockets: counter->sink is no longer aligned.
+  ExecutionPlan swapped = run.plan;
+  swapped.SetSocket(swapped.InstanceId(kSink, 0), 1);
+  swapped.SetSocket(swapped.InstanceId(kSink, 1), 0);
+  auto unaligned = BriskRuntime::Create(run.topo.get(), swapped, TestConfig());
+  ASSERT_TRUE(unaligned.ok()) << unaligned.status();
+  EXPECT_EQ((*unaligned)->num_channels(), 12);
+
+  // Unequal replication: counter x2 -> sink x1 is all-to-all too.
+  auto uneven_plan = ExecutionPlan::Create(run.topo.get(), {2, 2, 2, 2, 1});
+  ASSERT_TRUE(uneven_plan.ok());
+  Stripe(&*uneven_plan);
+  auto uneven =
+      BriskRuntime::Create(run.topo.get(), *uneven_plan, TestConfig());
+  ASSERT_TRUE(uneven.ok()) << uneven.status();
+  EXPECT_EQ((*uneven)->num_channels(), 2 + 2 + 4 + 2);
+}
+
+// An aligned plan on two workers per socket (each worker starts with
+// one replica chain) must count exactly what one worker counts.
+TEST(ChainWiringTest, AlignedPlanCountsLikeOneWorker) {
+  WordCountParams params;
+  params.max_sentences = 3000;  // per spout replica
+  EngineConfig config = TestConfig();
+  config.spout_rate_tps = 0.0;
+  config.workers_per_socket = 2;
+  WcRun run = MakeWcRun({2, 2, 2, 2, 2}, config, params);
+  Stripe(&run.plan);
+  auto rt = BriskRuntime::Create(run.topo.get(), run.plan, config);
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  run.rt = std::move(rt).value();
+  ASSERT_TRUE(run.rt->Start().ok());
+  const uint64_t expected = 2 * 3000 * 10;
+  WaitForCounts(run, expected);
+  const RunStats stats = run.rt->Stop();
+  CheckInvariants(run, stats, 10);
+  EXPECT_EQ(stats.executor.threads, 4);
+
+  // Reference: the same two spouts (so the same sentences), every
+  // other operator once, one worker.
+  EngineConfig ref_config = config;
+  ref_config.workers_per_socket = 1;
+  WcRun ref = MakeWcRun({2, 1, 1, 1, 1}, ref_config, params);
+  ref.plan.PlaceAllOn(0);
+  auto ref_rt = BriskRuntime::Create(ref.topo.get(), ref.plan, ref_config);
+  ASSERT_TRUE(ref_rt.ok()) << ref_rt.status();
+  ref.rt = std::move(ref_rt).value();
+  ASSERT_TRUE(ref.rt->Start().ok());
+  WaitForCounts(ref, expected);
+  const RunStats ref_stats = ref.rt->Stop();
+  EXPECT_EQ(ref_stats.executor.threads, 1);
+  CheckGapFreeTotal(ref, expected);
+  EXPECT_EQ(FinalCounts(run), FinalCounts(ref));
+}
+
+// A live migration that breaks the counter->sink alignment rewires it
+// all-to-all, and one that restores it rewires it one-to-one; neither
+// loses or duplicates a tuple.
+TEST(ChainWiringTest, MigrationBetweenAlignedAndUnalignedKeepsCounts) {
+  WordCountParams params;
+  params.max_sentences = 7500;  // per spout replica, ~500 ms paced
+  WcRun run = MakeWcRun({2, 2, 2, 2, 2}, TestConfig(), params);
+  Stripe(&run.plan);
+  auto rt = BriskRuntime::Create(run.topo.get(), run.plan, TestConfig());
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  run.rt = std::move(rt).value();
+  ASSERT_TRUE(run.rt->Start().ok());
+  EXPECT_EQ(run.rt->num_channels(), 10);
+  SleepMs(100);
+  run.Migrate(Move(run.plan, kSink, 0, 1));  // sink 0 leaves counter 0
+  EXPECT_EQ(run.rt->num_channels(), 12);
+  SleepMs(100);
+  run.Migrate(Move(run.plan, kSink, 0, 0));  // and comes back
+  EXPECT_EQ(run.rt->num_channels(), 10);
+
+  const uint64_t expected = 2 * 7500 * 10;
+  WaitForCounts(run, expected);
+  const RunStats stats = run.rt->Stop();
+  EXPECT_EQ(stats.migrations, 2);
+  const auto& ot = stats.op_totals;
+  EXPECT_EQ(ot[kSplitter].tuples_out, ot[kSplitter].tuples_in * 10);
+  EXPECT_EQ(ot[kCounter].tuples_in, ot[kSplitter].tuples_out);
+  EXPECT_EQ(ot[kSink].tuples_in, ot[kCounter].tuples_out);
+  EXPECT_EQ(ot[kSink].tuples_in, expected);
+  CheckGapFreeTotal(run, expected);
+}
+
 }  // namespace
 }  // namespace brisk::engine

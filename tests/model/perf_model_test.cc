@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/apps.h"
 #include "apps/word_count.h"
 #include "hardware/machine_spec.h"
 
@@ -311,6 +312,167 @@ TEST(PerfModelTest, MissingProfileIsAnError) {
   PerfModel model(&m, &prof);
   auto r = model.Evaluate(*plan, 1e6);
   EXPECT_FALSE(r.ok());
+}
+
+// --- Worker budget (processor sharing) ---------------------------------
+
+/// Every operator at `repl`, replica r on socket r mod S: each replica
+/// chain is aligned.
+ExecutionPlan StripedPlan(const Topology& topo, int repl, int sockets) {
+  auto plan = ExecutionPlan::Create(
+      &topo, std::vector<int>(topo.num_operators(), repl));
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  for (int op = 0; op < topo.num_operators(); ++op) {
+    for (int r = 0; r < repl; ++r) {
+      plan->SetSocket(plan->InstanceId(op, r), r % sockets);
+    }
+  }
+  return std::move(plan).value();
+}
+
+void ExpectSameResult(const ModelResult& a, const ModelResult& b) {
+  EXPECT_EQ(a.throughput, b.throughput);
+  ASSERT_EQ(a.instances.size(), b.instances.size());
+  for (size_t i = 0; i < a.instances.size(); ++i) {
+    EXPECT_EQ(a.instances[i].input_rate, b.instances[i].input_rate) << i;
+    EXPECT_EQ(a.instances[i].t_ns, b.instances[i].t_ns) << i;
+    EXPECT_EQ(a.instances[i].capacity, b.instances[i].capacity) << i;
+    EXPECT_EQ(a.instances[i].processed, b.instances[i].processed) << i;
+    EXPECT_EQ(a.instances[i].bottleneck, b.instances[i].bottleneck) << i;
+  }
+  ASSERT_EQ(a.sockets.size(), b.sockets.size());
+  for (size_t s = 0; s < a.sockets.size(); ++s) {
+    EXPECT_EQ(a.sockets[s].cpu_ns_per_sec, b.sockets[s].cpu_ns_per_sec);
+    EXPECT_EQ(a.sockets[s].bw_bytes_per_sec, b.sockets[s].bw_bytes_per_sec);
+    EXPECT_EQ(a.sockets[s].instances, b.sockets[s].instances);
+  }
+  EXPECT_EQ(a.link_traffic, b.link_traffic);
+  ASSERT_EQ(a.violations.size(), b.violations.size());
+  for (size_t v = 0; v < a.violations.size(); ++v) {
+    EXPECT_EQ(a.violations[v].ToString(), b.violations[v].ToString());
+  }
+  EXPECT_EQ(a.bottleneck_op, b.bottleneck_op);
+  EXPECT_EQ(a.bottleneck_ratio, b.bottleneck_ratio);
+  EXPECT_EQ(a.critical_path_ns, b.critical_path_ns);
+}
+
+// A budget of at least the machine's cores is the paper's model, bit
+// for bit, including plans whose chains are aligned (the engine would
+// wire those one-to-one; the dedicated-core model keeps Formula 1's
+// all-to-all split so the paper's figures do not move).
+TEST(PerfModelBudgetTest, DedicatedBudgetIsTheUnbudgetedModel) {
+  const MachineSpec tray =
+      MachineSpec::Symmetric(4, 18, 1.2, 50, 307.7, 54.3, 13.2);
+  for (const MachineSpec& m : {MachineSpec::ServerA(), tray}) {
+    for (const apps::AppId id :
+         {apps::AppId::kWordCount, apps::AppId::kFraudDetection,
+          apps::AppId::kSpikeDetection, apps::AppId::kLinearRoad}) {
+      auto app = apps::MakeApp(id);
+      ASSERT_TRUE(app.ok());
+      const PerfModel plain(&m, &app->profiles);
+      for (const int budget : {m.cores_per_socket(), m.total_cores()}) {
+        const PerfModel dedicated(&m, &app->profiles, budget);
+        EXPECT_FALSE(dedicated.budgeted());
+        for (const int repl : {1, 3, 4}) {
+          const ExecutionPlan plan =
+              StripedPlan(app->topology(), repl, m.num_sockets());
+          for (const double rate : {1e5, 1e12}) {
+            SCOPED_TRACE(app->name + " on " + m.name() + " x" +
+                         std::to_string(repl));
+            auto a = plain.Evaluate(plan, rate);
+            auto b = dedicated.Evaluate(plan, rate);
+            ASSERT_TRUE(a.ok() && b.ok());
+            ExpectSameResult(*a, *b);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Processor sharing against its closed form: one worker per socket
+// serves 1e9 ns/s, so throughput is 1e9 over the busiest socket's CPU
+// per ingress tuple.
+TEST(PerfModelBudgetTest, OneWorkerPerSocketMatchesClosedForm) {
+  MachineSpec m = MachineSpec::Symmetric(2, 4, 1.0, 50, 300, 50, 10);
+  Topology topo = Chain3();
+  ProfileSet prof = UniformProfiles(1000);  // 1000 ns per tuple at 1 GHz
+  auto plan = ExecutionPlan::CreateDefault(&topo);
+  ASSERT_TRUE(plan.ok());
+
+  // All three on S0: one worker runs 3000 ns per tuple.
+  plan->PlaceAllOn(0);
+  const PerfModel one(&m, &prof, 1);
+  auto r = one.Evaluate(*plan, 1e12);
+  ASSERT_TRUE(r.ok());
+  EXPECT_NEAR(r->throughput, 1e9 / 3000.0, 1e-3);
+  EXPECT_TRUE(r->feasible());
+  // Dedicated cores: each instance its own core, 1e6 tuples/s.
+  auto dedicated = PerfModel(&m, &prof).Evaluate(*plan, 1e12);
+  ASSERT_TRUE(dedicated.ok());
+  EXPECT_NEAR(dedicated->throughput, 1e6, 1e-3);
+  // The paced plan's S0 demand is exactly its one worker, and no
+  // instance is over-supplied at that pace.
+  EXPECT_NEAR(r->sockets[0].cpu_ns_per_sec, 1e9, 1e-3);
+  EXPECT_EQ(r->bottleneck_op, -1);
+  // Two workers share the same 3000 ns.
+  auto two = PerfModel(&m, &prof, 2).Evaluate(*plan, 1e12);
+  ASSERT_TRUE(two.ok());
+  EXPECT_NEAR(two->throughput, 2e9 / 3000.0, 1e-3);
+
+  // src on S0, mid and snk on S1: S1 pays mid's remote fetch too.
+  plan->SetSocket(plan->InstanceId(1, 0), 1);
+  plan->SetSocket(plan->InstanceId(2, 0), 1);
+  auto split = one.Evaluate(*plan, 1e12);
+  ASSERT_TRUE(split.ok());
+  const double s1_ns = 2000.0 + m.FetchCostNs(0, 1, 64);
+  EXPECT_NEAR(split->throughput, 1e9 / s1_ns, 1e-3);
+  EXPECT_NEAR(split->sockets[1].cpu_ns_per_sec, 1e9, 1e-3);
+  EXPECT_NEAR(split->sockets[0].cpu_ns_per_sec, 1e9 * 1000.0 / s1_ns, 1e-3);
+  // Below the workers' pace nothing changes.
+  auto slow = one.Evaluate(*plan, 1e5);
+  ASSERT_TRUE(slow.ok());
+  EXPECT_NEAR(slow->throughput, 1e5, 1e-6);
+}
+
+// Under a budget an aligned chain edge is delivered replica k ->
+// replica k, as the engine wires it; a misaligned one all-to-all.
+TEST(PerfModelBudgetTest, AlignedChainIsDeliveredOneToOne) {
+  MachineSpec m = MachineSpec::Symmetric(2, 4, 1.0, 50, 300, 50, 10);
+  Topology topo = Chain3();
+  ProfileSet prof = UniformProfiles(1000);
+  const ExecutionPlan aligned = StripedPlan(topo, 2, 2);
+  for (const auto& e : topo.edges()) {
+    EXPECT_TRUE(WiredOneToOne(aligned, e));
+  }
+  const PerfModel one(&m, &prof, 1);
+  auto r = one.Evaluate(aligned, 1e12);
+  ASSERT_TRUE(r.ok());
+  for (const double t : r->link_traffic) EXPECT_EQ(t, 0.0);
+  // Each socket runs one full chain on half the ingress.
+  EXPECT_NEAR(r->throughput, 2 * 1e9 / 3000.0, 1e-3);
+
+  // Swap mid's replicas: src->mid and mid->snk both cross sockets now.
+  ExecutionPlan swapped = aligned;
+  swapped.SetSocket(swapped.InstanceId(1, 0), 1);
+  swapped.SetSocket(swapped.InstanceId(1, 1), 0);
+  for (const auto& e : topo.edges()) {
+    EXPECT_FALSE(WiredOneToOne(swapped, e));
+  }
+  auto all = one.Evaluate(swapped, 1e12);
+  ASSERT_TRUE(all.ok());
+  EXPECT_GT(all->link_traffic[0 * 2 + 1], 0.0);
+  EXPECT_GT(all->link_traffic[1 * 2 + 0], 0.0);
+  // Half of every hop is remote: mid and snk each pay half a fetch.
+  const double per_socket_ns = 1500.0 + 0.5 * m.FetchCostNs(0, 1, 64);
+  EXPECT_NEAR(all->throughput, 1e9 / per_socket_ns, 1e-3);
+
+  // Unequal replication is never aligned.
+  auto uneven = ExecutionPlan::Create(&topo, {2, 1, 1});
+  ASSERT_TRUE(uneven.ok());
+  uneven->PlaceAllOn(0);
+  EXPECT_FALSE(WiredOneToOne(*uneven, topo.edges()[0]));
+  EXPECT_TRUE(WiredOneToOne(*uneven, topo.edges()[1]));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <utility>
+#include <vector>
 
 #include "apps/apps.h"
 #include "optimizer/baselines.h"
@@ -305,6 +306,131 @@ TEST(RlasTest, TrayPlansStillCompress) {
     EXPECT_EQ(result->compress_ratio, 5) << app->name;
     EXPECT_EQ(result->plan.ToString(), plan) << app->name;
   }
+}
+
+// --- Planning for a worker budget ---------------------------------------
+
+struct BudgetCase {
+  MachineSpec machine;
+  int workers_per_socket;
+};
+
+std::vector<BudgetCase> BudgetCases() {
+  return {
+      {MachineSpec::Symmetric(4, 18, 1.2, 50, 307.7, 54.3, 13.2), 1},
+      {MachineSpec::Symmetric(2, 4, 2.0, 100, 300, 40, 12), 2},
+  };
+}
+
+constexpr AppId kAllApps[] = {AppId::kWordCount, AppId::kSpikeDetection,
+                              AppId::kFraudDetection, AppId::kLinearRoad};
+
+// Under a budget every replica chain is one vertex: equal replication
+// and one socket per replica index, so the engine wires it one-to-one.
+TEST(RlasBudgetTest, EveryChainIsAligned) {
+  for (const BudgetCase& c : BudgetCases()) {
+    for (const AppId id : kAllApps) {
+      auto app = apps::MakeApp(id);
+      ASSERT_TRUE(app.ok());
+      RlasOptions options;
+      options.workers_per_socket = c.workers_per_socket;
+      auto result = RlasOptimizer(&c.machine, &app->profiles, options)
+                        .Optimize(app->topology());
+      ASSERT_TRUE(result.ok()) << result.status();
+      int chains = 0;
+      for (const auto& e : app->topology().edges()) {
+        if (!app->topology().IsChainEdge(e)) continue;
+        ++chains;
+        EXPECT_TRUE(model::WiredOneToOne(result->plan, e))
+            << app->name << " on " << c.machine.name() << ": "
+            << app->topology().op(e.producer_op).name << " -> "
+            << app->topology().op(e.consumer_op).name << "\n"
+            << result->plan.ToString();
+      }
+      EXPECT_GT(chains, 0) << app->name;
+      EXPECT_TRUE(result->model.feasible()) << app->name;
+    }
+  }
+}
+
+// The budgeted plan is at least as good, under the budgeted model, as
+// the hand-aligned plans: every operator at R, replica k on socket
+// k mod S.
+TEST(RlasBudgetTest, MatchesOrBeatsAlignedPlans) {
+  for (const BudgetCase& c : BudgetCases()) {
+    for (const AppId id : kAllApps) {
+      auto app = apps::MakeApp(id);
+      ASSERT_TRUE(app.ok());
+      const auto& topo = app->topology();
+      RlasOptions options;
+      options.workers_per_socket = c.workers_per_socket;
+      const RlasOptimizer optimizer(&c.machine, &app->profiles, options);
+      auto result = optimizer.Optimize(topo);
+      ASSERT_TRUE(result.ok()) << result.status();
+      for (const int repl : {1, 2, 4}) {
+        auto aligned = ExecutionPlan::Create(
+            &topo, std::vector<int>(topo.num_operators(), repl));
+        ASSERT_TRUE(aligned.ok());
+        for (int i = 0; i < aligned->num_instances(); ++i) {
+          aligned->SetSocket(
+              i, aligned->instance(i).replica % c.machine.num_sockets());
+        }
+        auto eval = optimizer.perf_model().Evaluate(
+            *aligned, options.placement.input_rate_tps);
+        ASSERT_TRUE(eval.ok());
+        EXPECT_GE(result->model.throughput, eval->throughput * (1 - 1e-9))
+            << app->name << " on " << c.machine.name() << " vs R=" << repl
+            << "\n"
+            << result->plan.ToString();
+      }
+    }
+  }
+}
+
+// Stopping once a step no longer pays keeps the tray searches far
+// smaller than the dedicated-core search.
+TEST(RlasBudgetTest, ExploresFewerNodesThanDedicatedCores) {
+  const BudgetCase tray = BudgetCases()[0];
+  for (const AppId id : kAllApps) {
+    auto app = apps::MakeApp(id);
+    ASSERT_TRUE(app.ok());
+    auto dedicated = RlasOptimizer(&tray.machine, &app->profiles)
+                         .Optimize(app->topology());
+    ASSERT_TRUE(dedicated.ok()) << dedicated.status();
+    RlasOptions options;
+    options.workers_per_socket = tray.workers_per_socket;
+    auto budgeted = RlasOptimizer(&tray.machine, &app->profiles, options)
+                        .Optimize(app->topology());
+    ASSERT_TRUE(budgeted.ok()) << budgeted.status();
+    EXPECT_LT(budgeted->nodes_explored, dedicated->nodes_explored)
+        << app->name;
+    EXPECT_LT(budgeted->plan.num_instances(),
+              dedicated->plan.num_instances())
+        << app->name;
+  }
+}
+
+TEST(CompressedGraphTest, TiedChainsShareStripedUnits) {
+  auto app = apps::MakeApp(AppId::kWordCount);
+  ASSERT_TRUE(app.ok());
+  // spout/parser/splitter and counter/sink are the two chains.
+  auto plan =
+      model::ExecutionPlan::Create(app->topology_ptr.get(), {4, 4, 4, 8, 8});
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(CompressedGraph::ExactUnitCount(*plan, false), 28);
+  EXPECT_EQ(CompressedGraph::ExactUnitCount(*plan, true), 12);
+  const auto g = CompressedGraph::Build(*plan, 5, true, 4);
+  ASSERT_EQ(g.num_units(), 4 + 4);  // at least one unit per socket each
+  // Unit 0 holds replica 0 of spout, parser and splitter.
+  EXPECT_EQ(g.units()[0].size(), 3);
+  // The counter chain's first unit stripes replicas 0 and 4.
+  const auto& u = g.units()[4];
+  ASSERT_EQ(u.size(), 4);
+  for (const int inst : u.instance_ids) {
+    EXPECT_EQ(plan->instance(inst).replica % 4, 0);
+  }
+  // Only the splitter -> counter edge needs decisions: 4 x 4 pairs.
+  EXPECT_EQ(g.decisions().size(), 16u);
 }
 
 TEST(CompressedGraphTest, RatioControlsUnitCount) {
