@@ -20,7 +20,6 @@
 #include "common/logging.h"
 #include "engine/runtime.h"
 #include "model/execution_plan.h"
-#include "optimizer/dynamic.h"
 
 using namespace brisk;
 
@@ -67,30 +66,20 @@ PauseStats MeasurePauses(int rounds) {
   std::vector<double> pauses_ms;
   for (int round = 0; round < rounds; ++round) {
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    const model::ExecutionPlan& current = rt->plan();
-    opt::MigrationPlan m;
-    switch (round % 3) {
-      case 0: {  // move one splitter replica to the other socket
-        const int inst = current.InstanceId(kSplitter, 0);
-        m.steps.push_back({opt::MigrationStep::kMove, kSplitter, 0,
-                           current.SocketOf(inst),
-                           1 - current.SocketOf(inst)});
-        break;
-      }
-      case 1:  // grow the stateful counter (re-partitions keyed state)
-        m.steps.push_back({opt::MigrationStep::kStart, kCounter,
-                           current.replication(kCounter), -1, 1});
-        break;
-      default:  // shrink it back (merges keyed state)
-        m.steps.push_back({opt::MigrationStep::kStop, kCounter,
-                           current.replication(kCounter) - 1,
-                           current.SocketOf(current.InstanceId(
-                               kCounter, current.replication(kCounter) - 1)),
-                           -1});
-        break;
+    model::ExecutionPlan next = rt->plan();
+    if (round % 3 == 0) {  // move one splitter replica to the other socket
+      const int inst = next.InstanceId(kSplitter, 0);
+      next.SetSocket(inst, 1 - next.SocketOf(inst));
+    } else {  // grow the stateful counter (re-partitions keyed state),
+              // then shrink it back (merges keyed state)
+      const int step = round % 3 == 1 ? 1 : -1;
+      auto resized =
+          next.Resized(kCounter, next.replication(kCounter) + step, 1);
+      BRISK_CHECK(resized.ok()) << resized.status().ToString();
+      next = std::move(resized).value();
     }
     const auto t0 = std::chrono::steady_clock::now();
-    BRISK_CHECK_OK(rt->ApplyMigration(m));
+    BRISK_CHECK_OK(rt->ApplyMigration(next));
     pauses_ms.push_back(Ms(std::chrono::steady_clock::now() - t0));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(60));

@@ -5,6 +5,9 @@
 // observes the drift from engine counters, re-plans with RLAS, and
 // applies the migration to the RUNNING engine (pause-and-migrate: no
 // tuple lost, keyed counts preserved across the re-partitioning).
+// It re-plans under the worker budget the pool runs: where that budget
+// is a few workers per socket (a small host), the sockets pace every
+// plan of this job alike and the autopilot keeps the running one.
 //
 //   $ ./examples/adaptive_reoptimization
 #include <chrono>
@@ -145,7 +148,10 @@ int main() {
               conserved ? "exact" : "VIOLATED");
   if (!conserved) return 1;
   if (report.stats.migrations == 0) {
-    std::printf("note: autopilot saw no profitable re-plan this run.\n");
+    std::printf(
+        "note: autopilot saw no profitable re-plan this run (it plans for "
+        "the pool's workers per socket; set "
+        "EngineConfig::workers_per_socket = 8 to plan for every core).\n");
   }
   return 0;
 }

@@ -238,13 +238,19 @@ StatusOr<std::unique_ptr<Job::Deployment>> Job::Deploy() {
   }
 
   // 3. Deploy on the engine, with the NUMA emulator charging remote
-  // fetches when the config asks for it.
-  if (config_.numa_emulation) {
+  // fetches when the config asks for it. The pool runs the W workers
+  // per socket the plan was made for, also on a plan that leaves
+  // sockets empty.
+  engine::EngineConfig config = config_;
+  if (config.workers_per_socket <= 0) {
+    config.workers_per_socket = options.workers_per_socket;
+  }
+  if (config.numa_emulation) {
     deployment->numa_ = std::make_unique<hw::NumaEmulator>(machine_);
   }
   BRISK_ASSIGN_OR_RETURN(
       deployment->runtime_,
-      engine::BriskRuntime::Create(topo_.get(), report.plan, config_,
+      engine::BriskRuntime::Create(topo_.get(), report.plan, config,
                                    deployment->numa_.get()));
 
   // The profiling run executes sink operators, which report into the
@@ -266,6 +272,10 @@ StatusOr<std::unique_ptr<Job::Deployment>> Job::Deploy() {
       dyn = *autopilot_options_;
     } else {
       dyn.rlas = options_;  // re-optimize with the job's planner knobs
+    }
+    // Re-plan for the workers the pool runs, as the first plan was.
+    if (dyn.rlas.workers_per_socket <= 0) {
+      dyn.rlas.workers_per_socket = options.workers_per_socket;
     }
     engine::ObservationConfig observation;
     // Express observed T_e in the same reference clock the planner's
@@ -377,7 +387,7 @@ void Job::Deployment::AutopilotLoop() {
     record.moves = decision->migration.moves;
     record.starts = decision->migration.starts;
     record.stops = decision->migration.stops;
-    const Status applied = rt.ApplyMigration(decision->migration);
+    const Status applied = rt.ApplyMigration(decision->new_plan);
     record.applied = applied.ok();
     if (!applied.ok()) record.error = applied.ToString();
     {

@@ -210,10 +210,12 @@ class Job {
   /// operator profiles from the engine's counters over the last window
   /// (engine/observed_profiles), runs DynamicReoptimizer::Check
   /// against the plan the job is running, and — when drift and modeled
-  /// gain clear their thresholds — applies the resulting MigrationPlan
-  /// live via BriskRuntime::ApplyMigration. Each applied (or failed)
-  /// switch is recorded in JobReport::migrations. This one-argument
-  /// form inherits the job's RLAS planner options for re-optimization.
+  /// gain clear their thresholds — hands the new plan to
+  /// BriskRuntime::ApplyMigration, which switches the job live. Each
+  /// applied (or failed) switch is recorded in JobReport::migrations.
+  /// This one-argument form inherits the job's RLAS planner options for
+  /// re-optimization. Either form re-plans under the pool's worker
+  /// budget unless the options set rlas.workers_per_socket.
   Job& WithAutopilot(double interval_s);
   /// Autopilot with explicit policy knobs (drift threshold, minimum
   /// modeled gain, RLAS options for the re-plan).

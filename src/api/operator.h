@@ -128,7 +128,7 @@ class Operator {
   // run while the job is quiesced, with no execution thread live.
   // Snapshot must NOT disturb the replica's state: a checkpointed job
   // resumes from it. Restore *replaces* the replica's keyed state with
-  // the entries the engine routed to it (HashField(key) % replicas):
+  // the entries the engine routed to it (ReplicaOfKey(key, replicas)):
   // crash recovery restores into freshly Prepared replicas, and a
   // migration that changes an operator's replication snapshots every
   // old replica, then restores every new one — surviving replicas

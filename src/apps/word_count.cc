@@ -40,8 +40,27 @@ void CountWordKernel(int64_t& count, const Tuple& in, api::RowEmitter& out) {
 
 }  // namespace
 
-SentenceSpout::SentenceSpout(WordCountParams params)
-    : params_(params), rng_(params.seed) {}
+WordDictionary MakeWordDictionary(const WordCountParams& params) {
+  auto dictionary = std::make_shared<std::vector<std::string>>();
+  dictionary->reserve(params.vocabulary);
+  Rng rng(params.seed);
+  static const char* kSyllables[] = {"ka", "lo", "mi", "ra", "tu", "ves",
+                                     "zor", "pin", "qua", "sel", "dra",
+                                     "fen", "gul", "hex", "jov", "wyn"};
+  for (int i = 0; i < params.vocabulary; ++i) {
+    std::string w;
+    const int syllables = 2 + static_cast<int>(rng.NextBounded(3));
+    for (int s = 0; s < syllables; ++s) {
+      w += kSyllables[rng.NextBounded(std::size(kSyllables))];
+    }
+    w += std::to_string(i & 0xff);  // de-duplicate collisions cheaply
+    dictionary->push_back(std::move(w));
+  }
+  return dictionary;
+}
+
+SentenceSpout::SentenceSpout(WordCountParams params, WordDictionary dictionary)
+    : params_(params), rng_(params.seed), dictionary_(std::move(dictionary)) {}
 
 Status SentenceSpout::Prepare(const api::OperatorContext& ctx) {
   // Distinct seed per replica so replicas emit different sentences; a
@@ -52,20 +71,6 @@ Status SentenceSpout::Prepare(const api::OperatorContext& ctx) {
           ? ctx.seed
           : params_.seed + 0x9e3779b9ULL * (ctx.replica_index + 1);
   rng_ = Rng(effective_seed_);
-  dictionary_.reserve(params_.vocabulary);
-  Rng dict_rng(params_.seed);  // shared dictionary across replicas
-  static const char* kSyllables[] = {"ka", "lo", "mi", "ra", "tu", "ves",
-                                     "zor", "pin", "qua", "sel", "dra",
-                                     "fen", "gul", "hex", "jov", "wyn"};
-  for (int i = 0; i < params_.vocabulary; ++i) {
-    std::string w;
-    const int syllables = 2 + static_cast<int>(dict_rng.NextBounded(3));
-    for (int s = 0; s < syllables; ++s) {
-      w += kSyllables[dict_rng.NextBounded(std::size(kSyllables))];
-    }
-    w += std::to_string(i & 0xff);  // de-duplicate collisions cheaply
-    dictionary_.push_back(std::move(w));
-  }
   return Status::OK();
 }
 
@@ -83,8 +88,8 @@ size_t SentenceSpout::NextBatch(size_t max_tuples,
     sentence.reserve(params_.words_per_sentence * 8);
     for (int w = 0; w < params_.words_per_sentence; ++w) {
       if (w) sentence += ' ';
-      sentence += dictionary_[rng_.NextZipf(dictionary_.size(),
-                                            params_.zipf_theta)];
+      sentence += (*dictionary_)[rng_.NextZipf(dictionary_->size(),
+                                               params_.zipf_theta)];
     }
     Tuple t;
     t.fields.emplace_back(std::move(sentence));
@@ -104,7 +109,7 @@ bool SentenceSpout::Rewind(const api::SourcePosition& to) {
   rng_ = Rng(effective_seed_);
   for (uint64_t s = 0; s < position; ++s) {
     for (int w = 0; w < params_.words_per_sentence; ++w) {
-      (void)rng_.NextZipf(dictionary_.size(), params_.zipf_theta);
+      (void)rng_.NextZipf(dictionary_->size(), params_.zipf_theta);
     }
   }
   produced_ = position;
@@ -114,10 +119,13 @@ bool SentenceSpout::Rewind(const api::SourcePosition& to) {
 StatusOr<api::Topology> BuildWordCountDsl(std::shared_ptr<SinkTelemetry> sink,
                                           WordCountParams params,
                                           dsl::SinkFn tap) {
+  // Built once here, not per replica at Prepare: every spout replica
+  // shares the same words.
+  const WordDictionary dictionary = MakeWordDictionary(params);
   dsl::Pipeline p("word-count");
-  p.Source("spout",
-           api::SpoutFactory(
-               [params] { return std::make_unique<SentenceSpout>(params); }))
+  p.Source("spout", api::SpoutFactory([params, dictionary] {
+             return std::make_unique<SentenceSpout>(params, dictionary);
+           }))
       .Filter("parser", api::FilterOf(ParserKeeps, 1.0, "parser"))
       .FlatMap("splitter",
                api::FlatMapOf(SplitSentenceKernel,

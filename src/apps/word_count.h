@@ -30,12 +30,19 @@ struct WordCountParams {
   uint64_t max_sentences = 0;
 };
 
+/// The `vocabulary` words WC sentences draw from, a pure function of
+/// the params seed: every spout replica shares one copy.
+using WordDictionary = std::shared_ptr<const std::vector<std::string>>;
+WordDictionary MakeWordDictionary(const WordCountParams& params);
+
 /// Sentence source: each tuple is one sentence string of
 /// `words_per_sentence` dictionary words. Honors the job-level seed
 /// (OperatorContext::seed) when one is set, else the params seed.
 class SentenceSpout : public api::Spout {
  public:
-  explicit SentenceSpout(WordCountParams params);
+  /// Draws every word from `dictionary` (WC shares one
+  /// MakeWordDictionary(params) between its replicas).
+  SentenceSpout(WordCountParams params, WordDictionary dictionary);
 
   Status Prepare(const api::OperatorContext& ctx) override;
   size_t NextBatch(size_t max_tuples, api::OutputCollector* out) override;
@@ -54,7 +61,7 @@ class SentenceSpout : public api::Spout {
   WordCountParams params_;
   Rng rng_;
   uint64_t effective_seed_ = 0;  ///< what Prepare seeded rng_ with
-  std::vector<std::string> dictionary_;
+  WordDictionary dictionary_;
   uint64_t produced_ = 0;  ///< sentences emitted (max_sentences cap)
 };
 

@@ -249,4 +249,11 @@ using JumboTuplePtr = std::unique_ptr<JumboTuple>;
 /// Stable hash for fields-grouping (same key → same consumer replica).
 uint64_t HashField(const Field& f);
 
+/// The one partition function of keyed data: the replica, of
+/// `replicas`, that owns `key`. Fields-grouping routing and keyed-state
+/// restore both call it, so state lands where its key's tuples go.
+inline size_t ReplicaOfKey(const Field& key, size_t replicas) {
+  return HashField(key) % replicas;
+}
+
 }  // namespace brisk

@@ -9,8 +9,7 @@ namespace brisk::engine {
 
 namespace {
 
-constexpr uint32_t kMagicV1 = 0x31504342;  // "BCP1" — PR-7, tuple counts only
-constexpr uint32_t kMagicV2 = 0x32504342;  // "BCP2" — positions carry a kind
+constexpr uint32_t kMagic = 0x32504342;  // "BCP2" — positions carry a kind
 
 void PutU32(uint32_t v, std::vector<uint8_t>* out) {
   for (int i = 0; i < 4; ++i) out->push_back(uint8_t(v >> (8 * i)));
@@ -65,7 +64,7 @@ StatusOr<Field> GetField(const std::vector<uint8_t>& buf, size_t* off) {
 
 void SerializeCheckpoint(const JobCheckpoint& cp, std::vector<uint8_t>* out) {
   out->clear();
-  PutU32(kMagicV2, out);
+  PutU32(kMagic, out);
   PutU32(static_cast<uint32_t>(cp.epoch), out);
   PutU32(static_cast<uint32_t>(cp.state.size()), out);
   for (const auto& s : cp.state) {
@@ -91,11 +90,9 @@ StatusOr<JobCheckpoint> DeserializeCheckpoint(
     const std::vector<uint8_t>& buf, const model::ExecutionPlan& plan) {
   size_t off = 0;
   uint32_t magic = 0, epoch = 0, n_state = 0;
-  if (!GetU32(buf, &off, &magic) ||
-      (magic != kMagicV1 && magic != kMagicV2)) {
+  if (!GetU32(buf, &off, &magic) || magic != kMagic) {
     return Status::InvalidArgument("not a checkpoint buffer (bad magic)");
   }
-  const bool v1 = magic == kMagicV1;
   if (!GetU32(buf, &off, &epoch) || !GetU32(buf, &off, &n_state)) {
     return Status::InvalidArgument("truncated checkpoint header");
   }
@@ -130,15 +127,14 @@ StatusOr<JobCheckpoint> DeserializeCheckpoint(
   if (!GetU32(buf, &off, &n_pos)) {
     return Status::InvalidArgument("truncated checkpoint positions");
   }
-  // op, replica, kind (v2 only), offset (u64), replayable.
-  BRISK_RETURN_NOT_OK(CheckCount(buf, off, n_pos, v1 ? 20 : 24));
+  // op, replica, kind, offset (u64), replayable.
+  BRISK_RETURN_NOT_OK(CheckCount(buf, off, n_pos, 24));
   cp.positions.reserve(n_pos);
   for (uint32_t i = 0; i < n_pos; ++i) {
     uint32_t op = 0, replica = 0, kind = 0, replayable = 0;
     uint64_t offset = 0;
-    // v1 entries have no kind field; every v1 source counted tuples.
     if (!GetU32(buf, &off, &op) || !GetU32(buf, &off, &replica) ||
-        (!v1 && !GetU32(buf, &off, &kind)) || !GetU64(buf, &off, &offset) ||
+        !GetU32(buf, &off, &kind) || !GetU64(buf, &off, &offset) ||
         !GetU32(buf, &off, &replayable)) {
       return Status::InvalidArgument("truncated checkpoint position entry");
     }

@@ -73,9 +73,8 @@ void SerializeCheckpoint(const JobCheckpoint& cp, std::vector<uint8_t>* out);
 
 /// Decodes a buffer produced by SerializeCheckpoint. The plan is not
 /// part of the wire format; the caller re-attaches the plan it stored
-/// with the bytes. Accepts both the current "BCP2" format and PR-7's
-/// "BCP1" (kind-less positions decode as tuple counts — the only kind
-/// v1 sources had).
+/// with the bytes. Any other magic, including the retired kind-less
+/// "BCP1" format, is rejected with a Status.
 StatusOr<JobCheckpoint> DeserializeCheckpoint(
     const std::vector<uint8_t>& buf, const model::ExecutionPlan& plan);
 

@@ -80,6 +80,7 @@ struct EngineConfig {
   /// from the deployed MachineSpec's cores-per-socket, capped by the
   /// host's real core count split across the plan's sockets (so an
   /// emulated 8-socket plan on a laptop never spawns 144 workers).
+  /// Job::Deploy replaces 0 with the budget it planned with.
   int workers_per_socket = 0;
 
   /// Worker-pool producers treat a channel already holding this many

@@ -176,7 +176,6 @@ BriskRuntime::~BriskRuntime() {
 Status BriskRuntime::StartExecutor() {
   signals_.stop_all.store(false);
   signals_.stop_spouts.store(false);
-  signals_.preserve_inflight.store(false);
 
   std::vector<Task*> task_ptrs;
   task_ptrs.reserve(tasks_.size());
@@ -213,8 +212,8 @@ void BriskRuntime::RestoreOperatorState(
   std::vector<uint32_t> owner(entries.size());
   std::vector<size_t> sizes(repl, 0);
   for (size_t i = 0; i < entries.size(); ++i) {
-    owner[i] = static_cast<uint32_t>(HashField(entries[i].key) %
-                                     static_cast<size_t>(repl));
+    owner[i] = static_cast<uint32_t>(
+        ReplicaOfKey(entries[i].key, static_cast<size_t>(repl)));
     ++sizes[owner[i]];
   }
   std::vector<std::vector<api::CheckpointEntry>> buckets(repl);
@@ -286,72 +285,81 @@ void BriskRuntime::JoinExecutorAndFold() {
   executor_.reset();
 }
 
-bool BriskRuntime::QuiesceAndJoin(double* drain_seconds,
-                                  bool preserve_inflight) {
+bool BriskRuntime::Pause(RunStats* stats) {
   const auto drain_start = std::chrono::steady_clock::now();
   signals_.stop_spouts.store(true);
   executor_->NotifyAll();
   const bool drained = WaitForDrain(config_.drain_timeout_s);
-  if (!drained) drain_timed_out_ = true;
-  if (drain_seconds != nullptr) {
-    *drain_seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - drain_start)
-                         .count();
+  if (!drained) {
+    drain_timed_out_ = true;
+    // A zero budget asks for no drain at all; only a blown one warns.
+    if (config_.drain_timeout_s > 0) {
+      BRISK_LOG(Warn) << "drain timed out after " << config_.drain_timeout_s
+                      << " s; the residual sweep delivers the backlog";
+    }
   }
-  // Preserve mode governs only the drop decision at the halt, so it
-  // flips on here, between the drain and the halt. Publication order
-  // is a contract with Task::PushEnvelope — preserve_inflight stores
-  // strictly before stop_all (both seq_cst), and readers check
-  // stop_all (acquire) first, so no thread can observe the halt
-  // without the preserve mode that governs it.
-  if (preserve_inflight) signals_.preserve_inflight.store(true);
+  if (stats != nullptr) {
+    stats->drained = drained;
+    stats->drain_seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - drain_start)
+                               .count();
+  }
+  // A push the halt catches on a full ring parks; the sweep delivers it.
   JoinExecutorAndFold();
-  return drained;
+  return SweepResiduals();
 }
 
-void BriskRuntime::SweepResiduals() {
+bool BriskRuntime::SweepResiduals() {
   // Each pass moves every queued/staged/parked tuple at least one hop
   // (rings freed by downstream consumption within the same pass), so
-  // the sweep terminates once the finite in-flight inventory reaches
-  // the sinks. The cap is a defensive bound, not an expected exit.
-  for (int pass = 0; pass < 64; ++pass) {
+  // the sweep reaches quiescence once the finite in-flight inventory
+  // reaches the sinks. A pass after which nothing was consumed and the
+  // inventory did not change made no progress (a wedged push), and so
+  // would every later one.
+  uint64_t last_consumed = 0;
+  size_t last_inflight = ~size_t{0};
+  for (;;) {
     for (const int op : topo_->topological_order()) {
       for (size_t i = 0; i < tasks_.size(); ++i) {
         if (instance_op_[i] == op) tasks_[i]->Drain(/*flush_operator=*/false);
       }
     }
-    bool quiescent = true;
-    for (const auto& ch : channels_) {
-      if (!ch->EmptyApprox()) {
-        quiescent = false;
-        break;
-      }
+    uint64_t consumed = 0;
+    size_t inflight = 0;
+    for (const auto& task : tasks_) {
+      consumed += task->stats().tuples_in;
+      inflight += task->pending_live();
     }
-    if (quiescent) {
-      for (const auto& task : tasks_) {
-        if (task->pending_live() != 0) {
-          quiescent = false;
-          break;
-        }
-      }
+    for (const auto& ch : channels_) inflight += ch->SizeApprox();
+    if (inflight == 0) return true;
+    if (consumed == last_consumed && inflight == last_inflight) {
+      BRISK_LOG(Warn) << "residual sweep stalled with " << inflight
+                      << " envelopes in flight";
+      return false;
     }
-    if (quiescent) return;
+    last_consumed = consumed;
+    last_inflight = inflight;
   }
-  BRISK_LOG(Warn) << "residual sweep did not reach quiescence";
 }
 
-Status BriskRuntime::ApplyMigration(const opt::MigrationPlan& migration) {
+Status BriskRuntime::ApplyMigration(const model::ExecutionPlan& next) {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (!running_) {
     return Status::FailedPrecondition(
         "ApplyMigration requires a running engine");
   }
-  if (migration.empty()) return Status::OK();
-
-  // 1. Validate and reconstruct the target plan *before* pausing
-  // anything, so a bad migration never disturbs the job.
-  BRISK_ASSIGN_OR_RETURN(model::ExecutionPlan next,
-                         opt::ApplyStepsToPlan(plan_, migration));
+  // 1. Check the target plan *before* pausing anything, so a bad plan
+  // never disturbs the job. (A default-constructed plan has no
+  // instances and no topology.)
+  if (next.num_instances() == 0 || &next.topology() != topo_) {
+    return Status::InvalidArgument(
+        "migration target is not a plan over this job's topology");
+  }
+  if (!next.FullyPlaced()) {
+    return Status::InvalidArgument(
+        "migration target leaves instances without a socket");
+  }
+  if (next == plan_) return Status::OK();
 
   // An armed kFailMigration fault (with fire budget left) fires at its
   // configured phase of this protocol.
@@ -374,16 +382,10 @@ Status BriskRuntime::ApplyMigration(const opt::MigrationPlan& migration) {
         "injected migration failure before the pause; job undisturbed");
   }
 
-  // 2. Quiesce at a batch boundary and join the executor (in-flight
-  // batches are preserved — parked, not dropped — even if the
-  // cooperative drain times out), then sweep residuals to the sinks
-  // single-threaded. After this, no tuple is in flight anywhere.
-  if (!QuiesceAndJoin(nullptr, /*preserve_inflight=*/true)) {
-    BRISK_LOG(Warn) << "migration drain timed out after "
-                    << config_.drain_timeout_s
-                    << " s; residual sweep delivers the backlog";
-  }
-  SweepResiduals();
+  // 2. Pause: quiesce at a batch boundary, join the executor and sweep
+  // residuals to the sinks. After this, no tuple is in flight anywhere
+  // (a wedged push aside, which the supervisor recovers from).
+  Pause();
 
   if (fm != nullptr && fm->at_phase == 1) {
     // After the pause, before the rebuild: nothing was dismantled —
@@ -482,37 +484,17 @@ StatusOr<JobCheckpoint> BriskRuntime::Checkpoint() {
     }
   }
   const auto pause_start = std::chrono::steady_clock::now();
-  // Same pause as a migration: quiesce at a batch boundary preserving
-  // in-flight envelopes, then sweep residuals to the sinks. After the
-  // sweep, keyed state and source positions are mutually consistent —
-  // every produced tuple has fully taken effect, none is half-applied.
-  if (!QuiesceAndJoin(nullptr, /*preserve_inflight=*/true)) {
-    BRISK_LOG(Warn) << "checkpoint drain timed out after "
-                    << config_.drain_timeout_s
-                    << " s; residual sweep delivers the backlog";
-  }
-  SweepResiduals();
-
-  // Consistency guard: a snapshot is only valid if every produced
-  // tuple reached its state. A failed replica discards the input the
-  // sweep hands it, and a wedged push keeps its envelope parked past
-  // the sweep — either way the source positions would run ahead of the
-  // captured state, and restoring such a snapshot would silently lose
-  // the gap. Refuse, resume, and let the supervisor keep its last good
-  // checkpoint (it is about to detect the failure anyway).
-  bool consistent = true;
-  for (const auto& task : tasks_) {
-    if (task->failed() || task->pending_live() != 0) {
-      consistent = false;
-      break;
-    }
-  }
-  for (const auto& ch : channels_) {
-    if (!ch->EmptyApprox()) {
-      consistent = false;
-      break;
-    }
-  }
+  // Same pause as a migration. After it, keyed state and source
+  // positions are mutually consistent — every produced tuple has fully
+  // taken effect, none is half-applied — unless a replica failed (it
+  // discards the input the sweep hands it) or a wedged push kept its
+  // envelope parked. Either way the source positions would run ahead
+  // of the captured state, and restoring such a snapshot would
+  // silently lose the gap. Refuse, resume, and let the supervisor keep
+  // its last good checkpoint (it is about to detect the failure
+  // anyway).
+  bool consistent = Pause();
+  for (const auto& task : tasks_) consistent = consistent && !task->failed();
   if (!consistent) {
     BRISK_RETURN_NOT_OK(ResumeOrDie());
     return Status::Unavailable(
@@ -736,17 +718,18 @@ RunStats BriskRuntime::Stop() {
     CollectStats(&stats);
     return stats;
   }
-  // Phase 1: stop production, let bolts drain what is in flight.
-  stats.drained =
-      QuiesceAndJoin(&stats.drain_seconds, /*preserve_inflight=*/false);
-  // Phase 2: run the shutdown epilogue in topological operator order:
-  // each task consumes what is left on its inputs and flushes its
-  // operator, so stateful bolts' finals propagate all the way to the
-  // sinks even though no execution thread is running anymore.
+  Pause(&stats);
+  // Operator finals in topological order, each operator's swept on
+  // before the next flushes: the next one flushes only after
+  // everything upstream of it has landed, so finals that overflow a
+  // ring are delivered, not dropped, and stateful bolts' finals reach
+  // the sinks even though no execution thread runs anymore.
   for (const int op : topo_->topological_order()) {
+    if (topo_->op(op).is_spout) continue;
     for (size_t i = 0; i < tasks_.size(); ++i) {
       if (instance_op_[i] == op) tasks_[i]->Drain(/*flush_operator=*/true);
     }
+    SweepResiduals();
   }
   stats.executor = retired_executor_;
   running_ = false;

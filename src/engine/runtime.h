@@ -23,7 +23,6 @@
 #include "hardware/numa_emulator.h"
 #include "hardware/topology.h"
 #include "model/execution_plan.h"
-#include "optimizer/dynamic.h"
 
 namespace brisk::engine {
 
@@ -121,46 +120,51 @@ class BriskRuntime {
   /// placement. Idempotent-error: fails if running.
   Status Start();
 
-  /// Stops the engine and returns run statistics. Spouts stop first
-  /// and bolts drain in-flight envelopes (bounded by drain_timeout_s)
-  /// before everything halts, so a bounded source's tuples all reach
-  /// the sink.
+  /// Stops the engine and returns run statistics. Stop pauses exactly
+  /// like a migration or a checkpoint (spouts stop, bolts drain
+  /// in-flight envelopes for up to drain_timeout_s, the pool halts and
+  /// the residual sweep delivers what the halt caught), then flushes
+  /// every operator in topological order: an operator flushes once
+  /// everything upstream of it, finals included, has landed, and its
+  /// own finals are swept on before the next operator flushes. Every
+  /// tuple a spout emitted, and every final an operator emits, reaches
+  /// its consumer, however short the drain budget or the rings.
   RunStats Stop();
 
   /// Convenience: Start, sleep `seconds` of wall-clock, Stop.
   StatusOr<RunStats> RunFor(double seconds);
 
-  /// Live pause-and-migrate re-planning (§5.3): executes a
-  /// MigrationPlan (kMove/kStart/kStop steps, as produced by
-  /// DynamicReoptimizer/DiffPlans against the plan this runtime is
-  /// currently running) on the live job. The protocol:
+  /// Live pause-and-migrate re-planning (§5.3): switches the running
+  /// job to `next`, e.g. the plan DynamicReoptimizer::Check proposed.
+  /// The protocol:
   ///
-  ///   1. quiesce — spouts stop at a batch boundary, bolts drain
-  ///      in-flight envelopes (the PR-4 park machinery idles the
-  ///      workers), the executor joins;
-  ///   2. residual sweep — repeated topological Task::Drain passes
-  ///      push every remaining staged/parked/queued tuple through to
-  ///      the sinks (operators are NOT flushed: the job continues);
-  ///   3. harvest — operator instances move out of their tasks,
+  ///   1. pause — spouts stop at a batch boundary, bolts drain
+  ///      in-flight envelopes (parked workers idle), the executor
+  ///      joins, and a residual sweep of
+  ///      repeated topological Task::Drain passes pushes every
+  ///      remaining staged/parked/queued tuple through to the sinks
+  ///      (operators are NOT flushed: the job continues);
+  ///   2. harvest — operator instances move out of their tasks,
   ///      keeping all internal state; replicas of operators whose
   ///      replication changes snapshot their keyed state
   ///      (api::Operator::SnapshotKeyedState, the checkpoint codec);
-  ///   4. rebuild — tasks and channels are rewired against the new
-  ///      plan; surviving (op, replica) identities adopt their old
-  ///      operator instance and cumulative stats, new replicas are
-  ///      constructed and Prepared, retired replicas fold their stats
-  ///      into the per-operator totals;
-  ///   5. re-partition — snapshotted keyed state is re-bucketed with
-  ///      the fields-grouping hash over the new replica count and
-  ///      restored into every new replica, replacing what surviving
-  ///      replicas held (exactly as Restore installs a checkpoint);
-  ///   6. resume — a fresh worker pool starts, with thread pinning
+  ///   3. rebuild — tasks and channels are rewired against `next`;
+  ///      surviving (op, replica) identities adopt their old operator
+  ///      instance and cumulative stats, new replicas are constructed
+  ///      and Prepared, retired replicas fold their stats into the
+  ///      per-operator totals;
+  ///   4. re-partition — snapshotted keyed state is re-bucketed with
+  ///      ReplicaOfKey over the new replica count and restored into
+  ///      every new replica, replacing what surviving replicas held
+  ///      (exactly as Restore installs a checkpoint);
+  ///   5. resume — a fresh worker pool starts, with thread pinning
   ///      derived from the *new* socket assignment.
   ///
-  /// Step validation happens before the pause, so a rejected
-  /// migration leaves the job running undisturbed. Fails if the
-  /// engine is not running.
-  Status ApplyMigration(const opt::MigrationPlan& migration);
+  /// `next` is checked before the pause: a plan over another topology
+  /// object or with unplaced instances is rejected and leaves the job
+  /// running undisturbed, and a plan equal to the running one returns
+  /// OK without pausing. Fails if the engine is not running.
+  Status ApplyMigration(const model::ExecutionPlan& next);
 
   /// The plan currently executing (the migrated plan after
   /// ApplyMigration). Callers must not retain the reference across
@@ -239,20 +243,18 @@ class BriskRuntime {
   Status ResumeOrDie();
 
   /// Buckets bolt `op`'s keyed-state entries exactly like a fields
-  /// grouping routes tuples (HashField(key) % replication of the
-  /// current plan) and restores every replica's bucket — empty ones
+  /// grouping routes tuples (ReplicaOfKey over the current plan's
+  /// replication) and restores every replica's bucket — empty ones
   /// too, so a surviving replica drops keys that now live elsewhere.
   /// The one keyed-state hand-off of ApplyMigration and Restore.
   void RestoreOperatorState(int op, std::vector<api::CheckpointEntry> entries);
 
-  /// Stops spouts, waits for drain, halts and joins the executor, and
-  /// folds its counters into the accumulated totals. Returns whether
-  /// the drain reached quiescence (vs timed out). With
-  /// `preserve_inflight` (the migration pause), the halt parks
-  /// batches that would otherwise drop on a full ring, so the
-  /// residual sweep can deliver them; plain Stop() keeps the legacy
-  /// drop-at-halt semantics.
-  bool QuiesceAndJoin(double* drain_seconds, bool preserve_inflight);
+  /// The one lossless pause of Stop, ApplyMigration and Checkpoint:
+  /// stops spouts, waits for the drain (up to drain_timeout_s; its
+  /// outcome and duration go to `stats` when non-null), halts and
+  /// joins the executor, and sweeps the residuals. Returns whether the
+  /// sweep reached quiescence; only a wedged push leaves it short.
+  bool Pause(RunStats* stats = nullptr);
 
   /// Halts (stop_all), joins, and folds the executor's counters into
   /// the accumulated totals — the epilogue shared by every teardown.
@@ -260,7 +262,9 @@ class BriskRuntime {
 
   /// Repeated topological Task::Drain passes until every channel is
   /// empty and nothing is parked (single-threaded; executor joined).
-  void SweepResiduals();
+  /// Returns whether that state was reached; a pass that moves nothing
+  /// ends the sweep short.
+  bool SweepResiduals();
 
   /// Polls until every channel is empty and consumption has stopped
   /// advancing (or `timeout_s` elapses). Spouts must already be

@@ -213,8 +213,8 @@ void Task::EmitTo(uint16_t stream_id, Tuple t) {
         break;
       }
       case api::GroupingType::kFields: {
-        forward(HashField(t.fields[route.key_field]) %
-                route.channels.size());
+        forward(ReplicaOfKey(t.fields[route.key_field],
+                             route.channels.size()));
         break;
       }
       case api::GroupingType::kBroadcast: {
@@ -315,17 +315,6 @@ bool Task::PushEnvelope(Envelope&& env, Channel* channel) {
   if (pending_head_ >= pending_.size() && channel->SizeApprox() < cap &&
       channel->TryPush(std::move(env))) {
     return true;
-  }
-  // The drop decision reads the signals in halt-publication order:
-  // the migration stores preserve_inflight *before* stop_all
-  // (release), so observing stop_all (acquire) guarantees observing
-  // preserve mode — checking in any other order can read a stale
-  // `preserve == false` next to a fresh `stop_all == true` and drop
-  // the batch the residual sweep is about to collect.
-  if (!draining_ && signals_ != nullptr &&
-      signals_->stop_all.load(std::memory_order_acquire) &&
-      !signals_->preserve_inflight.load(std::memory_order_relaxed)) {
-    return true;  // plain halt: the in-flight batch is dropped
   }
   ++stats_.backpressure_parks;
   pending_.push_back(PendingPush{std::move(env), channel});
@@ -616,11 +605,6 @@ void Task::Drain(bool flush_operator) {
     }
   }
   FlushAll(true);
-  // Anything still parked after a final drain found the ring itself
-  // full — more finals per consumer channel than queue slots; it drops
-  // with the task, the one bounded-memory ceiling of the shutdown
-  // epilogue.
-  TryDrainPending();
   draining_ = false;
 }
 

@@ -93,12 +93,6 @@ struct TaskStats {
 struct StopSignals {
   std::atomic<bool> stop_all{false};
   std::atomic<bool> stop_spouts{false};
-  /// Migration mode: the engine is pausing, not dying — a push that
-  /// would normally drop its in-flight batch under `stop_all` (full
-  /// ring at halt time) parks it instead, so the post-join residual
-  /// sweep delivers it and the pause stays lossless even when the
-  /// cooperative drain timed out.
-  std::atomic<bool> preserve_inflight{false};
 };
 
 /// Outcome of one cooperative work quantum.
@@ -228,13 +222,13 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   /// Post-join drain: consumes everything still queued on the inputs,
   /// forces staged batches out and retries parked envelopes, with the
   /// in-flight cap lifted, so repeated topological passes converge
-  /// with zero tuple loss. With `flush_operator` (the shutdown
-  /// epilogue, once per run) the operator's Flush runs after the
-  /// inputs are consumed, so stateful bolts' finals propagate to the
-  /// sinks; the migration and checkpoint sweeps pass false, since the
-  /// job keeps running on the next plan epoch. A failed replica drops
-  /// what it pops and is not flushed. Single-threaded: only call after
-  /// all execution threads joined, in topological operator order.
+  /// with zero tuple loss. With `flush_operator` (Stop, once per run)
+  /// the operator's Flush runs after the inputs are consumed, so
+  /// stateful bolts' finals propagate to the sinks; the residual sweep
+  /// passes false, since a paused job keeps running. A failed replica
+  /// drops what it pops and is not flushed. Single-threaded: only call
+  /// after all execution threads joined, in topological operator
+  /// order.
   void Drain(bool flush_operator);
 
   const TaskStats& stats() const { return stats_; }
@@ -286,7 +280,7 @@ class Task : public api::OutputCollector, public api::PipelineSink {
 
   /// Delivers one envelope, or parks it in `pending_` and returns
   /// false when the channel is at its in-flight cap (or behind an
-  /// earlier parked envelope). At a plain halt it drops instead.
+  /// earlier parked envelope).
   bool PushEnvelope(Envelope&& env, Channel* channel);
 
   /// Retries parked envelopes in FIFO order; false while any remain.

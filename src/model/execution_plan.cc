@@ -70,6 +70,29 @@ void ExecutionPlan::ClearPlacement() {
   for (auto& inst : instances_) inst.socket = -1;
 }
 
+StatusOr<ExecutionPlan> ExecutionPlan::Resized(int op, int replication,
+                                               int socket) const {
+  std::vector<int> repl = replication_;
+  repl[op] = replication;
+  BRISK_ASSIGN_OR_RETURN(ExecutionPlan next, Create(topo_, std::move(repl)));
+  for (auto& inst : next.instances_) {
+    inst.socket = inst.replica < replication_[inst.op]
+                      ? SocketOf(InstanceId(inst.op, inst.replica))
+                      : socket;
+  }
+  return next;
+}
+
+bool ExecutionPlan::operator==(const ExecutionPlan& other) const {
+  if (topo_ != other.topo_ || replication_ != other.replication_) {
+    return false;
+  }
+  for (size_t i = 0; i < instances_.size(); ++i) {
+    if (instances_[i].socket != other.instances_[i].socket) return false;
+  }
+  return true;
+}
+
 std::string ExecutionPlan::ToString() const {
   std::ostringstream os;
   os << "ExecutionPlan (" << instances_.size() << " instances)\n";

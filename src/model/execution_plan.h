@@ -68,6 +68,13 @@ class ExecutionPlan {
   /// Clears all placements back to -1.
   void ClearPlacement();
 
+  /// This plan with `op` at `replication` replicas: surviving replicas
+  /// keep their sockets, new ones go on `socket`.
+  StatusOr<ExecutionPlan> Resized(int op, int replication, int socket) const;
+
+  /// Same topology object, replication and socket of every instance.
+  bool operator==(const ExecutionPlan& other) const;
+
   std::string ToString() const;
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace brisk::opt {
 
@@ -32,23 +31,6 @@ double ProfileDrift(const model::ProfileSet& planned,
   return drift;
 }
 
-std::string MigrationStep::ToString(const api::Topology& topo) const {
-  std::ostringstream os;
-  os << topo.op(op).name << "[" << replica << "] ";
-  switch (kind) {
-    case kMove:
-      os << "move S" << from_socket << " -> S" << to_socket;
-      break;
-    case kStart:
-      os << "start on S" << to_socket;
-      break;
-    case kStop:
-      os << "stop on S" << from_socket;
-      break;
-  }
-  return os.str();
-}
-
 StatusOr<MigrationPlan> DiffPlans(const model::ExecutionPlan& current,
                                   const model::ExecutionPlan& next) {
   if (&current.topology() != &next.topology()) {
@@ -62,110 +44,17 @@ StatusOr<MigrationPlan> DiffPlans(const model::ExecutionPlan& current,
     const int new_repl = next.replication(op);
     const int common = std::min(old_repl, new_repl);
     for (int r = 0; r < common; ++r) {
-      const int from = current.SocketOf(current.InstanceId(op, r));
-      const int to = next.SocketOf(next.InstanceId(op, r));
-      if (from == to) {
+      if (current.SocketOf(current.InstanceId(op, r)) ==
+          next.SocketOf(next.InstanceId(op, r))) {
         ++out.unchanged;
       } else {
-        out.steps.push_back({MigrationStep::kMove, op, r, from, to});
         ++out.moves;
       }
     }
-    for (int r = common; r < new_repl; ++r) {
-      out.steps.push_back({MigrationStep::kStart, op, r, -1,
-                           next.SocketOf(next.InstanceId(op, r))});
-      ++out.starts;
-    }
-    for (int r = common; r < old_repl; ++r) {
-      out.steps.push_back({MigrationStep::kStop, op, r,
-                           current.SocketOf(current.InstanceId(op, r)),
-                           -1});
-      ++out.stops;
-    }
+    out.starts += new_repl - common;
+    out.stops += old_repl - common;
   }
   return out;
-}
-
-StatusOr<model::ExecutionPlan> ApplyStepsToPlan(
-    const model::ExecutionPlan& current, const MigrationPlan& migration) {
-  const api::Topology& topo = current.topology();
-  const int n_ops = topo.num_operators();
-  std::vector<int> replication = current.replication();
-  std::vector<int> starts(n_ops, 0), stops(n_ops, 0);
-  for (const MigrationStep& s : migration.steps) {
-    if (s.op < 0 || s.op >= n_ops) {
-      return Status::InvalidArgument("migration step names operator " +
-                                     std::to_string(s.op) +
-                                     " outside the topology");
-    }
-    if (s.kind == MigrationStep::kStart) ++starts[s.op];
-    if (s.kind == MigrationStep::kStop) ++stops[s.op];
-  }
-  for (int op = 0; op < n_ops; ++op) {
-    if (starts[op] > 0 && stops[op] > 0) {
-      return Status::InvalidArgument(
-          "migration both starts and stops replicas of '" +
-          topo.op(op).name + "'");
-    }
-    replication[op] += starts[op] - stops[op];
-    if (replication[op] < 1) {
-      return Status::InvalidArgument("migration stops every replica of '" +
-                                     topo.op(op).name + "'");
-    }
-  }
-
-  BRISK_ASSIGN_OR_RETURN(model::ExecutionPlan next,
-                         model::ExecutionPlan::Create(&topo, replication));
-  // Unchanged replicas keep their current socket; steps override.
-  for (int op = 0; op < n_ops; ++op) {
-    const int common = std::min(current.replication(op), replication[op]);
-    for (int r = 0; r < common; ++r) {
-      next.SetSocket(next.InstanceId(op, r),
-                     current.SocketOf(current.InstanceId(op, r)));
-    }
-  }
-  for (const MigrationStep& s : migration.steps) {
-    const int old_repl = current.replication(s.op);
-    const int new_repl = replication[s.op];
-    switch (s.kind) {
-      case MigrationStep::kMove: {
-        if (s.replica < 0 || s.replica >= std::min(old_repl, new_repl)) {
-          return Status::InvalidArgument(
-              "move step for '" + topo.op(s.op).name + "' replica " +
-              std::to_string(s.replica) + " outside the surviving range");
-        }
-        const int at = current.SocketOf(current.InstanceId(s.op, s.replica));
-        if (s.from_socket != at) {
-          return Status::InvalidArgument(
-              "move step for '" + topo.op(s.op).name + "' expects socket " +
-              std::to_string(s.from_socket) + " but the replica runs on " +
-              std::to_string(at));
-        }
-        next.SetSocket(next.InstanceId(s.op, s.replica), s.to_socket);
-        break;
-      }
-      case MigrationStep::kStart:
-        if (s.replica < old_repl || s.replica >= new_repl) {
-          return Status::InvalidArgument(
-              "start step for '" + topo.op(s.op).name + "' replica " +
-              std::to_string(s.replica) + " is not at the replica tail");
-        }
-        next.SetSocket(next.InstanceId(s.op, s.replica), s.to_socket);
-        break;
-      case MigrationStep::kStop:
-        if (s.replica < new_repl || s.replica >= old_repl) {
-          return Status::InvalidArgument(
-              "stop step for '" + topo.op(s.op).name + "' replica " +
-              std::to_string(s.replica) + " is not at the replica tail");
-        }
-        break;
-    }
-  }
-  if (!next.FullyPlaced()) {
-    return Status::InvalidArgument(
-        "migration leaves started replicas without a socket");
-  }
-  return next;
 }
 
 StatusOr<ReoptDecision> DynamicReoptimizer::Check(
@@ -176,8 +65,10 @@ StatusOr<ReoptDecision> DynamicReoptimizer::Check(
   decision.drift = ProfileDrift(planned_profiles, observed_profiles);
   if (decision.drift < options_.drift_threshold) return decision;
 
-  // How well would the *current* plan do under the observed workload?
-  model::PerfModel observed_model(machine_, &observed_profiles);
+  // How well would the *current* plan do under the observed workload,
+  // on the same worker budget the re-optimization plans for?
+  model::PerfModel observed_model(machine_, &observed_profiles,
+                                  options_.rlas.workers_per_socket);
   BRISK_ASSIGN_OR_RETURN(
       model::ModelResult current_under_observed,
       observed_model.Evaluate(current, options_.rlas.placement.input_rate_tps));

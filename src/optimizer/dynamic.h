@@ -7,13 +7,11 @@
 //   1. drift detection — compare the profiles the running plan was
 //      optimized for against freshly observed statistics;
 //   2. re-optimization — run RLAS against the observed profiles;
-//   3. migration planning — diff the old and new plans into the
-//      minimal set of instance moves / starts / stops, so a deployer
-//      can judge the disruption before switching.
+//   3. migration summary — count the instance moves / starts / stops
+//      between the old and new plans, so a deployer can judge the
+//      disruption before handing the new plan to the engine
+//      (BriskRuntime::ApplyMigration).
 #pragma once
-
-#include <string>
-#include <vector>
 
 #include "api/topology.h"
 #include "model/execution_plan.h"
@@ -29,49 +27,28 @@ namespace brisk::opt {
 double ProfileDrift(const model::ProfileSet& planned,
                     const model::ProfileSet& observed);
 
-/// One instance-level action in a plan switch.
-struct MigrationStep {
-  enum Kind { kMove, kStart, kStop } kind;
-  int op = -1;
-  int replica = 0;
-  int from_socket = -1;  ///< kMove/kStop
-  int to_socket = -1;    ///< kMove/kStart
-  std::string ToString(const api::Topology& topo) const;
-};
-
-/// The difference between two plans over the same topology.
+/// How much of the running job a plan switch disturbs: instance counts
+/// of the difference between two plans over the same topology.
 struct MigrationPlan {
-  std::vector<MigrationStep> steps;
   int moves = 0;    ///< relocated replicas (state must transfer)
   int starts = 0;   ///< newly created replicas
   int stops = 0;    ///< retired replicas
   int unchanged = 0;
 
-  bool empty() const { return steps.empty(); }
+  bool empty() const { return moves + starts + stops == 0; }
 };
 
-/// Computes the instance-level diff (replicas are matched by
+/// Counts the instance-level difference (replicas are matched by
 /// (operator, replica index), the stable identity the engine uses).
 StatusOr<MigrationPlan> DiffPlans(const model::ExecutionPlan& current,
                                   const model::ExecutionPlan& next);
-
-/// Reconstructs the target plan a migration describes: applies kMove /
-/// kStart / kStop steps to `current` and returns the resulting plan.
-/// Validates that the steps are consistent with `current` (moves name
-/// the occupied socket, starts/stops are contiguous at the replica
-/// tail, no op both starts and stops), so for any two plans over the
-/// same topology, ApplyStepsToPlan(a, DiffPlans(a, b)) == b. This is
-/// what lets a live engine, which only remembers the plan it is
-/// running, execute a MigrationPlan without being handed the new plan
-/// object.
-StatusOr<model::ExecutionPlan> ApplyStepsToPlan(
-    const model::ExecutionPlan& current, const MigrationPlan& migration);
 
 /// Outcome of one reoptimization check.
 struct ReoptDecision {
   bool reoptimized = false;
   double drift = 0.0;
-  /// Valid when reoptimized: the new plan and how to get there.
+  /// Valid when reoptimized: the new plan, its model result and the
+  /// disruption of switching to it.
   model::ExecutionPlan new_plan;
   model::ModelResult new_model;
   MigrationPlan migration;
@@ -84,8 +61,8 @@ struct DynamicOptions {
   /// Re-optimize only when drift exceeds this fraction.
   double drift_threshold = 0.15;
   /// Adopt the new plan only when its modeled throughput beats the
-  /// current plan's (re-evaluated under observed profiles) by this
-  /// fraction — switching has a cost (§5.3's motivation for cheap
+  /// current plan's (re-evaluated under observed profiles and the same
+  /// rlas.workers_per_socket budget) by this fraction — switching has a cost (§5.3's motivation for cheap
   /// heuristics; we make the trade-off explicit instead).
   double min_gain = 0.05;
 
@@ -110,7 +87,7 @@ struct DynamicOptions {
 };
 
 /// Decides whether to re-optimize `current` given freshly observed
-/// profiles, and if so produces the new plan + migration.
+/// profiles, and if so produces the new plan and its migration summary.
 class DynamicReoptimizer {
  public:
   DynamicReoptimizer(const hw::MachineSpec* machine, DynamicOptions options)

@@ -11,6 +11,7 @@
 #include "api/dsl.h"
 #include "apps/apps.h"
 #include "apps/common_ops.h"  // apps::NowNs for origin timestamps
+#include "engine/executor.h"
 #include "optimizer/rlas.h"
 
 namespace brisk {
@@ -165,6 +166,34 @@ TEST(JobTest, PlansForThePoolsWorkers) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     EXPECT_GT((*deployment)->Stop().sink_tuples, 0u) << workers;
   }
+}
+
+// The pool runs the W workers per socket the plan was made for, on
+// every socket the plan uses, also when the plan leaves sockets empty
+// (then a per-used-socket share of the host would be larger than W).
+TEST(JobTest, PoolRunsThePlannedWorkersPerUsedSocket) {
+  const hw::MachineSpec small =
+      hw::MachineSpec::Symmetric(2, 4, 2.0, 100, 300, 40, 12);
+  auto telemetry = std::make_shared<apps::SinkTelemetry>();
+  const engine::EngineConfig config = BoundedConfig();
+  opt::RlasOptions options;
+  options.placement.input_rate_tps = 10000;  // met on one socket
+  auto report = Job::Of(TinyPipeline(telemetry))
+                    .WithMachine(small)
+                    .WithPlannerOptions(options)
+                    .WithProfiles(TinyProfiles())
+                    .WithConfig(config)
+                    .WithTelemetry(telemetry)
+                    .Run(0.1);
+  ASSERT_TRUE(report.ok()) << report.status();
+  int sockets_used = 0;
+  for (int s = 0; s < small.num_sockets(); ++s) {
+    if (report->plan.InstancesOnSocket(s) > 0) ++sockets_used;
+  }
+  const int planned =
+      engine::WorkersPerSocketFor(config, &small, small.num_sockets());
+  EXPECT_EQ(sockets_used, 1) << report->plan.ToString();
+  EXPECT_EQ(report->stats.executor.threads, planned * sockets_used);
 }
 
 TEST(JobTest, PipelineLoweringErrorSurfacesFromRun) {

@@ -146,7 +146,7 @@ TEST(WordCountTest, TopologyShape) {
 
 TEST(WordCountTest, SpoutEmitsSentencesOfTenWords) {
   WordCountParams params;
-  SentenceSpout spout(params);
+  SentenceSpout spout(params, MakeWordDictionary(params));
   api::OperatorContext ctx;
   ASSERT_TRUE(spout.Prepare(ctx).ok());
   CaptureCollector out;
@@ -162,7 +162,8 @@ TEST(WordCountTest, SpoutEmitsSentencesOfTenWords) {
 
 TEST(WordCountTest, SpoutReplicasEmitDifferentData) {
   WordCountParams params;
-  SentenceSpout a(params), b(params);
+  const WordDictionary dictionary = MakeWordDictionary(params);
+  SentenceSpout a(params, dictionary), b(params, dictionary);
   api::OperatorContext ctx_a, ctx_b;
   ctx_a.replica_index = 0;
   ctx_b.replica_index = 1;

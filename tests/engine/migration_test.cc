@@ -1,7 +1,8 @@
 // Live plan migration (§5.3): BriskRuntime::ApplyMigration must
-// execute kMove/kStart/kStop steps against a running job without
-// dropping or duplicating a tuple, hand keyed state across
-// replica-count changes, and leave the engine pinned to the new plan.
+// switch a running job to the plan it is handed without dropping or
+// duplicating a tuple, hand keyed state across replica-count changes,
+// and leave the engine pinned to the new plan. Stop() pauses the same
+// lossless way, then flushes the operators.
 //
 // The invariants asserted here are the strong ones:
 //   - edge conservation over the whole run (per-operator totals across
@@ -11,8 +12,8 @@
 //     (1, 2, 3, ... per word) — a lost tuple leaves a gap, a
 //     duplicated tuple repeats a count, and lost counter state restarts
 //     the sequence at 1;
-//   - after each migration the runtime's plan matches
-//     opt::ApplyStepsToPlan of the steps it was handed.
+//   - after each migration the runtime runs the plan it was handed.
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -25,21 +26,19 @@
 
 #include <gtest/gtest.h>
 
+#include "api/dsl.h"
 #include "apps/word_count.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "engine/runtime.h"
 #include "engine/supervisor.h"
 #include "model/execution_plan.h"
-#include "optimizer/dynamic.h"
 
 namespace brisk::engine {
 namespace {
 
 using apps::WordCountParams;
 using model::ExecutionPlan;
-using opt::MigrationPlan;
-using opt::MigrationStep;
 
 // Operator ids in the WC DSL topology, in declaration order.
 constexpr int kSpout = 0;
@@ -64,13 +63,11 @@ struct WcRun {
   ExecutionPlan plan;  ///< what the runtime should be running
   std::unique_ptr<BriskRuntime> rt;
 
-  void Migrate(const MigrationPlan& m) {
-    ASSERT_TRUE(rt->ApplyMigration(m).ok());
-    auto next = opt::ApplyStepsToPlan(plan, m);
-    ASSERT_TRUE(next.ok());
-    plan = *next;
-    // Post-migration pinning: the runtime runs exactly the plan the
-    // steps describe.
+  void Migrate(const ExecutionPlan& next) {
+    ASSERT_TRUE(rt->ApplyMigration(next).ok());
+    plan = next;
+    // Post-migration pinning: the runtime runs exactly the plan it was
+    // handed.
     ASSERT_EQ(rt->plan().num_instances(), plan.num_instances());
     for (int i = 0; i < plan.num_instances(); ++i) {
       EXPECT_EQ(rt->plan().SocketOf(i), plan.SocketOf(i)) << "instance " << i;
@@ -115,33 +112,27 @@ EngineConfig TestConfig() {
   return config;
 }
 
-MigrationPlan Move(const ExecutionPlan& plan, int op, int replica, int to) {
-  MigrationPlan m;
-  const int from = plan.SocketOf(plan.InstanceId(op, replica));
-  m.steps.push_back({MigrationStep::kMove, op, replica, from, to});
-  m.moves = 1;
-  return m;
+/// `plan` with replica `replica` of `op` on socket `to`.
+ExecutionPlan Move(ExecutionPlan plan, int op, int replica, int to) {
+  plan.SetSocket(plan.InstanceId(op, replica), to);
+  return plan;
 }
 
-MigrationPlan Grow(const ExecutionPlan& plan, int op, int count, int socket) {
-  MigrationPlan m;
-  for (int i = 0; i < count; ++i) {
-    m.steps.push_back({MigrationStep::kStart, op, plan.replication(op) + i,
-                       -1, socket});
-  }
-  m.starts = count;
-  return m;
+/// `plan` with `op` resized to `replication`: surviving replicas keep
+/// their sockets, new ones go on `socket`.
+ExecutionPlan Resize(const ExecutionPlan& plan, int op, int replication,
+                     int socket) {
+  auto next = plan.Resized(op, replication, socket);
+  BRISK_CHECK(next.ok()) << next.status().ToString();
+  return std::move(next).value();
 }
 
-MigrationPlan Shrink(const ExecutionPlan& plan, int op, int count) {
-  MigrationPlan m;
-  for (int i = 0; i < count; ++i) {
-    const int replica = plan.replication(op) - 1 - i;
-    m.steps.push_back({MigrationStep::kStop, op, replica,
-                       plan.SocketOf(plan.InstanceId(op, replica)), -1});
-  }
-  m.stops = count;
-  return m;
+ExecutionPlan Grow(const ExecutionPlan& plan, int op, int count, int socket) {
+  return Resize(plan, op, plan.replication(op) + count, socket);
+}
+
+ExecutionPlan Shrink(const ExecutionPlan& plan, int op, int count) {
+  return Resize(plan, op, plan.replication(op) - count, -1);
 }
 
 void SleepMs(int ms) {
@@ -271,11 +262,7 @@ TEST(MigrationTest, MoveAndGrowInOneMigration) {
   WcRun run = MakeWcRun({1, 1, 2, 2, 1}, TestConfig(), WordCountParams{});
   ASSERT_TRUE(run.rt->Start().ok());
   SleepMs(150);
-  MigrationPlan m = Move(run.plan, kSplitter, 0, 1);
-  const MigrationPlan grow = Grow(run.plan, kCounter, 1, 0);
-  m.steps.insert(m.steps.end(), grow.steps.begin(), grow.steps.end());
-  m.starts = grow.starts;
-  run.Migrate(m);
+  run.Migrate(Grow(Move(run.plan, kSplitter, 0, 1), kCounter, 1, 0));
   SleepMs(200);
   RunStats stats = run.rt->Stop();
   EXPECT_EQ(stats.migrations, 1);
@@ -284,8 +271,8 @@ TEST(MigrationTest, MoveAndGrowInOneMigration) {
 
 /// A zero-second drain timeout makes every migration pause from a
 /// non-quiescent engine: the halt catches full channels, staged
-/// buffers, and parked envelopes mid-flight. preserve_inflight +
-/// the residual sweep must still deliver every tuple.
+/// buffers, and parked envelopes mid-flight. The halt parks what it
+/// catches, and the residual sweep must still deliver every tuple.
 TEST(MigrationTest, DrainTimeoutStillLosesNothing) {
   EngineConfig config = TestConfig();
   config.drain_timeout_s = 0.0;      // the drain always "times out"
@@ -301,9 +288,9 @@ TEST(MigrationTest, DrainTimeoutStillLosesNothing) {
   SleepMs(80);
   run.Migrate(Grow(run.plan, kCounter, 1, 0));
   // Let the bounded source finish and every tuple land, so the final
-  // Stop() (whose drain budget is also zero — plain drop-at-halt
-  // semantics apply there) has nothing in flight; the migrations
-  // above are the ones that paused mid-backlog. The exact target is
+  // Stop() (whose drain budget is also zero; StopTest covers it) has
+  // nothing in flight; the migrations above are the ones that paused
+  // mid-backlog. The exact target is
   // known (1 spout replica × 6000 sentences × 10 words); if a
   // migration lost a batch, the wait times out and the invariant
   // check below reports the shortfall.
@@ -321,10 +308,15 @@ TEST(MigrationTest, RejectedMigrationLeavesJobRunning) {
   WcRun run = MakeWcRun({1, 1, 1, 1, 1}, TestConfig(), WordCountParams{});
   ASSERT_TRUE(run.rt->Start().ok());
   SleepMs(100);
-  MigrationPlan bad;
-  bad.steps.push_back({MigrationStep::kMove, kCounter, /*replica=*/0,
-                       /*from=*/7, /*to=*/0});  // replica is not on 7
-  EXPECT_FALSE(run.rt->ApplyMigration(bad).ok());
+  ExecutionPlan unplaced = Grow(run.plan, kCounter, 1, /*socket=*/-1);
+  EXPECT_FALSE(run.rt->ApplyMigration(unplaced).ok());
+  // The same shape of plan over another WC topology object.
+  auto other = apps::BuildWordCountDsl(std::make_shared<SinkTelemetry>());
+  ASSERT_TRUE(other.ok());
+  auto foreign = ExecutionPlan::Create(&*other, run.plan.replication());
+  ASSERT_TRUE(foreign.ok());
+  foreign->PlaceAllOn(0);
+  EXPECT_FALSE(run.rt->ApplyMigration(*foreign).ok());
   EXPECT_EQ(run.rt->epoch(), 0);
   const uint64_t before = run.telemetry->count();
   SleepMs(150);
@@ -355,7 +347,7 @@ TEST(MigrationTest, RandomizedMigrationsPreserveInvariants) {
     // (the sink stays single-replica so per-word arrival order is
     // observable).
     const int op = static_cast<int>(rng.NextBounded(4));  // spout..counter
-    MigrationPlan m;
+    ExecutionPlan m;
     const int repl = run.plan.replication(op);
     switch (rng.NextBounded(3)) {
       case 0: {  // move a random replica to a random other socket
@@ -668,6 +660,80 @@ TEST(ChainWiringTest, MigrationBetweenAlignedAndUnalignedKeepsCounts) {
   EXPECT_EQ(ot[kSink].tuples_in, ot[kCounter].tuples_out);
   EXPECT_EQ(ot[kSink].tuples_in, expected);
   CheckGapFreeTotal(run, expected);
+}
+
+// --- Stop() -------------------------------------------------------------
+
+// Stop() pauses like a migration: with a zero drain budget on
+// saturated, shallow rings, the halt catches parked batches on every
+// edge, and the sweep must deliver every one of them.
+TEST(StopTest, ZeroBudgetStopConservesEveryEdge) {
+  EngineConfig config = TestConfig();
+  config.drain_timeout_s = 0.0;
+  config.spout_rate_tps = 0.0;
+  config.queue_capacity = 4;
+  config.pool_inflight_batches = 0;
+  WcRun run = MakeWcRun({1, 1, 2, 2, 1}, config, WordCountParams{});
+  ASSERT_TRUE(run.rt->Start().ok());
+  SleepMs(150);
+  const RunStats stats = run.rt->Stop();
+  EXPECT_TRUE(stats.drain_timed_out);
+  CheckInvariants(run, stats, 10);
+}
+
+/// Consumes silently and emits `finals` tuples when flushed.
+class FlushBurst : public api::Operator {
+ public:
+  explicit FlushBurst(int64_t finals) : finals_(finals) {}
+  void Process(const Tuple&, api::OutputCollector*) override {}
+  void Flush(api::OutputCollector* out) override {
+    for (int64_t i = 0; i < finals_; ++i) {
+      Tuple t;
+      t.fields.emplace_back(i);
+      out->Emit(std::move(t));
+    }
+  }
+
+ private:
+  int64_t finals_;
+};
+
+// Finals far beyond what one ring holds (queue_capacity x batch_size
+// tuples) all reach the sink: the sink drains them as they land.
+TEST(StopTest, FlushLargerThanARingReachesTheSink) {
+  EngineConfig config = TestConfig();
+  config.queue_capacity = 4;
+  constexpr int64_t kFinals = 50 * 4 * 16;  // 50 rings of 16-tuple batches
+  auto count = std::make_shared<std::atomic<int64_t>>(0);
+  auto sent = std::make_shared<int64_t>(0);
+  dsl::Pipeline p("flush-burst");
+  p.Source("src",
+           dsl::SourceFn([sent](size_t max_tuples, dsl::Collector& out) {
+             size_t n = 0;
+             for (; n < max_tuples && *sent < 100; ++n, ++*sent) {
+               Tuple t;
+               t.fields.emplace_back(*sent);
+               out.Emit(std::move(t));
+             }
+             return n;
+           }))
+      .Operate("burst",
+               [] { return std::make_unique<FlushBurst>(int64_t{kFinals}); })
+      .Sink("sink", [count](const Tuple&) { count->fetch_add(1); });
+  auto topo = std::move(p).Build();
+  ASSERT_TRUE(topo.ok()) << topo.status();
+  auto plan = ExecutionPlan::CreateDefault(&*topo);
+  ASSERT_TRUE(plan.ok());
+  plan->PlaceAllOn(0);
+  auto rt = BriskRuntime::Create(&*topo, *plan, config);
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  ASSERT_TRUE((*rt)->Start().ok());
+  SleepMs(50);
+  const RunStats stats = (*rt)->Stop();
+  EXPECT_EQ(stats.op_totals[1].tuples_in, 100u);
+  EXPECT_EQ(stats.op_totals[1].tuples_out, static_cast<uint64_t>(kFinals));
+  EXPECT_EQ(stats.op_totals[2].tuples_in, static_cast<uint64_t>(kFinals));
+  EXPECT_EQ(count->load(), kFinals);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 // survives injected crashes through the supervisor, and replays the
 // file from the exact captured offsets — gap-free counts, bounded
 // duplicates (the engine/recovery_test oracle, applied to external
-// input). Also pins the checkpoint codec's backward
-// compatibility: PR-7 "BCP1" buffers (kind-less positions) must keep
-// decoding as tuple counts.
+// input). Also pins the checkpoint codec's input checks: unknown
+// magic (the retired kind-less "BCP1" format too), unknown position
+// kinds and hostile counts are rejected with a Status.
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -276,45 +276,25 @@ ExecutionPlan AnyPlan(std::shared_ptr<const api::Topology>* keepalive) {
   return std::move(plan).value();
 }
 
-TEST(IoRecoveryTest, DecodesPr7KindlessCheckpointsAsTupleCounts) {
-  // A "BCP1" buffer exactly as PR-7 wrote it: positions carry no kind
-  // field. Hand-built so the compatibility contract outlives the old
-  // writer.
+TEST(IoRecoveryTest, RejectsRetiredKindlessBcp1Checkpoints) {
+  // A "BCP1" buffer: positions carry no kind field. Checkpoint bytes
+  // never outlive the process that wrote them, so no such buffer can
+  // exist; it falls under the unknown-magic rule.
   std::vector<uint8_t> buf;
   PutU32(0x31504342, &buf);  // "BCP1"
   PutU32(7, &buf);           // epoch
-  PutU32(1, &buf);           // one state snapshot
-  PutU32(3, &buf);           // op
+  PutU32(0, &buf);           // no state
+  PutU32(1, &buf);           // one position
+  PutU32(0, &buf);           // op
   PutU32(0, &buf);           // replica
-  PutU32(1, &buf);           // one entry
-  {
-    Tuple key;  // keys ride the tuple codec as single-field tuples
-    key.fields.push_back(Field("word"));
-    SerializeTuple(key, &buf);
-    Tuple state;
-    state.fields.push_back(Field(int64_t{5}));
-    SerializeTuple(state, &buf);
-  }
-  PutU32(1, &buf);      // one position
-  PutU32(0, &buf);      // op
-  PutU32(0, &buf);      // replica
-  PutU64(1234, &buf);   // offset — no kind field before it in v1
-  PutU32(1, &buf);      // replayable
+  PutU64(1234, &buf);        // offset, with no kind field before it
+  PutU32(1, &buf);           // replayable
 
   std::shared_ptr<const api::Topology> keepalive;
   const ExecutionPlan plan = AnyPlan(&keepalive);
   auto cp = engine::DeserializeCheckpoint(buf, plan);
-  ASSERT_TRUE(cp.ok()) << cp.status().ToString();
-  EXPECT_EQ(cp->epoch, 7);
-  ASSERT_EQ(cp->state.size(), 1u);
-  ASSERT_EQ(cp->state[0].entries.size(), 1u);
-  EXPECT_EQ(cp->state[0].entries[0].key.AsString(), "word");
-  EXPECT_EQ(cp->state[0].entries[0].state.GetInt(0), 5);
-  ASSERT_EQ(cp->positions.size(), 1u);
-  EXPECT_TRUE(cp->positions[0].replayable);
-  // Every v1 source counted tuples; kind-less entries must decode so.
-  EXPECT_EQ(cp->positions[0].position,
-            api::SourcePosition::Tuples(1234));
+  ASSERT_FALSE(cp.ok());
+  EXPECT_NE(cp.status().ToString().find("magic"), std::string::npos);
 }
 
 TEST(IoRecoveryTest, ByteOffsetPositionsRoundTripThroughBcp2) {

@@ -79,5 +79,47 @@ TEST(ExecutionPlanTest, ToStringShowsPlacement) {
   EXPECT_NE(s.find("?"), std::string::npos);
 }
 
+TEST(ExecutionPlanTest, ResizedKeepsSurvivingSocketsAndPlacesNewReplicas) {
+  api::Topology topo = MakeChain(1);
+  auto plan = ExecutionPlan::Create(&topo, {1, 2});
+  ASSERT_TRUE(plan.ok());
+  for (int i = 0; i < plan->num_instances(); ++i) plan->SetSocket(i, i);
+
+  auto grown = plan->Resized(1, 3, /*socket=*/5);
+  ASSERT_TRUE(grown.ok());
+  EXPECT_EQ(grown->replication(), (std::vector<int>{1, 3}));
+  EXPECT_EQ(grown->SocketOf(grown->InstanceId(0, 0)), 0);
+  EXPECT_EQ(grown->SocketOf(grown->InstanceId(1, 0)), 1);
+  EXPECT_EQ(grown->SocketOf(grown->InstanceId(1, 1)), 2);
+  EXPECT_EQ(grown->SocketOf(grown->InstanceId(1, 2)), 5);
+
+  auto shrunk = grown->Resized(1, 2, /*socket=*/5);
+  ASSERT_TRUE(shrunk.ok());
+  EXPECT_TRUE(*shrunk == *plan);
+  EXPECT_FALSE(plan->Resized(1, 0, 0).ok());
+}
+
+TEST(ExecutionPlanTest, EqualityComparesTopologyReplicationAndSockets) {
+  api::Topology topo = MakeChain(1);
+  api::Topology other = MakeChain(1);
+  auto a = ExecutionPlan::Create(&topo, {1, 2});
+  ASSERT_TRUE(a.ok());
+  a->PlaceAllOn(0);
+  ExecutionPlan b = *a;
+  EXPECT_TRUE(*a == b);
+  b.SetSocket(2, 1);
+  EXPECT_FALSE(*a == b);
+
+  auto wider = ExecutionPlan::Create(&topo, {2, 1});
+  ASSERT_TRUE(wider.ok());
+  wider->PlaceAllOn(0);
+  EXPECT_FALSE(*a == *wider);
+
+  auto foreign = ExecutionPlan::Create(&other, {1, 2});
+  ASSERT_TRUE(foreign.ok());
+  foreign->PlaceAllOn(0);
+  EXPECT_FALSE(*a == *foreign);
+}
+
 }  // namespace
 }  // namespace brisk::model

@@ -71,77 +71,6 @@ TEST(DiffPlansTest, DetectsMovesStartsStops) {
   EXPECT_EQ(diff->moves, 1);
   EXPECT_EQ(diff->starts, 1);
   EXPECT_EQ(diff->stops, 1);
-  // Steps are human-printable.
-  for (const auto& s : diff->steps) {
-    EXPECT_FALSE(s.ToString(app->topology()).empty());
-  }
-}
-
-TEST(ApplyStepsToPlanTest, RoundTripsDiffPlans) {
-  auto app = apps::MakeApp(AppId::kWordCount);
-  ASSERT_TRUE(app.ok());
-  auto old_plan =
-      ExecutionPlan::Create(app->topology_ptr.get(), {1, 2, 2, 2, 1});
-  auto new_plan =
-      ExecutionPlan::Create(app->topology_ptr.get(), {2, 2, 3, 1, 1});
-  ASSERT_TRUE(old_plan.ok() && new_plan.ok());
-  old_plan->PlaceAllOn(0);
-  new_plan->PlaceAllOn(1);
-  new_plan->SetSocket(new_plan->InstanceId(2, 2), 0);
-  auto diff = DiffPlans(*old_plan, *new_plan);
-  ASSERT_TRUE(diff.ok());
-  auto rebuilt = ApplyStepsToPlan(*old_plan, *diff);
-  ASSERT_TRUE(rebuilt.ok());
-  ASSERT_EQ(rebuilt->num_instances(), new_plan->num_instances());
-  EXPECT_EQ(rebuilt->replication(), new_plan->replication());
-  for (int i = 0; i < new_plan->num_instances(); ++i) {
-    EXPECT_EQ(rebuilt->SocketOf(i), new_plan->SocketOf(i)) << "instance " << i;
-  }
-  // The diff of the rebuilt plan against the target is empty.
-  auto rediff = DiffPlans(*rebuilt, *new_plan);
-  ASSERT_TRUE(rediff.ok());
-  EXPECT_TRUE(rediff->empty());
-}
-
-TEST(ApplyStepsToPlanTest, EmptyMigrationIsIdentity) {
-  auto app = apps::MakeApp(AppId::kWordCount);
-  ASSERT_TRUE(app.ok());
-  auto plan = ExecutionPlan::CreateDefault(app->topology_ptr.get());
-  ASSERT_TRUE(plan.ok());
-  plan->PlaceAllOn(0);
-  auto rebuilt = ApplyStepsToPlan(*plan, MigrationPlan{});
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(rebuilt->replication(), plan->replication());
-  for (int i = 0; i < plan->num_instances(); ++i) {
-    EXPECT_EQ(rebuilt->SocketOf(i), plan->SocketOf(i));
-  }
-}
-
-TEST(ApplyStepsToPlanTest, RejectsInconsistentSteps) {
-  auto app = apps::MakeApp(AppId::kWordCount);
-  ASSERT_TRUE(app.ok());
-  auto plan = ExecutionPlan::Create(app->topology_ptr.get(), {1, 1, 2, 1, 1});
-  ASSERT_TRUE(plan.ok());
-  plan->PlaceAllOn(0);
-
-  MigrationPlan bad_move;
-  bad_move.steps.push_back({MigrationStep::kMove, /*op=*/2, /*replica=*/0,
-                            /*from=*/1, /*to=*/0});  // replica runs on 0
-  EXPECT_FALSE(ApplyStepsToPlan(*plan, bad_move).ok());
-
-  MigrationPlan stops_everything;
-  stops_everything.steps.push_back(
-      {MigrationStep::kStop, /*op=*/2, /*replica=*/1, /*from=*/0, /*to=*/-1});
-  stops_everything.steps.push_back(
-      {MigrationStep::kStop, /*op=*/2, /*replica=*/0, /*from=*/0, /*to=*/-1});
-  EXPECT_FALSE(ApplyStepsToPlan(*plan, stops_everything).ok());
-
-  MigrationPlan start_and_stop;
-  start_and_stop.steps.push_back(
-      {MigrationStep::kStart, /*op=*/2, /*replica=*/2, /*from=*/-1, /*to=*/0});
-  start_and_stop.steps.push_back(
-      {MigrationStep::kStop, /*op=*/2, /*replica=*/1, /*from=*/0, /*to=*/-1});
-  EXPECT_FALSE(ApplyStepsToPlan(*plan, start_and_stop).ok());
 }
 
 TEST(DiffPlansTest, RejectsDifferentTopologies) {
@@ -219,6 +148,45 @@ TEST_F(DynamicReoptTest, LargeDriftTriggersReplanWithMigration) {
   EXPECT_GT(decision->expected_gain, 0.05);
   EXPECT_FALSE(decision->migration.empty());
   EXPECT_TRUE(decision->new_plan.FullyPlaced());
+}
+
+// Under a worker budget, Check re-plans for the pool's workers and
+// scores the running plan on the same budget: its plan has every
+// replica chain aligned, and its gain is the budgeted ratio.
+TEST(DynamicReoptBudgetTest, ReplansAndScoresUnderTheWorkerBudget) {
+  const MachineSpec tray =
+      MachineSpec::Symmetric(4, 18, 1.2, 50, 307.7, 54.3, 13.2);
+  auto app = apps::MakeApp(AppId::kWordCount);
+  ASSERT_TRUE(app.ok());
+  // Running: the dedicated-core plan for the planned profiles.
+  auto current = RlasOptimizer(&tray, &app->profiles).Optimize(app->topology());
+  ASSERT_TRUE(current.ok()) << current.status();
+  ProfileSet observed = app->profiles;
+  auto splitter = observed.Get("splitter");
+  ASSERT_TRUE(splitter.ok());
+  auto drifted = *splitter;
+  drifted.te_cycles /= 4.0;
+  observed.Set("splitter", drifted);
+
+  DynamicOptions options;
+  options.rlas.workers_per_socket = 1;
+  const DynamicReoptimizer reopt(&tray, options);
+  auto decision = reopt.Check(app->topology(), current->plan, app->profiles,
+                              observed);
+  ASSERT_TRUE(decision.ok()) << decision.status();
+  ASSERT_TRUE(decision->reoptimized);
+  for (const auto& e : app->topology().edges()) {
+    if (!app->topology().IsChainEdge(e)) continue;
+    EXPECT_TRUE(model::WiredOneToOne(decision->new_plan, e))
+        << decision->new_plan.ToString();
+  }
+  auto budgeted = model::PerfModel(&tray, &observed, 1)
+                      .Evaluate(current->plan,
+                                options.rlas.placement.input_rate_tps);
+  ASSERT_TRUE(budgeted.ok());
+  const double ratio =
+      decision->new_model.throughput / budgeted->throughput;
+  EXPECT_NEAR(decision->expected_gain, ratio - 1.0, 1e-9 * ratio);
 }
 
 }  // namespace

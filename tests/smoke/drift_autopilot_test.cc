@@ -30,6 +30,7 @@
 #include "apps/word_count.h"
 #include "common/logging.h"
 #include "engine/observed_profiles.h"
+#include "optimizer/dynamic.h"
 
 namespace brisk {
 namespace {
@@ -63,8 +64,17 @@ dsl::Pipeline MakeDriftingWc(std::shared_ptr<SinkTelemetry> telemetry,
                                          std::move(tap));
 }
 
-engine::EngineConfig DriftConfig(double rate_tps) {
+/// A worker per core of DriftMachine. The autopilot re-plans under the
+/// budget the pool runs, and the migrating tests need the headroom of
+/// dedicated cores for a re-plan of this drift to pay; the default
+/// budget of a 4-core host (2 per socket) is pinned separately by
+/// AutopilotKeepsTheRunningPlanAtTwoWorkersPerSocket.
+constexpr int kWorkerPerCore = 8;
+
+engine::EngineConfig DriftConfig(double rate_tps,
+                                 int workers_per_socket = kWorkerPerCore) {
   engine::EngineConfig config;  // Brisk defaults, worker pool
+  config.workers_per_socket = workers_per_socket;
   config.spout_rate_tps = rate_tps;
   config.seed = 0x00d21f7;
   config.batch_size = 32;
@@ -90,7 +100,8 @@ opt::RlasOptions DriftRlas() {
 /// counters, so the planner baseline and the autopilot's runtime
 /// observations share one measurement context (and one reference
 /// clock) — exactly the self-consistent loop §5.3 describes.
-model::ProfileSet CalibratePreDriftProfiles() {
+model::ProfileSet CalibratePreDriftProfiles(
+    int workers_per_socket = kWorkerPerCore) {
   auto telemetry = std::make_shared<SinkTelemetry>();
   auto deployment =
       Job::Of(MakeDriftingWc(telemetry, nullptr, /*drift_at=*/~0ULL,
@@ -98,7 +109,7 @@ model::ProfileSet CalibratePreDriftProfiles() {
           .WithProfiles(apps::WordCountProfiles())  // seed plan: any
           .WithMachine(DriftMachine())
           .WithPlannerOptions(DriftRlas())
-          .WithConfig(DriftConfig(/*rate_tps=*/20000))
+          .WithConfig(DriftConfig(/*rate_tps=*/20000, workers_per_socket))
           .WithTelemetry(telemetry)
           .Deploy();
   BRISK_CHECK(deployment.ok()) << deployment.status().ToString();
@@ -195,6 +206,81 @@ TEST(DriftAutopilotTest, AutopilotMigratesOnDriftWithoutLosingTuples) {
     }
   }
   EXPECT_EQ(total, report.sink_tuples);
+}
+
+// At two workers per socket (the pool's default on a 4-core host) the
+// sockets pace every plan of this job: RLAS under that budget gives the
+// drifted workload the plan it gave the old one, so the autopilot sees
+// the drift, finds no re-plan worth its gain threshold and keeps
+// running, without losing a tuple.
+TEST(DriftAutopilotTest, AutopilotKeepsTheRunningPlanAtTwoWorkersPerSocket) {
+  constexpr int kWorkers = 2;
+  const model::ProfileSet planned = CalibratePreDriftProfiles(kWorkers);
+
+  auto telemetry = std::make_shared<SinkTelemetry>();
+  constexpr uint64_t kDriftAt = 6000;
+  constexpr uint64_t kTotal = 40000;
+  opt::DynamicOptions dyn;
+  dyn.drift_threshold = 0.2;
+  dyn.min_gain = 0.01;
+  dyn.rlas = DriftRlas();
+  auto deployment =
+      Job::Of(MakeDriftingWc(telemetry, nullptr, kDriftAt, kTotal))
+          .WithProfiles(planned)
+          .WithMachine(DriftMachine())
+          .WithPlannerOptions(DriftRlas())
+          .WithConfig(DriftConfig(/*rate_tps=*/20000, kWorkers))
+          .WithTelemetry(telemetry)
+          .WithAutopilot(/*interval_s=*/0.15, dyn)
+          .Deploy();
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+
+  // The bounded source runs ~2 s at its rate: wait until it drained,
+  // past at least as many short sentences as long ones.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  uint64_t last_count = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    const uint64_t count = telemetry->count();
+    if (count >= kDriftAt * (kLongWords + kShortWords) &&
+        count == last_count) {
+      break;
+    }
+    last_count = count;
+  }
+  const JobReport& report = (*deployment)->Stop();
+  EXPECT_TRUE(report.migrations.empty()) << report.ToString();
+  EXPECT_EQ(report.stats.migrations, 0);
+
+  const auto& ot = report.stats.op_totals;
+  ASSERT_EQ(ot.size(), 5u);
+  EXPECT_EQ(ot[1].tuples_in, ot[0].tuples_out);
+  EXPECT_EQ(ot[2].tuples_in, ot[1].tuples_out);
+  EXPECT_EQ(ot[3].tuples_in, ot[2].tuples_out);
+  EXPECT_EQ(ot[4].tuples_in, ot[3].tuples_out);
+  EXPECT_EQ(report.sink_tuples, ot[4].tuples_in);
+  const uint64_t sentences = ot[0].tuples_in;
+  ASSERT_GE(sentences, kDriftAt);
+  EXPECT_EQ(report.sink_tuples,
+            kDriftAt * kLongWords + (sentences - kDriftAt) * kShortWords);
+
+  // Why: the run's observed profiles drifted past the threshold, and
+  // the plan RLAS makes for them under the same budget scores below
+  // the gain threshold against the running plan.
+  auto observed = engine::ObserveProfiles(*report.topology, report.plan,
+                                          report.stats, report.profiles);
+  ASSERT_TRUE(observed.ok()) << observed.status().ToString();
+  dyn.rlas.workers_per_socket = kWorkers;
+  const hw::MachineSpec machine = DriftMachine();
+  const opt::DynamicReoptimizer reopt(&machine, dyn);
+  auto decision = reopt.Check(*report.topology, report.plan, planned,
+                              *observed);
+  ASSERT_TRUE(decision.ok()) << decision.status().ToString();
+  EXPECT_GE(decision->drift, dyn.drift_threshold);
+  EXPECT_FALSE(decision->reoptimized)
+      << "gain " << decision->expected_gain << "\n"
+      << decision->new_plan.ToString();
 }
 
 /// The acceptance gate: with the drifted workload running from the
