@@ -1,9 +1,9 @@
 // Worker-pool scheduling benchmark on word_count.
 //
 // Replication sweep: replication scales the splitter and counter
-// ({1,1,r,r,1}) with every instance on socket 0, on capacity-16 rings
-// with the pool's in-flight cap disabled, so oversubscription (tasks
-// per core) is the only variable. Each point records sink tuples/s,
+// ({1,1,r,r,1}) with every instance on socket 0, on channels bounded at
+// 16 batches, so oversubscription (tasks per core) is the only
+// variable. Each point records sink tuples/s,
 // p99 latency and worker parks; the sweep is recorded, not gated. The
 // last thread-per-task comparison on this workload is frozen in
 // bench/BENCH_executor_legacy.json; the open target is pool p99 <=
@@ -57,8 +57,7 @@ struct RunResult {
 
 int g_qcap = 0;  // experiment override, 0 = default
 
-/// Requested ring capacity per edge in the sweep and the skewed arm;
-/// the pool's in-flight cap is off, so the ring is the only bound.
+/// Channel bound per edge, in batches, in the sweep and the skewed arm.
 constexpr size_t kBoundedQueueBatches = 16;
 
 /// Off/on pairs in the skewed arm; the gate reads their median ratio.
@@ -73,7 +72,6 @@ RunResult RunOnce(int replication, double seconds) {
   plan->PlaceAllOn(0);
   EngineConfig cfg = EngineConfig::Brisk();
   cfg.queue_capacity = kBoundedQueueBatches;
-  cfg.pool_inflight_batches = 0;
   cfg.drain_timeout_s = 0;  // metrics are read before Stop()
   if (g_qcap > 0) cfg.queue_capacity = static_cast<size_t>(g_qcap);
   auto rt = engine::BriskRuntime::Create(app->topology_ptr.get(), *plan, cfg);
@@ -142,7 +140,6 @@ SkewResult RunSkew(bool steal_on, double seconds) {
   const hw::NumaEmulator numa(machine, /*enabled=*/false);
   EngineConfig cfg = EngineConfig::Brisk();
   cfg.queue_capacity = kBoundedQueueBatches;
-  cfg.pool_inflight_batches = 0;
   cfg.drain_timeout_s = 0;  // metrics are read before Stop()
   cfg.pin_threads = true;
   cfg.steal_work = steal_on;
@@ -201,8 +198,8 @@ int Main(int argc, char** argv) {
 
   bench::Banner("executor",
                 "worker pool, word_count replication sweep on fixed cores");
-  std::printf("host cores: %d, run: %.1fs/point, capacity-%zu rings, pool "
-              "in-flight cap off (sweep recorded, not gated)\n",
+  std::printf("host cores: %d, run: %.1fs/point, channels bounded at %zu "
+              "batches (sweep recorded, not gated)\n",
               cores, seconds, kBoundedQueueBatches);
 
   const std::vector<int> widths = {6, 7, 8, 13, 10, 8, 10};
@@ -352,7 +349,7 @@ int Main(int argc, char** argv) {
   doc.Add("bench", "executor")
       .Add("workload",
            "word_count {1,1,r,r,1}, all instances on socket 0, sink "
-           "throughput, capacity-16 rings (pool in-flight cap disabled)")
+           "throughput, channels bounded at 16 batches")
       .Add("quick", quick)
       .Add("host_cores", cores)
       .Add("seconds_per_point", seconds)

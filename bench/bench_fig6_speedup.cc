@@ -2,11 +2,12 @@
 //
 // Paper (Server A, 8 sockets): Brisk/Storm = 20.2 (WC), 4.6 (FD),
 // 3.2 (SD), 18.7 (LR); Brisk/Flink = 11.2, 8.4, 2.8, 12.8.
-// The legacy systems here are the engine's cost-model equivalents
-// (serialization, per-tuple headers, bigger instruction footprints, no
-// RLAS — README, "Hardware substitution"); the expected reproduction
-// is the *shape*: order-of-magnitude wins on WC/LR, smaller wins on
-// FD/SD where the operator function dominates per-tuple cost.
+// The legacy systems here are priced by their operator profiles
+// (apps::ProfilesFor: serialization, per-tuple headers, bigger
+// instruction footprints) and planned without RLAS (README, "Hardware
+// substitution"); the expected reproduction is the *shape*:
+// order-of-magnitude wins on WC/LR, smaller wins on FD/SD where the
+// operator function dominates per-tuple cost.
 #include <cstdio>
 
 #include "bench_util.h"

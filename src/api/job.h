@@ -108,7 +108,7 @@ struct JobReport {
   /// their share of all task ingress (spout production included, so
   /// the ratio is an indicator, not an exact bolt share). > 0 proves
   /// compiled execution engaged; 0 means fully interpreted (no
-  /// kernel-backed operators, or a config that forces the row path).
+  /// kernel-backed operators).
   uint64_t vectorized_tuples() const {
     uint64_t n = 0;
     for (const auto& t : stats.tasks) n += t.tuples_vec;
@@ -154,7 +154,7 @@ class Job {
   /// 40, 12) — small enough that optimized plans run on CI hosts.
   Job& WithMachine(hw::MachineSpec machine);
 
-  /// Engine execution mode (§5): batching, legacy overheads, NUMA
+  /// Engine configuration (§5): batching, queue bound, NUMA
   /// emulation, ingress rate. Default: EngineConfig::Brisk().
   Job& WithConfig(engine::EngineConfig config);
 

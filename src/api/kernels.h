@@ -5,8 +5,8 @@
 // forms the engine can execute:
 //
 //   * row-wise closures (`filter_row` / `map_row` / `expand_row`) —
-//     the interpreted fallback, used when the engine runs tuple at a
-//     time (serialization modes, spout-side chains, property tests);
+//     the interpreted form, used where a chain runs tuple at a time
+//     (interpreted fusion, spout-side chains, property tests);
 //   * optional batch closures (`filter_batch` / `map_batch`) — tight
 //     loops over one JumboTuple under a SelectionVector, used by
 //     CompiledPipeline::RunBatch.

@@ -87,8 +87,8 @@ class CompiledPipeline {
 
 /// Operator adapter: a bolt whose whole behavior is one kernel chain.
 /// The engine detects it through Operator::pipeline() and dispatches
-/// whole batches; every other execution mode (serialization modes,
-/// drain, spout-side fusion) falls back to the row-wise Process.
+/// every batch through it; interpreted fusion, which runs a chain tuple
+/// at a time, calls the row-wise Process.
 class KernelBolt final : public Operator {
  public:
   explicit KernelBolt(std::vector<KernelDesc> stages);

@@ -38,6 +38,30 @@ void CountWordKernel(int64_t& count, const Tuple& in, api::RowEmitter& out) {
   out.Emit(std::move(t));
 }
 
+/// WC's counting chain behind any sentence source: parser -> splitter
+/// (`splitter_words` is its selectivity hint) -> KeyBy(word) -> counter
+/// -> sink, the sink recording latency into `sink` and feeding `tap`.
+/// Returns the counter's stream.
+dsl::Stream CountWords(const dsl::Stream& sentences, double splitter_words,
+                       std::shared_ptr<SinkTelemetry> sink,
+                       dsl::SinkFn tap) {
+  dsl::Stream counted =
+      sentences.Filter("parser", api::FilterOf(ParserKeeps, 1.0, "parser"))
+          .FlatMap("splitter", api::FlatMapOf(SplitSentenceKernel,
+                                              splitter_words, "splitter"))
+          .KeyBy(0)
+          .Aggregate<int64_t>(
+              "counter", 0,
+              std::function<void(int64_t&, const Tuple&, api::RowEmitter&)>(
+                  CountWordKernel));
+  counted.Sink("sink", [sink = std::move(sink), tap = std::move(tap)](
+                           const Tuple& in) {
+    sink->RecordTuple(in.origin_ts_ns, NowNs());
+    if (tap) tap(in);
+  });
+  return counted;
+}
+
 }  // namespace
 
 WordDictionary MakeWordDictionary(const WordCountParams& params) {
@@ -123,23 +147,11 @@ StatusOr<api::Topology> BuildWordCountDsl(std::shared_ptr<SinkTelemetry> sink,
   // shares the same words.
   const WordDictionary dictionary = MakeWordDictionary(params);
   dsl::Pipeline p("word-count");
-  p.Source("spout", api::SpoutFactory([params, dictionary] {
-             return std::make_unique<SentenceSpout>(params, dictionary);
-           }))
-      .Filter("parser", api::FilterOf(ParserKeeps, 1.0, "parser"))
-      .FlatMap("splitter",
-               api::FlatMapOf(SplitSentenceKernel,
-                              static_cast<double>(params.words_per_sentence),
-                              "splitter"))
-      .KeyBy(0)
-      .Aggregate<int64_t>(
-          "counter", 0,
-          std::function<void(int64_t&, const Tuple&, api::RowEmitter&)>(
-              CountWordKernel))
-      .Sink("sink", [sink, tap](const Tuple& in) {
-        sink->RecordTuple(in.origin_ts_ns, NowNs());
-        if (tap) tap(in);
-      });
+  CountWords(p.Source("spout", api::SpoutFactory([params, dictionary] {
+               return std::make_unique<SentenceSpout>(params, dictionary);
+             })),
+             static_cast<double>(params.words_per_sentence), std::move(sink),
+             std::move(tap));
   return std::move(p).Build();
 }
 
@@ -147,20 +159,9 @@ dsl::Pipeline BuildFileWordCountDsl(std::shared_ptr<SinkTelemetry> sink,
                                     io::FileSourceOptions source,
                                     std::string out_path, dsl::SinkFn tap) {
   dsl::Pipeline p("wc-file");
-  auto counted =
-      p.FromFile("spout", std::move(source))
-          .Filter("parser", api::FilterOf(ParserKeeps, 1.0, "parser"))
-          .FlatMap("splitter", api::FlatMapOf(SplitSentenceKernel, 10.0,
-                                              "splitter"))
-          .KeyBy(0)
-          .Aggregate<int64_t>(
-              "counter", 0,
-              std::function<void(int64_t&, const Tuple&, api::RowEmitter&)>(
-                  CountWordKernel));
-  counted.Sink("sink", [sink, tap](const Tuple& in) {
-    sink->RecordTuple(in.origin_ts_ns, NowNs());
-    if (tap) tap(in);
-  });
+  const dsl::Stream counted =
+      CountWords(p.FromFile("spout", std::move(source)), 10.0,
+                 std::move(sink), std::move(tap));
   if (!out_path.empty()) {
     counted.ToFile("egress", std::move(out_path));
   }
@@ -172,58 +173,46 @@ dsl::Pipeline BuildDriftingWordCountDsl(std::shared_ptr<SinkTelemetry> sink,
                                         dsl::SinkFn tap) {
   auto feed_position = std::make_shared<std::atomic<uint64_t>>(0);
   dsl::Pipeline p("wc-drift");
-  p.Source("spout",
-           dsl::SourceFactory([feed_position, params](
-                                  const api::OperatorContext& ctx)
-                                  -> dsl::SourceFn {
-             auto rng = std::make_shared<Rng>(
-                 ctx.seed != 0 ? ctx.seed : 4242 + ctx.replica_index);
-             auto produced = std::make_shared<uint64_t>(0);
-             return [rng, produced, feed_position, params](
-                        size_t max_tuples, dsl::Collector& out) -> size_t {
-               const int64_t now = NowNs();
-               size_t emitted = 0;
-               for (size_t i = 0; i < max_tuples; ++i) {
-                 if (params.total_per_replica > 0 &&
-                     *produced >= params.total_per_replica) {
-                   break;
-                 }
-                 const int words =
-                     feed_position->fetch_add(1) < params.drift_at
-                         ? params.long_words
-                         : params.short_words;
-                 ++*produced;
-                 std::string sentence;
-                 sentence.reserve(static_cast<size_t>(words) * 6);
-                 for (int w = 0; w < words; ++w) {
-                   if (w) sentence += ' ';
-                   sentence += 'w';
-                   sentence += std::to_string(rng->NextBounded(
-                       static_cast<uint64_t>(params.vocabulary)));
-                 }
-                 Tuple t;
-                 t.fields.emplace_back(std::move(sentence));
-                 t.origin_ts_ns = now;
-                 out.Emit(std::move(t));
-                 ++emitted;
-               }
-               return emitted;
-             };
-           }))
-      .Filter("parser", api::FilterOf(ParserKeeps, 1.0, "parser"))
-      .FlatMap("splitter", api::FlatMapOf(SplitSentenceKernel,
-                                          static_cast<double>(
-                                              params.long_words),
-                                          "splitter"))
-      .KeyBy(0)
-      .Aggregate<int64_t>(
-          "counter", 0,
-          std::function<void(int64_t&, const Tuple&, api::RowEmitter&)>(
-              CountWordKernel))
-      .Sink("sink", [sink, tap](const Tuple& in) {
-        sink->RecordTuple(in.origin_ts_ns, NowNs());
-        if (tap) tap(in);
-      });
+  dsl::SourceFactory source([feed_position, params](
+                               const api::OperatorContext& ctx)
+                               -> dsl::SourceFn {
+    auto rng = std::make_shared<Rng>(
+        ctx.seed != 0 ? ctx.seed : 4242 + ctx.replica_index);
+    auto produced = std::make_shared<uint64_t>(0);
+    return [rng, produced, feed_position, params](
+               size_t max_tuples, dsl::Collector& out) -> size_t {
+      const int64_t now = NowNs();
+      size_t emitted = 0;
+      for (size_t i = 0; i < max_tuples; ++i) {
+        if (params.total_per_replica > 0 &&
+            *produced >= params.total_per_replica) {
+          break;
+        }
+        const int words =
+            feed_position->fetch_add(1) < params.drift_at
+                ? params.long_words
+                : params.short_words;
+        ++*produced;
+        std::string sentence;
+        sentence.reserve(static_cast<size_t>(words) * 6);
+        for (int w = 0; w < words; ++w) {
+          if (w) sentence += ' ';
+          sentence += 'w';
+          sentence += std::to_string(rng->NextBounded(
+              static_cast<uint64_t>(params.vocabulary)));
+        }
+        Tuple t;
+        t.fields.emplace_back(std::move(sentence));
+        t.origin_ts_ns = now;
+        out.Emit(std::move(t));
+        ++emitted;
+      }
+      return emitted;
+    };
+  });
+  CountWords(p.Source("spout", std::move(source)),
+             static_cast<double>(params.long_words),
+             std::move(sink), std::move(tap));
   return p;
 }
 

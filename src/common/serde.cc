@@ -107,21 +107,4 @@ StatusOr<Tuple> DeserializeTuple(const std::vector<uint8_t>& buf,
   return t;
 }
 
-void SerializeBatch(const std::vector<Tuple>& tuples,
-                    std::vector<uint8_t>* out) {
-  for (const auto& t : tuples) SerializeTuple(t, out);
-}
-
-StatusOr<std::vector<Tuple>> DeserializeBatch(const std::vector<uint8_t>& buf,
-                                              size_t count) {
-  std::vector<Tuple> out;
-  out.reserve(count);
-  size_t offset = 0;
-  for (size_t i = 0; i < count; ++i) {
-    BRISK_ASSIGN_OR_RETURN(Tuple t, DeserializeTuple(buf, &offset));
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
 }  // namespace brisk

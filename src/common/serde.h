@@ -1,9 +1,8 @@
 // Tuple (de)serialization.
 //
-// BriskStream itself never serializes (pass-by-reference, §5.1); this
-// codec exists to reproduce the *overhead* that distributed DSPSs
-// (Storm/Flink) pay on every tuple. The legacy execution modes run each
-// tuple through Serialize+Deserialize to charge that cost for real.
+// BriskStream's data plane never serializes (pass-by-reference, §5.1);
+// this codec is for what crosses a process boundary: the io layer's
+// wire and file formats and the checkpoint encoding.
 #pragma once
 
 #include <cstdint>
@@ -26,14 +25,5 @@ void SerializeTuple(const Tuple& t, std::vector<uint8_t>* out);
 /// Decodes one tuple starting at `*offset`; advances `*offset` past it.
 StatusOr<Tuple> DeserializeTuple(const std::vector<uint8_t>& buf,
                                  size_t* offset);
-
-/// Serializes a whole batch (per-tuple headers duplicated, as a
-/// distributed DSPS would on the wire).
-void SerializeBatch(const std::vector<Tuple>& tuples,
-                    std::vector<uint8_t>* out);
-
-/// Decodes `count` tuples from `buf`.
-StatusOr<std::vector<Tuple>> DeserializeBatch(const std::vector<uint8_t>& buf,
-                                              size_t count);
 
 }  // namespace brisk

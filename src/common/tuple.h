@@ -1,4 +1,4 @@
-// Tuple representation shared by the API, engine, and legacy modes.
+// Tuple representation shared by the API, engine and io layers.
 //
 // BriskStream passes tuples by reference inside one address space
 // (Appendix A): producers allocate tuples, enqueue shared_ptr-like
@@ -228,20 +228,11 @@ struct JumboTuple {
 
   std::vector<Tuple> tuples;
 
-  /// Serialized payload for the legacy (Storm/Flink-like) modes —
-  /// folded into the batch so an Envelope is just the batch pointer
-  /// plus trivially-movable scalars. Empty in the pass-by-reference
-  /// mode.
-  std::vector<uint8_t> bytes;
-
   size_t size() const { return tuples.size(); }
-  bool empty() const { return tuples.empty() && bytes.empty(); }
+  bool empty() const { return tuples.empty(); }
 
   /// Readies a recycled batch for reuse; keeps capacity.
-  void Reset() {
-    tuples.clear();
-    bytes.clear();
-  }
+  void Reset() { tuples.clear(); }
 };
 
 using JumboTuplePtr = std::unique_ptr<JumboTuple>;

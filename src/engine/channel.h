@@ -23,10 +23,9 @@
 namespace brisk::engine {
 
 /// What actually travels through a queue: a jumbo-tuple batch
-/// (BriskStream's pass-by-reference path, Appendix A). Legacy modes
-/// carry their serialized payload inside the batch (JumboTuple::bytes),
-/// so the envelope itself is just a pointer plus two scalars and moves
-/// trivially through the ring buffer.
+/// (BriskStream's pass-by-reference path, Appendix A). The envelope is
+/// just a pointer plus two scalars and moves trivially through the ring
+/// buffer.
 struct Envelope {
   JumboTuplePtr batch;
   uint32_t count = 0;
@@ -35,38 +34,39 @@ struct Envelope {
 
 class Channel {
  public:
-  /// Both rings' slot arrays come from the default heap, allocated by
-  /// the thread that wires the graph.
+  /// Admits at most `capacity` envelopes. The ring rounds up to a power
+  /// of two, so the bound is checked here, not by the ring. Both rings'
+  /// slot arrays come from the default heap, allocated by the thread
+  /// that wires the graph.
   Channel(int from_instance, int to_instance, size_t capacity)
       : from_instance_(from_instance),
         to_instance_(to_instance),
+        capacity_(capacity),
         queue_(capacity),
-        recycled_(capacity + 1) {
-    producer_full_threshold_ = queue_.capacity();
-  }
+        recycled_(capacity + 1) {}
 
   int from_instance() const { return from_instance_; }
   int to_instance() const { return to_instance_; }
 
-  /// Only moves from `e` on success (safe to retry in a spin loop).
-  /// Pushing into an empty queue wakes the consumer's worker (pool
-  /// mode); under saturation the queue is never empty, so the hint is
-  /// off the hot path.
+  /// Fails when `capacity` envelopes are undelivered; only moves from
+  /// `e` on success (safe to retry). The occupancy read can only
+  /// overestimate (the consumer's head only advances), so the bound
+  /// holds under concurrent pops. Pushing into an empty queue wakes the
+  /// consumer's worker (pool mode); under saturation the queue is never
+  /// empty, so the hint is off the hot path.
   bool TryPush(Envelope&& e) {
-    if (consumer_waker_ == nullptr) return queue_.TryPush(std::move(e));
-    const bool was_empty = queue_.EmptyApprox();
-    if (!queue_.TryPush(std::move(e))) return false;
-    if (was_empty) consumer_waker_->Notify();
+    const size_t size = queue_.SizeApprox();
+    if (size >= capacity_ || !queue_.TryPush(std::move(e))) return false;
+    if (size == 0 && consumer_waker_ != nullptr) consumer_waker_->Notify();
     return true;
   }
 
   /// Popping from a full queue wakes the producer's worker: it may be
   /// parked with a batch waiting on back-pressure (PollResult::kBlocked)
-  /// and the pop just made room. "Full" is the producer's view — the
-  /// cooperative in-flight cap when one is set, else the ring capacity.
+  /// and the pop just made room.
   bool TryPop(Envelope* e) {
     if (producer_waker_ == nullptr) return queue_.TryPop(e);
-    const bool was_full = queue_.SizeApprox() >= producer_full_threshold_;
+    const bool was_full = queue_.SizeApprox() >= capacity_;
     if (!queue_.TryPop(e)) return false;
     if (was_full) producer_waker_->Notify();
     return true;
@@ -88,19 +88,12 @@ class Channel {
     producer_waker_ = producer;
   }
 
-  /// Occupancy at which the producer considers this channel full (the
-  /// EngineConfig::pool_inflight_batches cap); pops crossing below it
-  /// wake the producer.
-  void SetProducerFullThreshold(size_t batches) {
-    producer_full_threshold_ = batches;
-  }
-
   // BatchPool return path. The roles flip: the channel's consumer task
   // produces into the recycle queue, its producer task consumes — so
   // both queues stay single-producer/single-consumer.
 
   /// Consumer side: hands a drained batch shell back to the producer.
-  /// The return queue is at least as deep as the envelope ring, so it
+  /// The return queue is deeper than the channel's bound, so it
   /// fills only when the producer allocated extra shells while it was
   /// empty; a shell that does not fit is simply freed.
   void Recycle(JumboTuplePtr&& batch) {
@@ -117,11 +110,11 @@ class Channel {
  private:
   int from_instance_;
   int to_instance_;
+  size_t capacity_;
   SpscQueue<Envelope> queue_;
   SpscQueue<JumboTuplePtr> recycled_;
   WakerRef* consumer_waker_ = nullptr;
   WakerRef* producer_waker_ = nullptr;
-  size_t producer_full_threshold_ = 0;  // set to ring capacity in ctor
 };
 
 }  // namespace brisk::engine

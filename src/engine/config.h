@@ -1,13 +1,12 @@
-// Engine execution modes (§5, §6.5).
+// Engine configuration (§5).
 //
-// BriskStream's own runtime passes tuple references through SPSC queues
-// in jumbo-tuple batches. The legacy toggles re-introduce, as *real
-// work*, the overheads distributed DSPSs pay per tuple — serialization,
-// duplicated per-tuple headers and temporary objects, extra condition
-// checking — which is how the Fig. 6/8/16 comparisons are reproduced on
-// one machine. Every mode runs on the same socket-aware worker pool
-// (engine/executor.h) with cooperative back-pressure; the presets
-// differ in batching, data-plane cost and stealing.
+// BriskStream's runtime passes tuple references through bounded SPSC
+// queues in jumbo-tuple batches, on a socket-aware worker pool
+// (engine/executor.h) with cooperative back-pressure. The per-tuple
+// costs of Storm and Flink that Fig. 6/7/9/16 and Table 5 compare
+// against are priced by their operator profiles
+// (apps::ProfilesFor(…, SystemKind::kStormLike/kFlinkLike)) through the
+// model and simulator, not emulated here.
 #pragma once
 
 #include <algorithm>
@@ -35,24 +34,13 @@ struct EngineConfig {
   /// Tuples per jumbo tuple (§5.2); 1 disables batching.
   int batch_size = 64;
 
-  /// Per-edge queue capacity in batches; full queues exert
-  /// back-pressure on the producer.
-  size_t queue_capacity = 128;
-
-  /// Serialize every batch at the producer and deserialize at the
-  /// consumer (what a cross-process runtime must do). Such a runtime
-  /// also allocates a fresh message per transfer, so serializing
-  /// configs bypass the channel's BatchPool; pass-by-reference configs
-  /// always recycle drained batch shells through it.
-  bool serialize_tuples = false;
-
-  /// Allocate + fill a per-tuple header object (duplicate metadata a
-  /// jumbo tuple would share; §5.2).
-  bool duplicate_headers = false;
-
-  /// Run the per-tuple guard/bookkeeping work whose instruction
-  /// footprint §5.1 eliminates (exception scaffolding, config checks).
-  bool extra_condition_checks = false;
+  /// Per-edge bound in batches: a channel admits at most this many
+  /// undelivered envelopes, and a producer facing a full one parks the
+  /// next batch (cooperative back-pressure). Keeping it short bounds the
+  /// cold in-flight inventory, so batches are consumed cache-warm soon
+  /// after production — with deep queues a single core accumulates
+  /// megabytes of queued tuples and pays a capacity miss per batch.
+  size_t queue_capacity = 16;
 
   /// Charge Formula-2 remote-fetch stalls (busy-wait) for batches that
   /// cross virtual sockets in the plan (README, "Hardware
@@ -83,15 +71,6 @@ struct EngineConfig {
   /// Job::Deploy replaces 0 with the budget it planned with.
   int workers_per_socket = 0;
 
-  /// Worker-pool producers treat a channel already holding this many
-  /// undelivered batches as full and park the next one (cooperative
-  /// back-pressure) instead of filling the whole ring. This bounds the
-  /// cold in-flight inventory so batches are consumed cache-warm soon
-  /// after production — with deep rings a single core otherwise
-  /// accumulates megabytes of queued tuples and pays a capacity miss
-  /// per batch. Clamped to queue_capacity; <= 0 disables the cap.
-  int pool_inflight_batches = 16;
-
   /// Morsel-style work stealing between pool workers: a worker whose
   /// own run queue yields no progress steals the least-recently-polled
   /// task from the deepest sibling in its socket group, and only after
@@ -113,54 +92,8 @@ struct EngineConfig {
   /// seeded job fails identically on every run.
   FaultPlan faults;
 
-  /// Producer-side in-flight bound per channel, in batches: the
-  /// cooperative cap clamped to the queue capacity, or kUncapped when
-  /// disabled (the ring's own capacity is then the only bound). The
-  /// single source of truth for both the task's park threshold and the
-  /// channel's producer wake threshold — they must agree, or producers
-  /// park at one occupancy and only wake (by timeout) at another.
-  static constexpr size_t kUncapped = ~size_t{0};
-  size_t EffectiveInflightCap() const {
-    if (pool_inflight_batches <= 0) return kUncapped;
-    return std::min(queue_capacity,
-                    static_cast<size_t>(pool_inflight_batches));
-  }
-
   /// BriskStream's native configuration.
   static EngineConfig Brisk() { return EngineConfig{}; }
-
-  /// Brisk minus jumbo tuples (Fig. 16's middle step).
-  static EngineConfig BriskNoJumbo() {
-    EngineConfig c;
-    c.batch_size = 1;
-    c.queue_capacity = 4096;
-    return c;
-  }
-
-  /// Storm-like: per-tuple serialization, duplicated headers, extra
-  /// condition checks, no jumbo batching.
-  static EngineConfig StormLike() {
-    EngineConfig c;
-    c.batch_size = 4;  // Storm's small executor transfer batches
-    c.queue_capacity = 1024;
-    c.serialize_tuples = true;
-    c.duplicate_headers = true;
-    c.extra_condition_checks = true;
-    c.steal_work = false;  // legacy schedulers hash-pin executors
-    return c;
-  }
-
-  /// Flink-like: network-stack serialization with larger buffers but
-  /// still per-tuple headers.
-  static EngineConfig FlinkLike() {
-    EngineConfig c;
-    c.batch_size = 16;
-    c.queue_capacity = 512;
-    c.serialize_tuples = true;
-    c.duplicate_headers = true;
-    c.steal_work = false;  // legacy schedulers hash-pin executors
-    return c;
-  }
 };
 
 }  // namespace brisk::engine

@@ -190,16 +190,9 @@ class WorkerPoolExecutor final : public Executor {
         BRISK_CHECK(w->deque->PushBack(t));
       }
     }
-    // Producers consider a channel "full" at the cooperative in-flight
-    // cap, so pops crossing below it wake a parked producer. Uncapped
-    // keeps the channel's default (the ring's real capacity).
-    const size_t inflight_cap = config_.EffectiveInflightCap();
     for (Channel* ch : channels_) {
       ch->SetWakers(&waker_refs_[static_cast<size_t>(ch->to_instance())],
                     &waker_refs_[static_cast<size_t>(ch->from_instance())]);
-      if (inflight_cap != EngineConfig::kUncapped) {
-        ch->SetProducerFullThreshold(inflight_cap);
-      }
     }
   }
 

@@ -109,7 +109,12 @@ StatusOr<model::ProfileSet> ObserveProfiles(
   for (const auto& op : topo.ops()) {
     const OpSums& s = sums[op.id];
     const auto prior = planned.Get(op.name);
-    if (s.tuples_in == 0) {
+    // Tuples without busy time measure nothing: a task records a
+    // batch's busy time before its tuple count, and a snapshot copies
+    // the count first, so one that lands between the two writes moves
+    // the batch's busy time into the previous window and its tuples
+    // into this one.
+    if (s.tuples_in == 0 || s.busy_ns == 0) {
       if (prior.ok()) observed.Set(op.name, *prior);
       continue;
     }

@@ -43,8 +43,10 @@ RunStats StatsWindow(const RunStats& base, const RunStats& now);
 ///                  size read off the producers' streams it subscribes
 ///                  to (0 for spouts).
 /// N of a stream that flushed nothing keeps the planned entry (64
-/// bytes without one). Operators whose tasks processed no tuples keep
-/// their planned entry, or are left out when `planned` has none.
+/// bytes without one). Operators whose tasks processed no tuples, or
+/// were charged no busy time for them (a short window can split a
+/// batch's busy time from its tuple count), keep their planned entry,
+/// or are left out when `planned` has none.
 StatusOr<model::ProfileSet> ObserveProfiles(
     const api::Topology& topo, const model::ExecutionPlan& plan,
     const RunStats& stats, const model::ProfileSet& planned,

@@ -310,10 +310,10 @@ bool BriskRuntime::Pause(RunStats* stats) {
 }
 
 bool BriskRuntime::SweepResiduals() {
-  // Each pass moves every queued/staged/parked tuple at least one hop
-  // (rings freed by downstream consumption within the same pass), so
-  // the sweep reaches quiescence once the finite in-flight inventory
-  // reaches the sinks. A pass after which nothing was consumed and the
+  // Each pass consumes everything queued and moves up to a channel's
+  // bound of parked batches across every edge (room freed by
+  // downstream consumption in the previous pass), so the sweep reaches
+  // quiescence once the finite in-flight inventory reaches the sinks. A pass after which nothing was consumed and the
   // inventory did not change made no progress (a wedged push), and so
   // would every later one.
   uint64_t last_consumed = 0;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/logging.h"
-#include "common/serde.h"
 
 namespace brisk::engine {
 
@@ -16,15 +15,6 @@ inline int64_t NowNs() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-/// Heap-allocated per-tuple header a non-jumbo runtime would carry for
-/// every tuple (metadata + context, §5.2).
-struct SimulatedTupleHeader {
-  int64_t source_task;
-  int64_t stream;
-  int64_t sequence;
-  char context[32];
-};
 
 /// `into[s] += from[s]` (sign +1) or `into[s] -= from[s]` (sign -1)
 /// per stream, growing `into` to cover `from`.
@@ -120,52 +110,15 @@ Status Task::Prepare(const api::OperatorContext& ctx) {
 void Task::Bind(const StopSignals* signals) {
   signals_ = signals;
   // Compiled dispatch is resolved once per run: the bolt either
-  // carries a pipeline or it does not, and the legacy per-tuple
-  // overheads (serialization, duplicated headers, condition checks)
-  // are *modeled per tuple*, so any of them forces the row-wise path.
+  // carries a pipeline or it does not.
   pipe_ = bolt_ ? bolt_->pipeline() : nullptr;
-  vec_ok_ = pipe_ != nullptr && !config_.serialize_tuples &&
-            !config_.duplicate_headers && !config_.extra_condition_checks;
   source_done_ = false;
-  draining_ = false;
   pending_.clear();
   pending_head_ = 0;
   pending_live_ = 0;
   wedged_slot_ = ~size_t{0};
   last_refill_ns_ = 0;
   staged_dirty_ = false;
-  // In-flight cap: bound the cold inventory per channel so batches are
-  // consumed soon after production (cache-warm); parking makes the
-  // short effective queue cheap.
-  soft_cap_ = config_.EffectiveInflightCap();
-}
-
-void Task::LegacyPerTupleWork(const Tuple& t) {
-  if (config_.duplicate_headers) {
-    // Real allocator churn: the duplicated metadata object a per-tuple
-    // runtime allocates and immediately abandons. The volatile store
-    // keeps the allocation + fill observable without touching any real
-    // counter.
-    auto header = std::make_unique<SimulatedTupleHeader>();
-    header->source_task = instance_id_;
-    header->stream = t.stream_id;
-    header->sequence = static_cast<int64_t>(stats_.tuples_out);
-    legacy_sink_ =
-        static_cast<uint64_t>(header->sequence) ^
-        static_cast<uint64_t>(reinterpret_cast<uintptr_t>(header.get()));
-  }
-  if (config_.extra_condition_checks) {
-    // Guard/bookkeeping work (~dozens of branches): checksum the
-    // field metadata the way exception scaffolding and ACK tracking
-    // walk each tuple in a distributed runtime. Sunk into the volatile
-    // so the hash is computed but never corrupts telemetry.
-    uint64_t h = 1469598103934665603ULL;
-    for (const auto& f : t.fields) {
-      h = (h ^ static_cast<uint64_t>(f.index())) * 1099511628211ULL;
-      h = (h ^ FieldSizeBytes(f)) * 1099511628211ULL;
-    }
-    legacy_sink_ = h;
-  }
 }
 
 void Task::AppendTuple(OutRoute& route, size_t i, Tuple&& t) {
@@ -180,7 +133,6 @@ void Task::AppendTuple(OutRoute& route, size_t i, Tuple&& t) {
 void Task::EmitTo(uint16_t stream_id, Tuple t) {
   ++stats_.tuples_out;
   if (stream_id < stream_out_tally_.size()) ++stream_out_tally_[stream_id];
-  LegacyPerTupleWork(t);
   t.stream_id = stream_id;
   // The last route on the stream receives the tuple by move; earlier
   // routes (rare: multi-consumer streams) each pay one copy. The
@@ -306,14 +258,8 @@ void Task::RecordFailure(const std::string& what) {
 bool Task::PushEnvelope(Envelope&& env, Channel* channel) {
   if (!faults_.empty() && MaybeWedgePush(env, channel)) return false;
   // Preserve per-channel batch order: while anything is parked, new
-  // envelopes queue behind it instead of overtaking. The in-flight cap
-  // is lifted during Drain (shutdown and migration epilogues) — they run
-  // single-threaded after the executor joined, each consumer drains
-  // everything in its own pass, and capping here would drop stateful
-  // finals early.
-  const size_t cap = draining_ ? ~size_t{0} : soft_cap_;
-  if (pending_head_ >= pending_.size() && channel->SizeApprox() < cap &&
-      channel->TryPush(std::move(env))) {
+  // envelopes queue behind it instead of overtaking.
+  if (pending_head_ >= pending_.size() && channel->TryPush(std::move(env))) {
     return true;
   }
   ++stats_.backpressure_parks;
@@ -323,11 +269,9 @@ bool Task::PushEnvelope(Envelope&& env, Channel* channel) {
 }
 
 bool Task::TryDrainPending() {
-  const size_t cap = draining_ ? ~size_t{0} : soft_cap_;
   while (pending_head_ < pending_.size()) {
     PendingPush& p = pending_[pending_head_];
     if (pending_head_ == wedged_slot_ ||  // injected permanent park
-        p.channel->SizeApprox() >= cap ||
         !p.channel->TryPush(std::move(p.env))) {
       pending_live_ = pending_.size() - pending_head_;
       return false;
@@ -368,22 +312,15 @@ bool Task::FlushBuffer(int buffer_idx, Channel* channel, bool force) {
     stats_.stream_bytes_out[stream] +=
         buf.tuples.front().SizeBytes() * buf.tuples.size();
   }
-  if (config_.serialize_tuples) {
-    SerializeBatch(buf.tuples, &batch->bytes);
-    buf.tuples.clear();  // keeps staging capacity
-  } else {
-    // The shell's (empty, capacity-bearing) vector becomes the new
-    // staging buffer — no allocation on either side of the swap.
-    std::swap(batch->tuples, buf.tuples);
-  }
+  // The shell's (empty, capacity-bearing) vector becomes the new
+  // staging buffer — no allocation on either side of the swap.
+  std::swap(batch->tuples, buf.tuples);
   env.batch = std::move(batch);
   ++stats_.batches_out;
   return PushEnvelope(std::move(env), channel);
 }
 
 bool Task::TakeRecycledShell(Channel* channel, JumboTuplePtr* batch) {
-  // Serializing configs never recycle (see Consume): skip the probes.
-  if (config_.serialize_tuples) return false;
   if (channel->TryPopRecycled(batch)) return true;
   for (const auto& route : routes_) {
     for (Channel* other : route.channels) {
@@ -410,28 +347,19 @@ bool Task::FlushAll(bool force) {
 void Task::Consume(Envelope env, Channel* from) {
   if (!env.batch) return;  // dropped/empty envelope
   if (failed_.load(std::memory_order_relaxed)) return;  // replica is dead
-  std::vector<Tuple> local_tuples;
-  const std::vector<Tuple>* tuples = nullptr;
-  if (!env.batch->bytes.empty()) {
-    auto decoded = DeserializeBatch(env.batch->bytes, env.count);
-    BRISK_CHECK(decoded.ok()) << decoded.status().ToString();
-    local_tuples = std::move(decoded).value();
-    tuples = &local_tuples;
-  } else {
-    tuples = &env.batch->tuples;
-  }
+  const std::vector<Tuple>& tuples = env.batch->tuples;
   // NUMA charge: the consumer-side stall of fetching a remote batch
   // (emulated busy-wait, README "Hardware substitution"), one Formula-2
   // cost per tuple.
-  if (numa_ != nullptr && numa_->enabled() && !tuples->empty() &&
+  if (numa_ != nullptr && numa_->enabled() && !tuples.empty() &&
       instance_sockets_ != nullptr && env.from_instance >= 0) {
     const int from_socket = (*instance_sockets_)[env.from_instance];
     if (from_socket != socket_ && from_socket >= 0 && socket_ >= 0) {
       const double per_tuple_ns = numa_->machine().FetchCostNs(
           from_socket, socket_,
-          static_cast<double>(tuples->front().SizeBytes()));
+          static_cast<double>(tuples.front().SizeBytes()));
       const auto stall_ns =
-          static_cast<int64_t>(per_tuple_ns * tuples->size());
+          static_cast<int64_t>(per_tuple_ns * tuples.size());
       hw::SpinForNs(stall_ns);
       stats_.numa_stall_ns += static_cast<uint64_t>(stall_ns);
     }
@@ -439,7 +367,7 @@ void Task::Consume(Envelope env, Channel* from) {
   // Count before executing: the compiled path may move tuples out of
   // the batch (ConsumeSelected) and FlatMap stages redirect output to
   // scratch, so size-after is not the ingress count.
-  const size_t n_in = tuples->size();
+  const size_t n_in = tuples.size();
   const int64_t t0 = NowNs();
   // Containment region: an exception escaping the operator (or an
   // injected crash) becomes a recorded task failure, not process
@@ -447,17 +375,14 @@ void Task::Consume(Envelope env, Channel* from) {
   // replica — recovery replays them from the last checkpoint.
   try {
     if (!faults_.empty()) MaybeThrowInjected();
-    if (vec_ok_ && env.batch->bytes.empty()) {
+    if (pipe_ != nullptr) {
       // Whole-batch dispatch through the bolt's compiled pipeline;
       // this task is the PipelineSink, so survivors route through the
       // same partition controller as interpreted emissions.
       pipe_->RunBatch(env.batch.get(), this);
       stats_.tuples_vec += n_in;
     } else {
-      for (const Tuple& t : *tuples) {
-        if (config_.extra_condition_checks) LegacyPerTupleWork(t);
-        bolt_->Process(t, this);
-      }
+      for (const Tuple& t : tuples) bolt_->Process(t, this);
     }
   } catch (const std::exception& e) {
     RecordFailure(e.what());
@@ -470,11 +395,9 @@ void Task::Consume(Envelope env, Channel* from) {
   stats_.tuples_in += n_in;
   FoldStreamTally();
   ++stats_.batches_in;
-  if (from != nullptr && !config_.serialize_tuples) {
+  if (from != nullptr) {
     // Hand the drained shell back to the producer instead of freeing
     // it here (which, under NUMA, would free remote-socket memory).
-    // A serializing runtime allocates a fresh message per transfer;
-    // its shells are freed here instead.
     env.batch->Reset();
     from->Recycle(std::move(env.batch));
   }
@@ -581,7 +504,6 @@ PollResult Task::Poll(int budget) {
 }
 
 void Task::Drain(bool flush_operator) {
-  draining_ = true;
   TryDrainPending();
   if (bolt_) {
     // Upstream operators drained before us (topological order), so
@@ -605,7 +527,6 @@ void Task::Drain(bool flush_operator) {
     }
   }
   FlushAll(true);
-  draining_ = false;
 }
 
 }  // namespace brisk::engine

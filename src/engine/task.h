@@ -212,16 +212,16 @@ class Task : public api::OutputCollector, public api::PipelineSink {
 
   Status Prepare(const api::OperatorContext& ctx);
 
-  /// Arms the task for one run: stop protocol, compiled dispatch and
-  /// the in-flight cap.
+  /// Arms the task for one run: stop protocol and compiled dispatch.
   void Bind(const StopSignals* signals);
 
   /// One cooperative quantum (see PollResult). Requires a prior Bind.
   PollResult Poll(int budget);
 
   /// Post-join drain: consumes everything still queued on the inputs,
-  /// forces staged batches out and retries parked envelopes, with the
-  /// in-flight cap lifted, so repeated topological passes converge
+  /// forces staged batches out and retries parked envelopes. Pushes
+  /// keep the channel bound (what does not fit parks), and each pass
+  /// frees room downstream, so repeated topological passes converge
   /// with zero tuple loss. With `flush_operator` (Stop, once per run)
   /// the operator's Flush runs after the inputs are consumed, so
   /// stateful bolts' finals propagate to the sinks; the residual sweep
@@ -259,8 +259,7 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   PollResult PollSpout(int budget);
   PollResult PollBolt(int budget);
 
-  /// Handles one inbound envelope (NUMA charge, deserialize, process)
-  /// and recycles the drained batch shell back through `from`.
+  /// Handles one inbound envelope (NUMA charge, process) and recycles the drained batch shell back through `from`.
   void Consume(Envelope env, Channel* from);
 
   /// Moves `t` into consumer `i`'s jumbo buffer on `route`, flushing
@@ -279,15 +278,12 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   bool TakeRecycledShell(Channel* channel, JumboTuplePtr* batch);
 
   /// Delivers one envelope, or parks it in `pending_` and returns
-  /// false when the channel is at its in-flight cap (or behind an
-  /// earlier parked envelope).
+  /// false when the channel is full (or behind an earlier parked
+  /// envelope).
   bool PushEnvelope(Envelope&& env, Channel* channel);
 
   /// Retries parked envelopes in FIFO order; false while any remain.
   bool TryDrainPending();
-
-  /// Legacy per-tuple overhead work (§5.1's eliminated footprint).
-  void LegacyPerTupleWork(const Tuple& t);
 
   /// Throws when an armed crash/throw fault crosses its progress
   /// trigger — always called from inside a containment region.
@@ -319,13 +315,9 @@ class Task : public api::OutputCollector, public api::PipelineSink {
 
   std::unique_ptr<api::Spout> spout_;
   std::unique_ptr<api::Operator> bolt_;
-  /// Non-null when the bolt exposes a compiled pipeline (KernelBolt);
-  /// owned by the bolt. Set at Bind.
+  /// Non-null when the bolt exposes a compiled pipeline (KernelBolt),
+  /// which then runs every batch; owned by the bolt. Set at Bind.
   api::CompiledPipeline* pipe_ = nullptr;
-  /// Batch dispatch is legal: a pipeline exists and no per-tuple
-  /// legacy overhead is configured (those costs are modeled per tuple,
-  /// so they force the row-wise path).
-  bool vec_ok_ = false;
 
   std::vector<Channel*> inputs_;
   const std::vector<int>* instance_sockets_ = nullptr;
@@ -346,12 +338,6 @@ class Task : public api::OutputCollector, public api::PipelineSink {
 
   const StopSignals* signals_ = nullptr;
   bool source_done_ = false;
-  /// Inside Drain: the in-flight cap is lifted (pushes bound only by
-  /// the ring) since consumers drain in their own Drain.
-  bool draining_ = false;
-  /// Per-channel in-flight cap in batches (see
-  /// EngineConfig::pool_inflight_batches); ~0 when uncapped or unbound.
-  size_t soft_cap_ = ~size_t{0};
   /// Something may be staged in `buffers_` since the last successful
   /// force-flush — idle iterations skip the O(buffers) flush walk when
   /// clear (it matters: a 64-replica bolt owns hundreds of buffers).
@@ -391,11 +377,6 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   double tokens_ = 0.0;
   int64_t last_refill_ns_ = 0;
   double rate_per_instance_ = 0.0;
-
-  /// Dead-store sink for the legacy-overhead work: volatile writes keep
-  /// the simulated allocations/checksums alive without polluting any
-  /// real TaskStats counter.
-  volatile uint64_t legacy_sink_ = 0;
 
   /// See sched_idle_streak().
   int sched_idle_streak_ = 0;

@@ -1,4 +1,4 @@
-// Tests for tuple representation, hashing, and the legacy-mode codec.
+// Tests for tuple representation, hashing, and the tuple codec.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -205,25 +205,6 @@ TEST(SerdeTest, RoundTripsEmptyTuple) {
   EXPECT_TRUE(decoded->fields.empty());
 }
 
-TEST(SerdeTest, BatchRoundTripPreservesOrder) {
-  std::vector<Tuple> batch;
-  for (int i = 0; i < 50; ++i) {
-    Tuple t;
-    t.fields.emplace_back(int64_t{i});
-    t.fields.emplace_back(std::string(i, 'x'));
-    batch.push_back(std::move(t));
-  }
-  std::vector<uint8_t> buf;
-  SerializeBatch(batch, &buf);
-  auto decoded = DeserializeBatch(buf, batch.size());
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->size(), batch.size());
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ((*decoded)[i].GetInt(0), i);
-    EXPECT_EQ((*decoded)[i].GetString(1).size(), static_cast<size_t>(i));
-  }
-}
-
 TEST(SerdeTest, TruncatedBufferFailsCleanly) {
   const Tuple t = MixedTuple();
   std::vector<uint8_t> buf;
@@ -256,14 +237,6 @@ TEST(SerdeTest, CorruptFieldTagRejected) {
   auto decoded = DeserializeTuple(buf, &off);
   ASSERT_FALSE(decoded.ok());
   EXPECT_TRUE(decoded.status().IsInvalidArgument());
-}
-
-TEST(SerdeTest, DeserializeBatchCountMismatchFails) {
-  std::vector<Tuple> batch(2);
-  std::vector<uint8_t> buf;
-  SerializeBatch(batch, &buf);
-  EXPECT_TRUE(DeserializeBatch(buf, 2).ok());
-  EXPECT_FALSE(DeserializeBatch(buf, 3).ok());
 }
 
 TEST(JumboTupleTest, SizeAndEmpty) {

@@ -1,5 +1,4 @@
-// Unit tests for engine internals: channels, task wiring/routing, and
-// the execution-mode configurations.
+// Unit tests for engine internals: channels and task wiring/routing.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,10 +7,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/serde.h"
 #include "engine/channel.h"
 #include "engine/config.h"
 #include "engine/task.h"
+#include "engine/waker.h"
 
 namespace brisk::engine {
 namespace {
@@ -88,25 +87,42 @@ TEST(ChannelTest, RetryAfterFullPushKeepsEnvelope) {
   EXPECT_GE(pushed, 2u);
 }
 
-TEST(EngineConfigTest, FactoriesEncodeSystemTraits) {
-  const EngineConfig brisk = EngineConfig::Brisk();
-  EXPECT_GT(brisk.batch_size, 1);
-  EXPECT_FALSE(brisk.serialize_tuples);
-  EXPECT_FALSE(brisk.duplicate_headers);
+// The channel's capacity is its one bound: the ring under it rounds up
+// to a power of two (7 usable slots here), but the channel admits
+// exactly `capacity` envelopes, and the pop that takes it off full is
+// the one that wakes a producer parked on back-pressure.
+TEST(ChannelTest, AdmitsExactlyItsCapacityAndPopFromFullWakesProducer) {
+  Channel ch(0, 1, 4);
+  Waker consumer_waker;
+  Waker producer_waker;
+  WakerRef consumer(&consumer_waker);
+  WakerRef producer(&producer_waker);
+  ch.SetWakers(&consumer, &producer);
+  size_t pushed = 0;
+  for (int i = 0; i < 8; ++i) {
+    Envelope env;
+    env.batch = std::make_unique<JumboTuple>();
+    if (ch.TryPush(std::move(env))) ++pushed;
+  }
+  EXPECT_EQ(pushed, 4u);
+  EXPECT_EQ(consumer_waker.notify_count(), 1u);  // only the push into empty
+  EXPECT_EQ(producer_waker.notify_count(), 0u);
 
-  const EngineConfig nojumbo = EngineConfig::BriskNoJumbo();
-  EXPECT_EQ(nojumbo.batch_size, 1);
-  EXPECT_FALSE(nojumbo.serialize_tuples);
+  Envelope out;
+  ASSERT_TRUE(ch.TryPop(&out));  // from full: wakes the producer
+  EXPECT_EQ(producer_waker.notify_count(), 1u);
+  ASSERT_TRUE(ch.TryPop(&out));  // below full already: no wake
+  EXPECT_EQ(producer_waker.notify_count(), 1u);
 
-  const EngineConfig storm = EngineConfig::StormLike();
-  EXPECT_TRUE(storm.serialize_tuples);
-  EXPECT_TRUE(storm.duplicate_headers);
-  EXPECT_TRUE(storm.extra_condition_checks);
-  EXPECT_LT(storm.batch_size, brisk.batch_size);
-
-  const EngineConfig flink = EngineConfig::FlinkLike();
-  EXPECT_TRUE(flink.serialize_tuples);
-  EXPECT_FALSE(flink.extra_condition_checks);
+  // Room for exactly the two popped envelopes.
+  pushed = 0;
+  for (int i = 0; i < 4; ++i) {
+    Envelope env;
+    env.batch = std::make_unique<JumboTuple>();
+    if (ch.TryPush(std::move(env))) ++pushed;
+  }
+  EXPECT_EQ(pushed, 2u);
+  ch.SetWakers(nullptr, nullptr);
 }
 
 /// Drives a Task directly (no thread) to verify collector routing.
@@ -132,21 +148,12 @@ class RoutingFixture : public ::testing::Test {
   }
 
   /// Pops every batch from channel `c` and returns the tuples,
-  /// decoding serialized batches and recycling the drained shells
-  /// like a consumer task would.
+  /// recycling the drained shells like a consumer task would.
   std::vector<Tuple> Drain(int c) {
     std::vector<Tuple> out;
     Envelope env;
     while (channels_[c]->TryPop(&env)) {
-      if (!env.batch->bytes.empty()) {
-        auto decoded = DeserializeBatch(env.batch->bytes, env.count);
-        EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
-        if (decoded.ok()) {
-          for (auto& t : *decoded) out.push_back(t);
-        }
-      }
       for (auto& t : env.batch->tuples) out.push_back(t);
-      if (config_.serialize_tuples) continue;  // shell freed, not pooled
       env.batch->Reset();
       channels_[c]->Recycle(std::move(env.batch));
     }
@@ -245,32 +252,6 @@ TEST_F(RoutingFixture, FlushBorrowsIdleShellsFromSiblingChannels) {
   EXPECT_EQ(task_->stats().batches_out, 4u);
   EXPECT_EQ(task_->stats().batches_recycled, 2u);
   EXPECT_EQ(Drain(1).size(), 2u);
-}
-
-TEST_F(RoutingFixture, RecyclingDisabledStillFlows) {
-  // A serializing runtime allocates a fresh message per transfer: its
-  // consumers free drained shells, so the producer never reuses one.
-  config_ = EngineConfig::Brisk();
-  config_.batch_size = 2;
-  config_.serialize_tuples = true;
-  task_ = std::make_unique<Task>(0, 0, config_, nullptr);
-  OutRoute route;
-  route.stream_id = 0;
-  route.grouping = api::GroupingType::kShuffle;
-  channels_.push_back(std::make_unique<Channel>(0, 1, 64));
-  route.channels.push_back(channels_.back().get());
-  route.buffer_index.push_back(task_->AddBuffer());
-  task_->AddOutRoute(std::move(route));
-  // Drain between flushes: a pooled config would reuse the shell from
-  // the second flush on.
-  size_t delivered = 0;
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 2; ++i) task_->EmitTo(0, WordTuple("c"));
-    delivered += Drain(0).size();
-  }
-  EXPECT_EQ(delivered, 6u);
-  EXPECT_EQ(task_->stats().batches_out, 3u);
-  EXPECT_EQ(task_->stats().batches_recycled, 0u);  // pool bypassed
 }
 
 /// Two routes on the same stream: every route must see every tuple —

@@ -60,58 +60,27 @@ TEST_F(EngineTest, AllFourAppsRunOnTheEngine) {
   }
 }
 
-TEST_F(EngineTest, StormLikeModeIsSlowerThanBrisk) {
-  auto RunMode = [&](EngineConfig cfg) -> uint64_t {
-    auto app = App(apps::AppId::kWordCount);
-    EXPECT_TRUE(app.ok());
-    auto plan = ExecutionPlan::CreateDefault(app->topology_ptr.get());
-    EXPECT_TRUE(plan.ok());
-    plan->PlaceAllOn(0);
-    auto rt = BriskRuntime::Create(app->topology_ptr.get(), *plan, cfg);
-    EXPECT_TRUE(rt.ok());
-    auto stats = (*rt)->RunFor(0.3);
-    EXPECT_TRUE(stats.ok());
-    return app->telemetry->count();
-  };
-  const uint64_t brisk = RunMode(EngineConfig::Brisk());
-  const uint64_t storm = RunMode(EngineConfig::StormLike());
-  // Serialization + per-tuple headers + checks must cost real
-  // throughput; exact factor is machine-dependent.
-  EXPECT_GT(brisk, storm);
-}
-
-TEST_F(EngineTest, PassByReferenceRecyclesShellsAndLegacyDoesNot) {
-  struct Shells {
-    uint64_t out = 0;
-    uint64_t recycled = 0;
-  };
-  auto RunMode = [&](EngineConfig cfg) -> Shells {
-    auto app = App(apps::AppId::kWordCount);
-    EXPECT_TRUE(app.ok());
-    auto plan = ExecutionPlan::CreateDefault(app->topology_ptr.get());
-    EXPECT_TRUE(plan.ok());
-    plan->PlaceAllOn(0);
-    auto rt = BriskRuntime::Create(app->topology_ptr.get(), *plan, cfg);
-    EXPECT_TRUE(rt.ok()) << rt.status();
-    auto stats = (*rt)->RunFor(0.3);
-    EXPECT_TRUE(stats.ok());
-    Shells s;
-    for (const TaskStats& t : stats->tasks) {
-      s.out += t.batches_out;
-      s.recycled += t.batches_recycled;
-    }
-    return s;
-  };
-  // Saturated Brisk run on the worker pool: after warm-up every flush
-  // reuses a shell the consumer handed back through the BatchPool.
-  const Shells brisk = RunMode(EngineConfig::Brisk());
-  ASSERT_GT(brisk.out, 1000u);
-  EXPECT_GE(static_cast<double>(brisk.recycled),
-            0.9 * static_cast<double>(brisk.out));
-  // The serializing legacy preset allocates a fresh batch per transfer.
-  const Shells storm = RunMode(EngineConfig::StormLike());
-  EXPECT_GT(storm.out, 0u);
-  EXPECT_EQ(storm.recycled, 0u);
+TEST_F(EngineTest, PassByReferenceRecyclesShells) {
+  auto app = App(apps::AppId::kWordCount);
+  ASSERT_TRUE(app.ok());
+  auto plan = ExecutionPlan::CreateDefault(app->topology_ptr.get());
+  ASSERT_TRUE(plan.ok());
+  plan->PlaceAllOn(0);
+  auto rt = BriskRuntime::Create(app->topology_ptr.get(), *plan,
+                                 EngineConfig::Brisk());
+  ASSERT_TRUE(rt.ok()) << rt.status();
+  auto stats = (*rt)->RunFor(0.3);
+  ASSERT_TRUE(stats.ok());
+  uint64_t out = 0;
+  uint64_t recycled = 0;
+  for (const TaskStats& t : stats->tasks) {
+    out += t.batches_out;
+    recycled += t.batches_recycled;
+  }
+  // Saturated run on the worker pool: after warm-up every flush reuses
+  // a shell the consumer handed back through the BatchPool.
+  ASSERT_GT(out, 1000u);
+  EXPECT_GE(static_cast<double>(recycled), 0.9 * static_cast<double>(out));
 }
 
 TEST_F(EngineTest, RateLimitedSpoutApproximatesTargetRate) {

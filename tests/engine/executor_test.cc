@@ -296,24 +296,6 @@ TEST(WorkerPoolTest, BackpressureParksEnvelopeAndReschedules) {
   EXPECT_GT(spout.backpressure_parks, 0u);  // the Pending path ran
 }
 
-TEST(WorkerPoolTest, StormAndFlinkLikeModesRunOnThePool) {
-  for (const EngineConfig& cfg :
-       {EngineConfig::StormLike(), EngineConfig::FlinkLike()}) {
-    auto app = apps::MakeApp(apps::AppId::kWordCount);
-    ASSERT_TRUE(app.ok());
-    auto plan = ExecutionPlan::CreateDefault(app->topology_ptr.get());
-    ASSERT_TRUE(plan.ok());
-    plan->PlaceAllOn(0);
-    auto rt = BriskRuntime::Create(app->topology_ptr.get(), *plan, cfg);
-    ASSERT_TRUE(rt.ok()) << rt.status();
-    auto stats = (*rt)->RunFor(0.25);
-    ASSERT_TRUE(stats.ok());
-    EXPECT_GT(app->telemetry->count(), 0u);
-    // The serialize path was exercised batch-by-batch under the pool.
-    EXPECT_GT(stats->tasks[1].batches_in, 0u);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Graceful drain: a bounded source's tuples all reach the sink instead
 // of being dropped with the queues at Stop().
@@ -389,35 +371,6 @@ TEST(GracefulDrainTest, OperatorFlushFinalsReachTheSink) {
   // stopped — the topological finalize pass must still have carried it
   // through to the sink, with the full input count.
   EXPECT_EQ(final_value.load(), static_cast<int64_t>(kTotal));
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: legacy per-tuple overhead must never corrupt telemetry.
-// ---------------------------------------------------------------------------
-
-TEST(LegacyOverheadTest, DoesNotPolluteBackpressureCounters) {
-  EngineConfig cfg = EngineConfig::Brisk();
-  cfg.batch_size = 4;
-  cfg.duplicate_headers = true;
-  cfg.extra_condition_checks = true;
-  Task task(0, 0, cfg, nullptr);
-  Channel ch(0, 1, 1024);
-  OutRoute route;
-  route.stream_id = 0;
-  route.grouping = api::GroupingType::kShuffle;
-  route.channels.push_back(&ch);
-  route.buffer_index.push_back(task.AddBuffer());
-  task.AddOutRoute(std::move(route));
-  for (int i = 0; i < 1000; ++i) {
-    Tuple t;
-    t.fields.emplace_back("a-word");
-    t.fields.emplace_back(static_cast<int64_t>(i));
-    task.EmitTo(0, std::move(t));
-  }
-  // The simulated header/checksum work ran 1000 times with zero
-  // back-pressure — the counters must stay exactly zero.
-  EXPECT_EQ(task.stats().tuples_out, 1000u);
-  EXPECT_EQ(task.stats().backpressure_parks, 0u);
 }
 
 }  // namespace

@@ -276,9 +276,9 @@ TEST(MigrationTest, MoveAndGrowInOneMigration) {
 TEST(MigrationTest, DrainTimeoutStillLosesNothing) {
   EngineConfig config = TestConfig();
   config.drain_timeout_s = 0.0;      // the drain always "times out"
-  config.spout_rate_tps = 0.0;       // saturated: rings run full, so
-  config.queue_capacity = 4;         // producers sit in back-pressure
-  config.pool_inflight_batches = 0;  // (parked batches at the halt)
+  config.spout_rate_tps = 0.0;  // saturated: rings run full, so
+  config.queue_capacity = 4;    // producers sit in back-pressure
+                                // (parked batches at the halt)
   WordCountParams params;
   params.max_sentences = 6000;  // bounded: the run can finish naturally
   WcRun run = MakeWcRun({1, 1, 2, 2, 1}, config, params);
@@ -672,7 +672,6 @@ TEST(StopTest, ZeroBudgetStopConservesEveryEdge) {
   config.drain_timeout_s = 0.0;
   config.spout_rate_tps = 0.0;
   config.queue_capacity = 4;
-  config.pool_inflight_batches = 0;
   WcRun run = MakeWcRun({1, 1, 2, 2, 1}, config, WordCountParams{});
   ASSERT_TRUE(run.rt->Start().ok());
   SleepMs(150);

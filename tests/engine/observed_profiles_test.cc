@@ -125,6 +125,42 @@ TEST(ObservedProfilesTest, StatsWindowSubtractsEveryCounter) {
   EXPECT_EQ(w.op_totals[0].tuples_in, 15u);
 }
 
+// A window can hold a batch's tuple count without its busy time (the
+// task writes busy_ns first, a snapshot copies tuples_in first). Such
+// an operator measured nothing: it keeps its planned entry, or is left
+// out without one, instead of reading T_e = 0.
+TEST(ObservedProfilesTest, TuplesWithoutBusyTimeKeepThePlannedEntry) {
+  auto app = apps::MakeApp(apps::AppId::kWordCount);
+  ASSERT_TRUE(app.ok());
+  auto plan = ExecutionPlan::CreateDefault(app->topology_ptr.get());
+  ASSERT_TRUE(plan.ok());
+  const api::Topology& topo = app->topology();
+  auto splitter = topo.OpId("splitter");
+  ASSERT_TRUE(splitter.ok());
+  RunStats window;
+  window.tasks.resize(static_cast<size_t>(plan->num_instances()));
+  for (const auto& op : topo.ops()) {
+    for (int r = 0; r < plan->replication(op.id); ++r) {
+      TaskStats& t = window.tasks[plan->InstanceId(op.id, r)];
+      t.tuples_in = 64;
+      t.busy_ns = op.id == *splitter ? 0 : 6400;
+    }
+  }
+  auto observed = ObserveProfiles(topo, *plan, window, app->profiles);
+  ASSERT_TRUE(observed.ok()) << observed.status();
+  auto planned = app->profiles.Get("splitter");
+  auto kept = observed->Get("splitter");
+  ASSERT_TRUE(planned.ok());
+  ASSERT_TRUE(kept.ok());
+  EXPECT_DOUBLE_EQ(kept->te_cycles, planned->te_cycles);
+  EXPECT_DOUBLE_EQ(observed->Get("counter")->te_cycles, 100.0);
+
+  auto unplanned = ObserveProfiles(topo, *plan, window, {});
+  ASSERT_TRUE(unplanned.ok()) << unplanned.status();
+  EXPECT_FALSE(unplanned->Get("splitter").ok());
+  EXPECT_TRUE(unplanned->Get("counter").ok());
+}
+
 TEST(ObservedProfilesTest, MismatchedStatsRejected) {
   auto run = RunWordCount(0.05);
   ASSERT_TRUE(run.ok());

@@ -1,18 +1,18 @@
 // Differential correctness: under a fixed seed, a bounded run's sink
 // multiset is an exact function of the workload — not of the engine's
-// overhead mode nor of the worker pool's interleaving. Fields grouping
-// pins every key to one replica, so per-key results (word counts,
-// device windows) are interleaving-invariant; anything that leaks
-// between the configurations (a dropped batch, a double-consumed
-// envelope, a serde mismatch, per-key state landing on the wrong
-// replica) breaks exact equality.
+// batching nor of the worker pool's interleaving. Fields grouping pins
+// every key to one replica, so per-key results (word counts, device
+// windows) are interleaving-invariant; anything that leaks between the
+// configurations (a dropped batch, a double-consumed envelope, per-key
+// state landing on the wrong replica) breaks exact equality.
 //
-// The matrix: {Brisk, Storm-like} on the worker pool, word_count and
-// spike_detection, identical plans, one seed. Brisk dispatches kernel
-// operators batch at a time (RunBatch); Storm-like's per-tuple
-// serialization forces the row-wise Process path, so the two
-// executions of the same kernel operators are held to the same sink
-// multiset.
+// The matrix: Brisk with jumbo tuples and with batch_size = 1 on the
+// worker pool, word_count and spike_detection, identical plans, one
+// seed. The two cells span two batching regimes: 64-tuple batches
+// against one tuple per envelope, so batch boundaries, partial-batch
+// flushes, back-pressure parks and shell recycling all differ while the
+// sink multiset must not. (Compiled against interpreted execution of
+// the same kernels is held equal by the kernel pipeline tests.)
 #include <algorithm>
 #include <chrono>
 #include <memory>
@@ -46,9 +46,11 @@ struct Cell {
 };
 
 std::vector<Cell> Matrix() {
+  EngineConfig unbatched = EngineConfig::Brisk();
+  unbatched.batch_size = 1;
   return {
       {EngineConfig::Brisk(), "brisk"},
-      {EngineConfig::StormLike(), "storm"},
+      {unbatched, "unbatched"},
   };
 }
 
