@@ -132,12 +132,12 @@ SkewResult RunSkew(bool steal_on, double seconds) {
     plan->SetSocket(i, (pi.op == 2 || pi.op == 3) ? 0 : 1);
   }
   // Emulated two-socket machine: drives worker grouping and pinning but
-  // charges no remote-fetch stalls (enabled=false), so the measured
-  // delta is pure scheduling.
+  // charges no remote-fetch stalls (numa_emulation stays off), so the
+  // measured delta is pure scheduling.
   const int cores = HostCores();
   const hw::MachineSpec machine = hw::MachineSpec::Symmetric(
       2, std::max(1, cores / 2), 1.0, 50, 300, 50, 10);
-  const hw::NumaEmulator numa(machine, /*enabled=*/false);
+  const hw::NumaEmulator numa(machine);
   EngineConfig cfg = EngineConfig::Brisk();
   cfg.queue_capacity = kBoundedQueueBatches;
   cfg.drain_timeout_s = 0;  // metrics are read before Stop()

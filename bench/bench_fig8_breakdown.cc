@@ -49,13 +49,12 @@ double BriskOthersNs(const std::vector<Tuple>& samples, int batch) {
       jumbo->tuples.push_back(samples[i % samples.size()]);
     }
     engine::Envelope env;
-    env.count = static_cast<uint32_t>(batch);
     env.batch = std::move(jumbo);
     while (!queue.TryPush(std::move(env))) {
     }
     engine::Envelope out;
     queue.TryPop(&out);
-    tuples += out.count;
+    tuples += out.batch->size();
   }
   return static_cast<double>(NowNs() - t0) / static_cast<double>(tuples);
 }

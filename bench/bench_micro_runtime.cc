@@ -67,13 +67,12 @@ void BM_BatchedTransferPerTuple(benchmark::State& state) {
     auto jumbo = std::make_unique<JumboTuple>();
     for (int i = 0; i < batch; ++i) jumbo->tuples.push_back(t);
     engine::Envelope env;
-    env.count = static_cast<uint32_t>(batch);
     env.batch = std::move(jumbo);
     while (!q.TryPush(std::move(env))) {
     }
     engine::Envelope out;
     q.TryPop(&out);
-    benchmark::DoNotOptimize(out.count);
+    benchmark::DoNotOptimize(out.batch->size());
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }

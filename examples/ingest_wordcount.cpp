@@ -91,10 +91,7 @@ int main(int argc, char** argv) {
       p.FromFile("lines", src)
           .FlatMap("split", api::FlatMapOf(SplitWords, kWordsPerLine, "split"))
           .KeyBy(0)
-          .Aggregate<int64_t>(
-              "count", 0,
-              std::function<void(int64_t&, const Tuple&, api::RowEmitter&)>(
-                  CountWord));
+          .Aggregate<int64_t>("count", 0, CountWord);
   counts.Sink("sink", [seen](const Tuple&) { seen->fetch_add(1); });
   counts.ToFile("egress", out_path);  // binary (word, count) records
 

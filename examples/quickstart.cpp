@@ -50,10 +50,10 @@ int main() {
       .KeyBy(0)  // partition per-sensor state by sensor id
       .Aggregate<double>("max", -1e300,
                          [](double& running_max, const Tuple& in,
-                            dsl::Collector& out) {
+                            api::RowEmitter& out) {
                            running_max =
                                std::max(running_max, in.GetDouble(1));
-                           out.Emit(in, {in.fields[0], Field(running_max)});
+                           out.Emit(Tuple{in.fields[0], Field(running_max)});
                          })
       .Sink("sink", [telemetry](const Tuple& in) {
         telemetry->RecordTuple(in.origin_ts_ns, apps::NowNs());

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   local_plan->PlaceAllOn(0);
   local_plan->SetSocket(3, 1);  // counter on a remote socket: see the cost
 
-  hw::NumaEmulator numa(machine, /*enabled=*/true);
+  hw::NumaEmulator numa(machine);
   engine::EngineConfig config = engine::EngineConfig::Brisk();
   config.numa_emulation = true;
   auto runtime = engine::BriskRuntime::Create(app->topology_ptr.get(),

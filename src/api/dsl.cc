@@ -40,11 +40,10 @@ class LambdaSpout final : public api::Spout {
   std::vector<std::string> streams_;
 };
 
-/// Synthesized Operator around a user process lambda; the prepared
-/// ReplicaBody's StateHooks back the keyed-state virtuals.
+/// Synthesized Operator around a user process lambda.
 class LambdaBolt final : public api::Operator {
  public:
-  explicit LambdaBolt(ReplicaFactory factory)
+  explicit LambdaBolt(ProcessFactory factory)
       : factory_(std::move(factory)) {}
 
   Status Prepare(const api::OperatorContext& ctx) override {
@@ -53,8 +52,8 @@ class LambdaBolt final : public api::Operator {
                                      "' has an empty factory");
     }
     streams_ = ctx.output_streams;
-    body_ = factory_(ctx);
-    if (!body_.fn) {
+    fn_ = factory_(ctx);
+    if (!fn_) {
       return Status::InvalidArgument("factory for '" + ctx.operator_name +
                                      "' returned an empty function");
     }
@@ -63,23 +62,12 @@ class LambdaBolt final : public api::Operator {
 
   void Process(const Tuple& in, api::OutputCollector* out) override {
     Collector c(out, &streams_);
-    body_.fn(in, c);
-  }
-
-  std::vector<api::CheckpointEntry> SnapshotKeyedState() override {
-    if (!body_.hooks.snapshot_state) return {};
-    return body_.hooks.snapshot_state();
-  }
-
-  void RestoreKeyedState(std::vector<api::CheckpointEntry> entries) override {
-    if (body_.hooks.restore_state) {
-      body_.hooks.restore_state(std::move(entries));
-    }
+    fn_(in, c);
   }
 
  private:
-  ReplicaFactory factory_;
-  ReplicaBody body_;
+  ProcessFactory factory_;
+  ProcessFn fn_;
   std::vector<std::string> streams_;
 };
 
@@ -92,7 +80,7 @@ bool Collector::EmitTo(const std::string& stream, Tuple t) {
   return true;
 }
 
-Stream Stream::Attach(const std::string& name, ReplicaFactory factory,
+Stream Stream::Attach(const std::string& name, ProcessFactory factory,
                       api::GroupingType grouping, size_t key_field) const {
   Pipeline::Node node;
   node.name = name;
@@ -100,18 +88,6 @@ Stream Stream::Attach(const std::string& name, ReplicaFactory factory,
   node.subs.push_back({node_, stream_, grouping, key_field});
   const int id = pipe_->AddNode(std::move(node));
   return Stream(pipe_, id, "default");
-}
-
-Stream Stream::Attach(const std::string& name, ProcessFactory factory,
-                      api::GroupingType grouping, size_t key_field) const {
-  return Attach(name,
-                ReplicaFactory([pf = std::move(factory)](
-                    const api::OperatorContext& ctx) -> ReplicaBody {
-                  // An empty user factory surfaces as the empty-body
-                  // InvalidArgument in LambdaBolt::Prepare.
-                  return pf ? ReplicaBody{pf(ctx), {}} : ReplicaBody{};
-                }),
-                grouping, key_field);
 }
 
 Stream Stream::AttachKernel(const std::string& name, api::KernelDesc kernel,
@@ -148,21 +124,20 @@ Stream Stream::FlatMap(const std::string& name, ProcessFn fn) const {
 }
 
 Stream Stream::Map(const std::string& name, MapFn fn) const {
-  return Process(name, [fn = std::move(fn)](const api::OperatorContext&) {
-    return ProcessFn([fn](const Tuple& in, Collector& out) {
-      Tuple t = fn(in);
-      if (t.origin_ts_ns == 0) t.origin_ts_ns = in.origin_ts_ns;
-      out.Emit(std::move(t));
-    });
-  });
+  // An empty MapFn stays empty, so it fails KernelBolt::Prepare.
+  std::function<void(Tuple&)> row;
+  if (fn) {
+    row = [fn = std::move(fn)](Tuple& t) {
+      Tuple out = fn(t);
+      if (out.origin_ts_ns == 0) out.origin_ts_ns = t.origin_ts_ns;
+      t = std::move(out);
+    };
+  }
+  return Map(name, api::MapOf(std::move(row), name));
 }
 
 Stream Stream::Filter(const std::string& name, FilterFn fn) const {
-  return Process(name, [fn = std::move(fn)](const api::OperatorContext&) {
-    return ProcessFn([fn](const Tuple& in, Collector& out) {
-      if (fn(in)) out.Emit(in);
-    });
-  });
+  return Filter(name, api::FilterOf(std::move(fn), 1.0, name));
 }
 
 KeyedStream Stream::KeyBy(size_t field) const {

@@ -9,11 +9,17 @@
 //   DSL verb                     | Topology lowering (paper anchor)
 //   -----------------------------+------------------------------------
 //   Pipeline::Source(...)        | spout vertex (§2.2 "Spout")
-//   .Map / .Filter / .FlatMap    | bolt vertex, shuffle-grouped input
+//   .Map / .Filter               | kernel bolt (api::KernelBolt) the
+//                                | engine runs a jumbo tuple at a time
+//                                | (§5.2), shuffle-grouped input
 //                                | (§2.2 "shuffle grouping")
-//   .KeyBy(f).Aggregate(init,fn) | stateful bolt, fields grouping
-//                                | hashed on field f (§2.2 "fields
-//                                | grouping" — state partitioning)
+//   .FlatMap(fn) / .Process /    | interpreted bolt, one call per
+//       .Sink                    | tuple; may emit on side outputs
+//                                | (FlatMap(KernelDesc) is a kernel)
+//   .KeyBy(f).Aggregate(init,fn) | stateful kernel bolt, fields
+//                                | grouping hashed on field f (§2.2
+//                                | "fields grouping" — state
+//                                | partitioning)
 //   .KeyBy(f).Aggregate(init,fn, | same, with a checkpoint codec for
 //       encode,decode)           | States richer than one number
 //   .Broadcast() / .Global()     | broadcast / global grouping on the
@@ -29,11 +35,14 @@
 //   .Sink(...)                   | terminal bolt; the throughput
 //                                | measurement point (§2.2)
 //
-// User code is plain lambdas; the lowering synthesizes Spout/Operator
-// adapters around them. Per-replica state is natural: every factory
-// runs once per replica at Prepare time, and plain-function forms are
-// copied per replica, so mutable captures are replica-local without
-// any synchronization (the engine's one-thread-per-instance contract).
+// User code is plain lambdas. Map, Filter and Aggregate lower onto
+// kernel descriptors (api/kernels.h), so each of those verbs has one
+// execution path: the compiled pipeline. The other bolt verbs lower
+// onto a synthesized Operator adapter. Per-replica state is natural:
+// every factory runs once per replica at Prepare time, and
+// plain-function forms are copied per replica, so mutable captures are
+// replica-local without any synchronization (the engine's
+// one-thread-per-instance contract).
 //
 // The DSL covers chains with fan-out (attach several consumers to one
 // Stream handle), named side outputs, and multi-input operators
@@ -46,7 +55,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -122,60 +130,40 @@ using ProcessFn = std::function<void(const Tuple& in, Collector& out)>;
 /// Builds one ProcessFn per replica at Prepare time.
 using ProcessFactory = std::function<ProcessFn(const api::OperatorContext&)>;
 
-/// One-to-one transform; the result inherits the input's origin
-/// timestamp unless the lambda set one.
+/// One-to-one transform; the result goes out on the default stream and
+/// inherits the input's origin timestamp unless the lambda set one.
 using MapFn = std::function<Tuple(const Tuple& in)>;
 /// Keep-predicate: true forwards the tuple unchanged.
 using FilterFn = std::function<bool(const Tuple& in)>;
 /// Terminal consumer (telemetry, side effects); emits nothing.
 using SinkFn = std::function<void(const Tuple& in)>;
 
-/// Keyed-state hooks a replica body may expose
-/// (api::Operator::{Snapshot,Restore}KeyedState forwarded to lambda
-/// land), through which checkpoints and live migrations move its
-/// state. Snapshot copies without clearing; Restore replaces. Both run
-/// while the engine is quiesced, never concurrently with the body.
-struct StateHooks {
-  std::function<std::vector<api::CheckpointEntry>()> snapshot_state;
-  std::function<void(std::vector<api::CheckpointEntry>)> restore_state;
-};
-
-/// One prepared replica: the per-tuple body plus (optional) keyed-state
-/// hooks that share its state.
-struct ReplicaBody {
-  ProcessFn fn;
-  StateHooks hooks;
-};
-/// Builds one ReplicaBody per replica at Prepare time. Aggregate uses
-/// this form so its per-key map is reachable from both the body and
-/// the hooks; plain ProcessFactory verbs lower onto it with empty
-/// hooks.
-using ReplicaFactory = std::function<ReplicaBody(const api::OperatorContext&)>;
-
 /// Handle to one operator's output stream plus the grouping the *next*
 /// attached consumer subscribes with (shuffle unless overridden).
 /// Cheap value type; borrows the Pipeline.
 class Stream {
  public:
-  /// The general verb: attaches a bolt built by `factory` (one
-  /// ProcessFn per replica). Every other verb lowers onto this.
+  /// The general verb: attaches an interpreted bolt built by `factory`
+  /// (one ProcessFn per replica), which may emit on side outputs.
+  /// FlatMap(ProcessFn) and Sink lower onto this.
   Stream Process(const std::string& name, ProcessFactory factory) const;
 
-  /// Attaches a bolt running `fn` per input tuple. The function object
-  /// is copied per replica, so mutable captures are replica-local.
+  /// Attaches an interpreted bolt running `fn` per input tuple. The
+  /// function object is copied per replica, so mutable captures are
+  /// replica-local.
   Stream FlatMap(const std::string& name, ProcessFn fn) const;
 
-  /// Attaches a one-to-one transform.
+  // Kernel verbs (api/kernels.h). The attached bolt is an
+  // api::KernelBolt: the engine dispatches whole batches through its
+  // compiled pipeline, and the fusion pass can concatenate adjacent
+  // kernel chains into one.
+
+  /// Attaches a one-to-one transform (lowers onto api::MapOf).
   Stream Map(const std::string& name, MapFn fn) const;
 
-  /// Attaches a filter forwarding tuples `fn` accepts.
+  /// Attaches a filter forwarding tuples `fn` accepts (lowers onto
+  /// api::FilterOf).
   Stream Filter(const std::string& name, FilterFn fn) const;
-
-  // Kernel-descriptor verbs (api/kernels.h). The attached bolt is an
-  // api::KernelBolt, so the engine can dispatch whole batches through
-  // its compiled pipeline, and the fusion pass can concatenate
-  // adjacent kernel chains into one. Row-wise lambda verbs remain the
-  // fallback for anything a descriptor cannot express.
 
   /// Attaches a kernel-backed map (e.g. api::MapOf / MapNumConst).
   Stream Map(const std::string& name, api::KernelDesc kernel) const;
@@ -200,7 +188,8 @@ class Stream {
 
   /// Interop: attaches a Storm-layer Operator implementation as a DSL
   /// bolt — the full virtual surface (Flush, keyed-state hooks) where
-  /// lambda verbs only cover Process. The egress verbs lower onto this.
+  /// Process only covers per-tuple calls. The egress verbs lower onto
+  /// this.
   Stream Operate(const std::string& name, api::OperatorFactory factory) const;
 
   // Egress verbs (src/io): terminal bolts writing every input tuple as
@@ -240,8 +229,6 @@ class Stream {
   Stream(Pipeline* pipe, int node, std::string stream)
       : pipe_(pipe), node_(node), stream_(std::move(stream)) {}
 
-  Stream Attach(const std::string& name, ReplicaFactory factory,
-                api::GroupingType grouping, size_t key_field) const;
   Stream Attach(const std::string& name, ProcessFactory factory,
                 api::GroupingType grouping, size_t key_field) const;
   Stream AttachKernel(const std::string& name, api::KernelDesc kernel,
@@ -259,8 +246,11 @@ class KeyedStream {
  public:
   /// Attaches a stateful per-key aggregation: one `State` (copied from
   /// `init`) per distinct key per replica, updated by `fn`, which also
-  /// decides what to emit. Fields grouping guarantees all tuples of a
-  /// key meet the same replica's state.
+  /// decides what to emit through an api::RowEmitter (emitted tuples
+  /// with an unset origin timestamp inherit the input's). Fields
+  /// grouping guarantees all tuples of a key meet the same replica's
+  /// state. The bolt is an api::KernelBolt: the engine updates keyed
+  /// state a batch at a time and the fusion pass can chain it.
   ///
   /// State lives in an api::KeyedStateTable keyed by the grouping
   /// Field itself: each tuple hashes its key field in place, with no
@@ -268,59 +258,13 @@ class KeyedStream {
   /// Keys of different kinds never share state (0, 0.0 and "0" are
   /// three keys).
   ///
-  /// Every State moves through a checkpoint codec, which the
-  /// StateHooks forward to: checkpoints capture (key, State) entries
-  /// through it, and when a plan migration changes this operator's
-  /// replication the engine snapshots every old replica, re-buckets by
-  /// the fields-grouping hash and restores each bucket into its owner
-  /// replica — counts and windows survive the re-partitioning. This
-  /// form is for arithmetic States, which carry a one-field codec;
-  /// richer States pass one (the overload below).
-  template <typename State>
-  Stream Aggregate(
-      const std::string& name, State init,
-      std::function<void(State&, const Tuple&, Collector&)> fn) const {
-    static_assert(std::is_arithmetic_v<State>,
-                  "a non-arithmetic State needs a checkpoint codec");
-    return Aggregate<State>(name, std::move(init), std::move(fn),
-                            api::EncodeArithmetic<State>,
-                            api::DecodeArithmetic<State>);
-  }
-
-  /// Lambda aggregate with an explicit checkpoint codec for States a
-  /// single arithmetic Field cannot carry (windows, sets). The codec
-  /// must round-trip the state bit-exactly.
-  template <typename State>
-  Stream Aggregate(const std::string& name, State init,
-                   std::function<void(State&, const Tuple&, Collector&)> fn,
-                   std::function<Tuple(const State&)> encode,
-                   std::function<State(const Tuple&)> decode) const {
-    const size_t key = key_field_;
-    api::KeyedStateTable<State> table(std::move(init), std::move(encode),
-                                      std::move(decode));
-    ReplicaFactory factory = [table = std::move(table), fn = std::move(fn),
-                              key](const api::OperatorContext&) -> ReplicaBody {
-      auto states = std::make_shared<api::KeyedStateTable<State>>(table);
-      ReplicaBody body;
-      body.fn = [states, fn, key](const Tuple& in, Collector& out) {
-        fn(states->At(in.fields[key]), in, out);
-      };
-      body.hooks.snapshot_state = [states] { return states->Snapshot(); };
-      body.hooks.restore_state = [states](auto entries) {
-        states->Restore(std::move(entries));
-      };
-      return body;
-    };
-    return base_.Attach(name, std::move(factory),
-                        api::GroupingType::kFields, key);
-  }
-
-  /// Kernel-descriptor aggregate: same per-key state model, codec
-  /// rules and migration behavior as the lambda form above (arithmetic
-  /// States only; richer ones pass a codec), but declared as an
-  /// api::KernelDesc so the engine updates keyed state batch at a
-  /// time and the fusion pass can chain it. `fn` emits through an
-  /// api::RowEmitter (unset origin timestamps inherit the input's).
+  /// Every State moves through a checkpoint codec: checkpoints capture
+  /// (key, State) entries through it, and when a plan migration changes
+  /// this operator's replication the engine snapshots every old
+  /// replica, re-buckets by the fields-grouping hash and restores each
+  /// bucket into its owner replica — counts and windows survive the
+  /// re-partitioning. This form is for arithmetic States, which carry a
+  /// one-field codec; richer States pass one (the overload below).
   template <typename State>
   Stream Aggregate(
       const std::string& name, State init,
@@ -332,10 +276,10 @@ class KeyedStream {
         api::GroupingType::kFields, key_field_);
   }
 
-  /// Kernel aggregate with an explicit checkpoint codec for States a
-  /// single arithmetic Field cannot carry (windows, sketches). The
-  /// codec must round-trip the state bit-exactly — recovery differen-
-  /// tial tests hold restored replicas to never-crashed behavior.
+  /// Aggregate with an explicit checkpoint codec for States a single
+  /// arithmetic Field cannot carry (windows, sketches). The codec must
+  /// round-trip the state bit-exactly — recovery differential tests
+  /// hold restored replicas to never-crashed behavior.
   template <typename State>
   Stream Aggregate(
       const std::string& name, State init,
@@ -428,7 +372,7 @@ class Pipeline {
     api::SpoutFactory spout;   // interop source
     SourceFactory source;      // lambda source
     api::OperatorFactory bolt; // interop bolt (Stream::Operate)
-    ReplicaFactory process;    // bolts and sinks (body + state hooks)
+    ProcessFactory process;    // interpreted bolts and sinks
     std::vector<api::KernelDesc> kernels;  // kernel-backed verbs
     int parallelism = 1;
     std::vector<std::string> streams{"default"};

@@ -139,21 +139,6 @@ Job& Job::WithTelemetry(std::shared_ptr<SinkTelemetry> telemetry) {
   return *this;
 }
 
-Job& Job::WithSeed(uint64_t seed) {
-  config_.seed = seed;
-  return *this;
-}
-
-Job& Job::WithDrainTimeout(double seconds) {
-  config_.drain_timeout_s = seconds;
-  return *this;
-}
-
-Job& Job::WithFaults(engine::FaultPlan faults) {
-  config_.faults = std::move(faults);
-  return *this;
-}
-
 Job& Job::WithCheckpointing(double interval_s) {
   supervision_enabled_ = true;
   supervisor_options_.checkpoint_interval_s = interval_s;

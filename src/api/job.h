@@ -155,7 +155,9 @@ class Job {
   Job& WithMachine(hw::MachineSpec machine);
 
   /// Engine configuration (§5): batching, queue bound, NUMA
-  /// emulation, ingress rate. Default: EngineConfig::Brisk().
+  /// emulation, ingress rate, and the run seed, drain budget and fault
+  /// plan (EngineConfig::{seed, drain_timeout_s, faults}). Default:
+  /// EngineConfig::Brisk().
   Job& WithConfig(engine::EngineConfig config);
 
   Job& WithPlanner(Planner planner);
@@ -176,25 +178,6 @@ class Job {
   /// their Sink lambdas; reset happens right before the engine starts
   /// so profiling traffic is not counted.)
   Job& WithTelemetry(std::shared_ptr<SinkTelemetry> telemetry);
-
-  /// Deterministic run seed: every operator replica gets a stable
-  /// derived seed in OperatorContext::seed, which the DSL source
-  /// factories and the benchmark spouts feed into common/rng — two
-  /// runs of the same seeded job produce the same tuple population.
-  Job& WithSeed(uint64_t seed);
-
-  /// Budget for every quiesce drain (graceful stop, migration pause,
-  /// checkpoint pause). A drain that runs past it is surfaced as
-  /// RunStats::drain_timed_out and JobReport::drain_status =
-  /// DeadlineExceeded — the job still completes via the residual
-  /// sweep, but the timeout is a reportable soft failure.
-  Job& WithDrainTimeout(double seconds);
-
-  /// Deterministic fault injection (engine/fault.h): crash or stall a
-  /// replica after K tuples, wedge a channel push, fail a migration
-  /// mid-protocol. Combined with WithSeed, every fault fires at the
-  /// same tuple on every run.
-  Job& WithFaults(engine::FaultPlan faults);
 
   /// Fault tolerance: supervise the deployed job with periodic
   /// checkpoints every `interval_s` (plus the initial one) and

@@ -77,11 +77,6 @@ KernelDesc FilterOf(std::function<bool(const Tuple&)> pred,
   d.debug = std::move(debug);
   d.selectivity_hint = selectivity_hint;
   d.filter_row = std::move(pred);
-  d.filter_batch = [pred = d.filter_row](JumboTuple& b, SelectionVector& sel) {
-    sel.ForEachSet([&](size_t i) {
-      if (!pred(b.tuples[i])) sel.Clear(i);
-    });
-  };
   return d;
 }
 
@@ -90,9 +85,6 @@ KernelDesc MapOf(std::function<void(Tuple&)> fn, std::string debug) {
   d.kind = KernelKind::kMap;
   d.debug = std::move(debug);
   d.map_row = std::move(fn);
-  d.map_batch = [fn = d.map_row](JumboTuple& b, const SelectionVector& sel) {
-    sel.ForEachSet([&](size_t i) { fn(b.tuples[i]); });
-  };
   return d;
 }
 

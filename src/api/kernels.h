@@ -5,16 +5,19 @@
 // forms the engine can execute:
 //
 //   * row-wise closures (`filter_row` / `map_row` / `expand_row`) —
-//     the interpreted form, used where a chain runs tuple at a time
-//     (interpreted fusion, spout-side chains, property tests);
-//   * optional batch closures (`filter_batch` / `map_batch`) — tight
-//     loops over one JumboTuple under a SelectionVector, used by
-//     CompiledPipeline::RunBatch.
+//     every stage has one. CompiledPipeline::RunRow runs them a tuple
+//     at a time (interpreted fusion, spout-side chains, property
+//     tests), and RunBatch loops them over a JumboTuple's live rows;
+//   * optional batch closures (`filter_batch` / `map_batch`) — dense
+//     loops over one JumboTuple under a SelectionVector, which RunBatch
+//     prefers. Only the constant-folding constructors (FilterCmpConst,
+//     MapNumConst) supply one; a closure constructor's batch form would
+//     be the same loop RunBatch already runs over the row closure.
 //
-// Both forms are provided by the constructors below, so a chain of
-// descriptors is executable either way with identical semantics; the
-// randomized equivalence test in tests/api/kernel_pipeline_test.cc
-// holds the two paths to the exact same output sequence.
+// A chain of descriptors is therefore executable either way with
+// identical semantics; the randomized equivalence test in
+// tests/api/kernel_pipeline_test.cc holds the two paths to the exact
+// same output sequence.
 //
 // Descriptors are plain copyable values: the dsl layer attaches them
 // to topology nodes, the fusion pass concatenates them across fused
@@ -22,11 +25,10 @@
 // (aggregate state is created per replica via `make_aggregate`).
 //
 // Keyed state lives in a KeyedStateTable, keyed by the grouping Field
-// itself. The kernel aggregate (TypedAggregate) and the lambda
-// dsl::KeyedStream::Aggregate both hold one, so they share key
-// identity and the one keyed-state hand-off: a checkpoint codec every
-// table carries, which moves state through checkpoints and live
-// migrations alike.
+// itself. TypedAggregate holds one per replica; it is the one keyed
+// aggregate, behind both AggregateOf and dsl::KeyedStream::Aggregate.
+// Every table carries a checkpoint codec, which moves state through
+// checkpoints and live migrations alike.
 #pragma once
 
 #include <cstdint>
@@ -230,8 +232,7 @@ class KeyedStateTable {
 
 /// Keyed aggregate over `State`: `fn` updates the key's state from
 /// each row and decides what to emit. Moves through checkpoints and
-/// live migrations exactly like dsl::KeyedStream::Aggregate, through
-/// the same KeyedStateTable.
+/// live migrations through its KeyedStateTable.
 template <typename State>
 class TypedAggregate final : public AggregateExec {
  public:

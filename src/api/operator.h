@@ -50,7 +50,7 @@ struct OperatorContext {
   /// Virtual socket this instance is placed on (-1 if unplaced).
   int socket = -1;
   /// Per-replica deterministic seed, derived from the job-level seed
-  /// (EngineConfig::seed / Job::WithSeed) so runs are reproducible.
+  /// (EngineConfig::seed) so runs are reproducible.
   /// 0 when the job is unseeded — sources then fall back to their own
   /// workload-parameter seeds.
   uint64_t seed = 0;

@@ -48,7 +48,7 @@ StatusOr<api::Topology> BuildFraudDetection(
       .Aggregate<AccountState>(
           "predict",
           {-1, std::vector<uint32_t>(static_cast<size_t>(states) * states)},
-          [states](AccountState& s, const Tuple& in, dsl::Collector& out) {
+          [states](AccountState& s, const Tuple& in, api::RowEmitter& out) {
             // Amount bucket: geometric edges 10, 30, 90, ...
             int state = 0;
             for (double edge = 10.0;
@@ -71,7 +71,7 @@ StatusOr<api::Topology> BuildFraudDetection(
             s.last_state = state;
             // A signal per input regardless of the detection outcome
             // (Appendix B: selectivity one).
-            out.Emit(in, {in.fields[0], Field(score)});
+            out.Emit(Tuple{in.fields[0], Field(score)});
           },
           // Checkpoint codec: [last_state, transitions...].
           [](const AccountState& s) {

@@ -69,26 +69,26 @@ VehicleSet DecodeVehicleSet(const Tuple& t) {
 }
 
 /// Average speed of a segment over its last kAvgWindow reports.
-void AvgSpeed(MeanWindow& w, const Tuple& in, dsl::Collector& out) {
+void AvgSpeed(MeanWindow& w, const Tuple& in, api::RowEmitter& out) {
   const double avg = w.Push(in.GetDouble(3), kAvgWindow);
-  out.Emit(in, {Field(kLrAvgSpeed), in.fields[2], Field(avg)});
+  out.Emit(Tuple{Field(kLrAvgSpeed), in.fields[2], Field(avg)});
 }
 
 /// Exponentially smoothed average; NaN (unseeded) takes the first.
-void LastAvgSpeed(double& smoothed, const Tuple& in, dsl::Collector& out) {
+void LastAvgSpeed(double& smoothed, const Tuple& in, api::RowEmitter& out) {
   const double avg = in.GetDouble(2);
   smoothed = std::isnan(smoothed)
                  ? avg
                  : kSmoothing * avg + (1.0 - kSmoothing) * smoothed;
-  out.Emit(in, {Field(kLrLasSpeed), in.fields[1], Field(smoothed)});
+  out.Emit(Tuple{Field(kLrLasSpeed), in.fields[1], Field(smoothed)});
 }
 
 /// A vehicle's kStopsForAccident-th consecutive stop: an accident.
-void AccidentDetect(int& stops, const Tuple& in, dsl::Collector& out) {
+void AccidentDetect(int& stops, const Tuple& in, api::RowEmitter& out) {
   if (in.GetDouble(3) != 0.0) {
     stops = 0;
   } else if (++stops == kStopsForAccident) {
-    out.Emit(in, {Field(kLrAccident), in.fields[2]});
+    out.Emit(Tuple{Field(kLrAccident), in.fields[2]});
   }
 }
 
@@ -96,9 +96,9 @@ void AccidentDetect(int& stops, const Tuple& in, dsl::Collector& out) {
 /// count.
 auto CountVehicle(int64_t num_vehicles) {
   return [num_vehicles](VehicleSet& vehicles, const Tuple& in,
-                        dsl::Collector& out) {
+                        api::RowEmitter& out) {
     vehicles.Insert(in.GetInt(1), num_vehicles);
-    out.Emit(in, {Field(kLrCount), in.fields[2], Field(vehicles.count)});
+    out.Emit(Tuple{Field(kLrCount), in.fields[2], Field(vehicles.count)});
   };
 }
 

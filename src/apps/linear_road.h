@@ -60,8 +60,9 @@ class LinearRoadSpout : public api::Spout {
   Rng rng_;
 };
 
-/// The LR dataflow as a dsl::Pipeline program on the interpreted row
-/// path (lambda verbs only, no kernels). The dispatcher routes
+/// The LR dataflow as a dsl::Pipeline program. The parser filter and
+/// the four Aggregates run compiled; the other bolts are interpreted
+/// Process/Sink verbs. The dispatcher routes
 /// position reports on its default stream and account queries on the
 /// "balance_stream" and "daily_exp_request" side outputs. avg_speed,
 /// las_avg_speed, accident_detect and count_vehicle keep per-key state

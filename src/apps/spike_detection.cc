@@ -7,7 +7,7 @@
 namespace brisk::apps {
 
 Status SensorSpout::Prepare(const api::OperatorContext& ctx) {
-  // A seeded job (Job::WithSeed) supplies the per-replica seed so runs
+  // A seeded job (EngineConfig::seed) supplies the per-replica seed so runs
   // are reproducible end-to-end.
   effective_seed_ =
       ctx.seed != 0 ? ctx.seed
@@ -65,16 +65,15 @@ StatusOr<api::Topology> BuildSpikeDetectionDsl(
       .KeyBy(0)
       .Aggregate<MeanWindow>(
           "moving_avg", {},
-          std::function<void(MeanWindow&, const Tuple&, api::RowEmitter&)>(
-              [params](MeanWindow& w, const Tuple& in, api::RowEmitter& out) {
-                const double reading = in.GetDouble(1);
-                Tuple t;
-                t.fields.push_back(in.fields[0]);
-                t.fields.emplace_back(reading);
-                t.fields.emplace_back(w.Push(reading, params.window));
-                t.origin_ts_ns = in.origin_ts_ns;
-                out.Emit(std::move(t));
-              }),
+          [params](MeanWindow& w, const Tuple& in, api::RowEmitter& out) {
+            const double reading = in.GetDouble(1);
+            Tuple t;
+            t.fields.push_back(in.fields[0]);
+            t.fields.emplace_back(reading);
+            t.fields.emplace_back(w.Push(reading, params.window));
+            t.origin_ts_ns = in.origin_ts_ns;
+            out.Emit(std::move(t));
+          },
           EncodeMeanWindow, DecodeMeanWindow)
       .FlatMap("spike_detect",
                api::FlatMapOf(

@@ -50,10 +50,7 @@ dsl::Stream CountWords(const dsl::Stream& sentences, double splitter_words,
           .FlatMap("splitter", api::FlatMapOf(SplitSentenceKernel,
                                               splitter_words, "splitter"))
           .KeyBy(0)
-          .Aggregate<int64_t>(
-              "counter", 0,
-              std::function<void(int64_t&, const Tuple&, api::RowEmitter&)>(
-                  CountWordKernel));
+          .Aggregate<int64_t>("counter", 0, CountWordKernel);
   counted.Sink("sink", [sink = std::move(sink), tap = std::move(tap)](
                            const Tuple& in) {
     sink->RecordTuple(in.origin_ts_ns, NowNs());
@@ -88,7 +85,7 @@ SentenceSpout::SentenceSpout(WordCountParams params, WordDictionary dictionary)
 
 Status SentenceSpout::Prepare(const api::OperatorContext& ctx) {
   // Distinct seed per replica so replicas emit different sentences; a
-  // seeded job (Job::WithSeed) supplies the per-replica seed instead,
+  // seeded job (EngineConfig::seed) supplies the per-replica seed instead,
   // making runs reproducible end-to-end.
   effective_seed_ =
       ctx.seed != 0

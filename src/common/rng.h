@@ -18,7 +18,7 @@ inline uint64_t SplitMix64(uint64_t& state) {
 /// Stable per-replica seed derived from one job-level seed: mixes the
 /// operator id and replica index through SplitMix64 so replicas get
 /// decorrelated streams while the whole run stays a pure function of
-/// `job_seed` (Job::WithSeed / EngineConfig::seed). Never returns 0,
+/// `job_seed` (EngineConfig::seed). Never returns 0,
 /// so a seeded job is distinguishable from an unseeded one
 /// (OperatorContext::seed == 0).
 inline uint64_t DeriveSeed(uint64_t job_seed, int op, int replica) {

@@ -214,18 +214,14 @@ struct Tuple {
 // capacity, and the metadata fit in 152 bytes.
 static_assert(sizeof(Tuple) <= 152, "Tuple layout regressed");
 
-/// A batch of tuples sharing one header, from one producer to one
-/// consumer (§5.2). The engine moves JumboTuples through SPSC queues;
-/// pass-by-reference means the queue element is just a unique_ptr.
-/// Batches are pooled: consumers hand drained batches back to the
-/// producer through the channel's recycle queue (see engine/channel.h)
-/// so steady state allocates nothing.
+/// A batch of tuples from one producer to one consumer (§5.2); the
+/// envelope carrying it names the producer once per batch. The engine
+/// moves JumboTuples through SPSC queues; pass-by-reference means the
+/// queue element is just a unique_ptr. Batches are pooled: consumers
+/// hand drained batches back to the producer through the channel's
+/// recycle queue (see engine/channel.h) so steady state allocates
+/// nothing.
 struct JumboTuple {
-  /// Shared header: producer task id + batch sequence, representative of
-  /// the metadata Storm would duplicate per tuple.
-  int32_t producer_task = -1;
-  uint64_t batch_seq = 0;
-
   std::vector<Tuple> tuples;
 
   size_t size() const { return tuples.size(); }

@@ -24,11 +24,10 @@ namespace brisk::engine {
 
 /// What actually travels through a queue: a jumbo-tuple batch
 /// (BriskStream's pass-by-reference path, Appendix A). The envelope is
-/// just a pointer plus two scalars and moves trivially through the ring
-/// buffer.
+/// just a pointer plus the producer's instance id (the batch's one
+/// header) and moves trivially through the ring buffer.
 struct Envelope {
   JumboTuplePtr batch;
-  uint32_t count = 0;
   int32_t from_instance = -1;
 };
 

@@ -3,7 +3,7 @@
 //
 // A FaultPlan lives in EngineConfig and travels with the job, so the
 // exact same failure fires at the exact same tuple on every run of a
-// seeded job (Job::WithSeed): crash/stall points are expressed in the
+// seeded job (EngineConfig::seed): crash/stall points are expressed in the
 // operator's own progress counters, not wall-clock time. Faults are
 // armed per (operator, replica) when the task graph is wired and fire
 // at most once each — a restarted replica does not re-crash unless the

@@ -106,7 +106,9 @@ class BriskRuntime {
   /// Builds the runtime: instantiates every operator replica via its
   /// factory, wires one SPSC channel per (producer instance, consumer
   /// instance) edge, and prepares operators. The plan must be fully
-  /// placed; the topology must outlive the runtime.
+  /// placed; the topology must outlive the runtime. `numa` supplies the
+  /// emulated machine's fetch costs, charged only when
+  /// config.numa_emulation is set.
   static StatusOr<std::unique_ptr<BriskRuntime>> Create(
       const api::Topology* topo, const model::ExecutionPlan& plan,
       EngineConfig config, const hw::NumaEmulator* numa = nullptr);

@@ -300,10 +300,7 @@ bool Task::FlushBuffer(int buffer_idx, Channel* channel, bool force) {
   } else {
     batch = std::make_unique<JumboTuple>();
   }
-  batch->producer_task = instance_id_;
-  batch->batch_seq = batch_seq_++;
   Envelope env;
-  env.count = static_cast<uint32_t>(buf.tuples.size());
   env.from_instance = instance_id_;
   const int stream = buffer_stream_[buffer_idx];
   if (stream >= 0 &&
@@ -351,7 +348,7 @@ void Task::Consume(Envelope env, Channel* from) {
   // NUMA charge: the consumer-side stall of fetching a remote batch
   // (emulated busy-wait, README "Hardware substitution"), one Formula-2
   // cost per tuple.
-  if (numa_ != nullptr && numa_->enabled() && !tuples.empty() &&
+  if (config_.numa_emulation && numa_ != nullptr && !tuples.empty() &&
       instance_sockets_ != nullptr && env.from_instance >= 0) {
     const int from_socket = (*instance_sockets_)[env.from_instance];
     if (from_socket != socket_ && from_socket >= 0 && socket_ >= 0) {

@@ -334,7 +334,6 @@ class Task : public api::OutputCollector, public api::PipelineSink {
   /// when another buffer already counts the same tuples (an earlier
   /// route on a multi-consumer stream, or a broadcast copy).
   std::vector<int> buffer_stream_;
-  uint64_t batch_seq_ = 0;
 
   const StopSignals* signals_ = nullptr;
   bool source_done_ = false;

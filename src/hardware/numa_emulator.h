@@ -21,28 +21,18 @@ namespace brisk::hw {
 /// intentionally burns cycles (a remote fetch stalls the core too).
 void SpinForNs(int64_t ns);
 
-/// Per-edge NUMA fetch-delay injector.
+/// The emulated machine whose Formula-2 fetch costs the engine charges.
+/// Whether a run charges them is EngineConfig::numa_emulation's call:
+/// Task::Consume spins only when that is set and an emulator was
+/// passed to BriskRuntime::Create.
 class NumaEmulator {
  public:
-  explicit NumaEmulator(const MachineSpec& machine, bool enabled = true)
-      : machine_(machine), enabled_(enabled) {}
-
-  bool enabled() const { return enabled_; }
-
-  /// Charges the remote-fetch stall for one tuple of `tuple_bytes`
-  /// crossing from socket `from` to socket `to`. No-op when collocated
-  /// or disabled.
-  void ChargeFetch(int from, int to, double tuple_bytes) const {
-    if (!enabled_ || from == to || from < 0 || to < 0) return;
-    SpinForNs(static_cast<int64_t>(
-        machine_.FetchCostNs(from, to, tuple_bytes)));
-  }
+  explicit NumaEmulator(const MachineSpec& machine) : machine_(machine) {}
 
   const MachineSpec& machine() const { return machine_; }
 
  private:
   MachineSpec machine_;
-  bool enabled_;
 };
 
 }  // namespace brisk::hw

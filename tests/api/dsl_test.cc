@@ -64,6 +64,15 @@ std::string Describe(const api::Topology& topo) {
   return os.str();
 }
 
+/// Names of `topo`'s operators that declare kernels, in operator order.
+std::vector<std::string> KernelBacked(const api::Topology& topo) {
+  std::vector<std::string> names;
+  for (const auto& op : topo.ops()) {
+    if (!op.kernels.empty()) names.push_back(op.name);
+  }
+  return names;
+}
+
 /// Prepares a freshly instantiated operator from `topo`'s factory.
 std::unique_ptr<api::Operator> Instantiate(const api::Topology& topo,
                                            const std::string& name) {
@@ -122,6 +131,8 @@ TEST(DslLoweringTest, FraudDetectionLowersToGoldenTopology) {
             "spout:default -> parser shuffle\n"
             "parser:default -> predict fields(0)\n"
             "predict:default -> sink shuffle\n");
+  EXPECT_EQ(KernelBacked(*lowered),
+            (std::vector<std::string>{"parser", "predict"}));
 }
 
 TEST(DslLoweringTest, LinearRoadLowersToGoldenTopology) {
@@ -159,10 +170,52 @@ TEST(DslLoweringTest, LinearRoadLowersToGoldenTopology) {
             "accident_notify:default -> sink shuffle\n"
             "daily_expense:default -> sink shuffle\n"
             "account_balance:default -> sink shuffle\n");
-  // LR stays on the interpreted row path: no operator declares kernels.
-  for (const auto& op : lowered->ops()) {
-    EXPECT_TRUE(op.kernels.empty()) << op.name;
+  // The filter and the four aggregates run compiled; the dispatcher,
+  // the multi-input notifiers, the query bolts and the sink stay
+  // interpreted.
+  EXPECT_EQ(KernelBacked(*lowered),
+            (std::vector<std::string>{"parser", "avg_speed", "las_avg_speed",
+                                      "accident_detect", "count_vehicle"}));
+}
+
+// Every Filter, Map and Aggregate is one kernel of its kind; the verbs
+// that may emit on side outputs (Process, FlatMap(ProcessFn), Sink)
+// carry none.
+TEST(DslLoweringTest, LambdaFilterMapAndAggregateLowerToKernels) {
+  Pipeline p("lowering");
+  Stream src =
+      p.Source("src", SourceFn([](size_t, Collector&) { return size_t{0}; }));
+  src.Filter("filter", [](const Tuple&) { return true; });
+  src.Map("map", [](const Tuple& in) { return in; });
+  src.KeyBy(0).Aggregate<int64_t>(
+      "aggregate", 0, [](int64_t&, const Tuple&, api::RowEmitter&) {});
+  src.Process("process", [](const api::OperatorContext&) {
+    return ProcessFn([](const Tuple&, Collector&) {});
+  });
+  src.FlatMap("flatmap", [](const Tuple&, Collector&) {});
+  src.Sink("sink", [](const Tuple&) {});
+  auto topo = std::move(p).Build();
+  ASSERT_TRUE(topo.ok()) << topo.status();
+  auto kinds = [&](const std::string& name) {
+    std::vector<api::KernelKind> out;
+    for (const auto& k : topo->op(*topo->OpId(name)).kernels) {
+      out.push_back(k.kind);
+    }
+    return out;
+  };
+  using Kinds = std::vector<api::KernelKind>;
+  EXPECT_EQ(kinds("filter"), Kinds{api::KernelKind::kFilter});
+  EXPECT_EQ(kinds("map"), Kinds{api::KernelKind::kMap});
+  EXPECT_EQ(kinds("aggregate"), Kinds{api::KernelKind::kAggregate});
+  EXPECT_TRUE(kinds("process").empty());
+  EXPECT_TRUE(kinds("flatmap").empty());
+  EXPECT_TRUE(kinds("sink").empty());
+  // A kernel-backed operator's instances expose the compiled pipeline
+  // the engine dispatches whole batches through.
+  for (const char* name : {"filter", "map", "aggregate"}) {
+    EXPECT_NE(Instantiate(*topo, name)->pipeline(), nullptr) << name;
   }
+  EXPECT_EQ(Instantiate(*topo, "process")->pipeline(), nullptr);
 }
 
 TEST(DslLoweringTest, ParallelismAndGroupingsLower) {
@@ -174,7 +227,7 @@ TEST(DslLoweringTest, ParallelismAndGroupingsLower) {
   src.Broadcast().FlatMap("everywhere", [](const Tuple&, Collector&) {});
   src.Global().Sink("one", [](const Tuple&) {});
   src.KeyBy(1).Aggregate<int64_t>(
-      "agg", 0, [](int64_t&, const Tuple&, Collector&) {});
+      "agg", 0, [](int64_t&, const Tuple&, api::RowEmitter&) {});
   auto topo = std::move(p).Build();
   ASSERT_TRUE(topo.ok()) << topo.status();
   EXPECT_EQ(topo->op(*topo->OpId("src")).base_parallelism, 2);
@@ -283,8 +336,8 @@ TEST(DslAdapterTest, AggregatePartitionsStateByKey) {
       .KeyBy(0)
       .Aggregate<int64_t>("counter", 0,
                           [](int64_t& count, const Tuple& in,
-                             Collector& out) {
-                            out.Emit(in, {in.fields[0], Field(++count)});
+                             api::RowEmitter& out) {
+                            out.Emit(Tuple{in.fields[0], Field(++count)});
                           });
   auto topo = std::move(p).Build();
   ASSERT_TRUE(topo.ok()) << topo.status();
@@ -348,8 +401,8 @@ api::Topology LambdaCounterTopology() {
       .KeyBy(0)
       .Aggregate<int64_t>("counter", 0,
                           [](int64_t& count, const Tuple& in,
-                             Collector& out) {
-                            out.Emit(in, {in.fields[0], Field(++count)});
+                             api::RowEmitter& out) {
+                            out.Emit(Tuple{in.fields[0], Field(++count)});
                           });
   auto topo = std::move(p).Build();
   EXPECT_TRUE(topo.ok()) << topo.status();
@@ -364,8 +417,8 @@ api::Topology WordCountTopology() {
 
 // Keys are equal only with the same kind and equal int64 bits, double
 // bits or string bytes: 0, 0.0, -0.0 and "0" are four keys, as are 's'
-// and "s". Both Aggregate forms (the WC counter is the kernel one)
-// keep that identity through a live re-partitioning.
+// and "s". A lambda counter and the WC counter keep that identity
+// through a live re-partitioning.
 TEST(DslAdapterTest, AggregateKeysByKindAndBitsThroughRepartitioning) {
   std::vector<Field> keys = {Field(int64_t{0}), Field(0.0), Field(-0.0)};
   for (const char* s : {"0", "s"}) keys.emplace_back(s);

@@ -4,6 +4,7 @@
 // topology the way the engine does.
 #include "apps/apps.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "api/kernels.h"
+#include "api/pipeline.h"
 #include "apps/fraud_detection.h"
 #include "apps/linear_road.h"
 #include "apps/spike_detection.h"
@@ -82,6 +84,21 @@ void HandOff(api::Operator& from, api::Operator& to) {
   to.RestoreKeyedState(std::move(entries));
 }
 
+/// Expects `got` to hold `want`'s tuples in order: same origin
+/// timestamps, and fields equal as keys (kind and bits).
+void ExpectSameTuples(const std::vector<Tuple>& want,
+                      const std::vector<Tuple>& got, const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].origin_ts_ns, got[i].origin_ts_ns) << what << " " << i;
+    ASSERT_EQ(want[i].fields.size(), got[i].fields.size()) << what << " " << i;
+    for (size_t f = 0; f < want[i].fields.size(); ++f) {
+      EXPECT_TRUE(api::FieldKeyEq()(want[i].fields[f], got[i].fields[f]))
+          << what << " output " << i << " field " << f;
+    }
+  }
+}
+
 /// Snapshots a replica of `name` after `prefix`, restores the
 /// snapshot (each state through the tuple wire codec, as a checkpoint
 /// file carries it) into a fresh replica, and feeds both the same
@@ -111,16 +128,7 @@ void ExpectSnapshotRestoresState(const api::Topology& topo,
     restored->Process(t, &got);
   }
   ASSERT_FALSE(want.stream(0).empty()) << name;
-  ASSERT_EQ(want.stream(0).size(), got.stream(0).size()) << name;
-  for (size_t i = 0; i < want.stream(0).size(); ++i) {
-    const Tuple& a = want.stream(0)[i];
-    const Tuple& b = got.stream(0)[i];
-    ASSERT_EQ(a.fields.size(), b.fields.size());
-    for (size_t f = 0; f < a.fields.size(); ++f) {
-      EXPECT_TRUE(api::FieldKeyEq()(a.fields[f], b.fields[f]))
-          << name << " output " << i << " field " << f;
-    }
-  }
+  ExpectSameTuples(want.stream(0), got.stream(0), name);
 }
 
 api::Topology SpikeDetectionTopology(const SpikeDetectionParams& params) {
@@ -614,6 +622,90 @@ TEST(LinearRoadTest, CountVehicleMatchesSetReference) {
 }
 
 // ------------------------------------------------------------ shared --
+
+/// PipelineSink capturing a batch's surviving rows, in order.
+class CaptureSink : public api::PipelineSink {
+ public:
+  void ConsumeSelected(JumboTuple* batch, const SelectionVector& sel) override {
+    sel.ForEachSet([&](size_t i) { rows.push_back(batch->tuples[i]); });
+  }
+  std::vector<Tuple> rows;
+};
+
+/// Feeds `rows` through `op`'s compiled pipeline in batches of up to
+/// 64 (the engine's default batch size, so the tail is ragged) and
+/// returns what the pipeline emitted.
+std::vector<Tuple> RunBatches(api::Operator& op,
+                              const std::vector<Tuple>& rows) {
+  api::CompiledPipeline* pipe = op.pipeline();
+  EXPECT_NE(pipe, nullptr);
+  CaptureSink sink;
+  if (pipe == nullptr) return {};
+  for (size_t at = 0; at < rows.size(); at += 64) {
+    JumboTuple batch;
+    const size_t end = std::min(rows.size(), at + 64);
+    batch.tuples.assign(rows.begin() + at, rows.begin() + end);
+    pipe->RunBatch(&batch, &sink);
+  }
+  return sink.rows;
+}
+
+/// Drives operator `name` of `topo` with `prefix` then `suffix`, once
+/// through Process (the row path) and once through its compiled
+/// pipeline's RunBatch, restoring the batch replica's mid-stream
+/// snapshot into a fresh replica before the suffix: both paths must
+/// emit the same tuples (origin timestamps included) and snapshot the
+/// same keyed state.
+void ExpectBatchPathMatchesRowPath(const api::Topology& topo,
+                                   const std::string& name,
+                                   std::vector<Tuple> prefix,
+                                   std::vector<Tuple> suffix) {
+  int64_t origin = 1000;
+  for (auto* rows : {&prefix, &suffix}) {
+    for (Tuple& t : *rows) t.origin_ts_ns = origin++;
+  }
+  auto row = Instantiate(topo, name);
+  auto batch = Instantiate(topo, name);
+  CaptureCollector row_prefix;
+  for (const Tuple& t : prefix) row->Process(t, &row_prefix);
+  ExpectSameTuples(row_prefix.stream(0), RunBatches(*batch, prefix),
+                   name + " prefix");
+
+  auto row_state = row->SnapshotKeyedState();
+  auto batch_state = batch->SnapshotKeyedState();
+  ASSERT_FALSE(row_state.empty()) << name;
+  ASSERT_EQ(row_state.size(), batch_state.size()) << name;
+  for (const auto& e : row_state) {
+    const auto match = std::find_if(
+        batch_state.begin(), batch_state.end(),
+        [&](const api::CheckpointEntry& b) {
+          return api::FieldKeyEq()(b.key, e.key);
+        });
+    ASSERT_NE(match, batch_state.end()) << name;
+    ExpectSameTuples({e.state}, {match->state}, name + " state");
+  }
+
+  auto restored = Instantiate(topo, name);
+  restored->RestoreKeyedState(std::move(batch_state));
+  CaptureCollector row_suffix;
+  for (const Tuple& t : suffix) row->Process(t, &row_suffix);
+  ExpectSameTuples(row_suffix.stream(0), RunBatches(*restored, suffix),
+                   name + " suffix");
+}
+
+TEST(AppsBatchPathTest, KeyedAggregatesMatchTheRowPath) {
+  Rng rng(17);
+  const std::vector<Tuple> txn_prefix = Transactions(rng, 300);
+  const std::vector<Tuple> txn_suffix = Transactions(rng, 300);
+  ExpectBatchPathMatchesRowPath(FraudDetectionTopology(), "predict",
+                                txn_prefix, txn_suffix);
+  const api::Topology lr = LinearRoadTopology();
+  const std::vector<Tuple> pos_prefix = Positions(rng, 400);
+  const std::vector<Tuple> pos_suffix = Positions(rng, 400);
+  for (const char* op : {"avg_speed", "count_vehicle", "accident_detect"}) {
+    ExpectBatchPathMatchesRowPath(lr, op, pos_prefix, pos_suffix);
+  }
+}
 
 class AppRegistryTest : public ::testing::TestWithParam<AppId> {};
 

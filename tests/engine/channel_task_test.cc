@@ -26,13 +26,13 @@ TEST(ChannelTest, RoundTripsEnvelopes) {
   EXPECT_EQ(ch.from_instance(), 0);
   EXPECT_EQ(ch.to_instance(), 1);
   Envelope env;
-  env.count = 3;
+  env.from_instance = 3;
   env.batch = std::make_unique<JumboTuple>();
   env.batch->tuples.push_back(WordTuple("a"));
   ASSERT_TRUE(ch.TryPush(std::move(env)));
   Envelope out;
   ASSERT_TRUE(ch.TryPop(&out));
-  EXPECT_EQ(out.count, 3u);
+  EXPECT_EQ(out.from_instance, 3);
   ASSERT_NE(out.batch, nullptr);
   EXPECT_EQ(out.batch->tuples[0].GetString(0), "a");
   EXPECT_FALSE(ch.TryPop(&out));
@@ -45,15 +45,15 @@ TEST(ChannelTest, RecycleReturnsShellsToTheProducerSide) {
   EXPECT_FALSE(ch.TryPopRecycled(&shell));
   // Consumer hands back two drained shells; producer gets both, FIFO.
   auto a = std::make_unique<JumboTuple>();
-  a->batch_seq = 1;
   auto b = std::make_unique<JumboTuple>();
-  b->batch_seq = 2;
+  const JumboTuple* first = a.get();
+  const JumboTuple* second = b.get();
   ch.Recycle(std::move(a));
   ch.Recycle(std::move(b));
   ASSERT_TRUE(ch.TryPopRecycled(&shell));
-  EXPECT_EQ(shell->batch_seq, 1u);
+  EXPECT_EQ(shell.get(), first);
   ASSERT_TRUE(ch.TryPopRecycled(&shell));
-  EXPECT_EQ(shell->batch_seq, 2u);
+  EXPECT_EQ(shell.get(), second);
   EXPECT_FALSE(ch.TryPopRecycled(&shell));
 }
 
@@ -75,7 +75,6 @@ TEST(ChannelTest, RetryAfterFullPushKeepsEnvelope) {
   size_t pushed = 0;
   while (true) {
     Envelope env;
-    env.count = 1;
     env.batch = std::make_unique<JumboTuple>();
     if (!ch.TryPush(std::move(env))) {
       // The failed envelope must still be intact for a retry.
@@ -326,7 +325,6 @@ TEST(TaskStatsTest, StreamOutputsLandWithTheirBatchInputs) {
     Envelope env;
     env.batch = std::make_unique<JumboTuple>();
     for (int i = 0; i < 4; ++i) env.batch->tuples.push_back(WordTuple("t"));
-    env.count = 4;
     env.from_instance = 0;
     ASSERT_TRUE(in.TryPush(std::move(env)));
   }

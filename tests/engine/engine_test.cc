@@ -112,7 +112,7 @@ TEST_F(EngineTest, NumaEmulationReducesRemoteThroughput) {
     } else {
       plan->PlaceAllOn(0);
     }
-    hw::NumaEmulator numa(hw::MachineSpec::ServerA(), /*enabled=*/true);
+    hw::NumaEmulator numa(hw::MachineSpec::ServerA());
     EngineConfig cfg = EngineConfig::Brisk();
     cfg.numa_emulation = true;
     auto rt = BriskRuntime::Create(app->topology_ptr.get(), *plan, cfg, &numa);
@@ -137,9 +137,10 @@ TEST_F(EngineTest, NumaStallIsChargedToTheRemoteConsumerOnly) {
     plan->PlaceAllOn(0);
     plan->SetSocket(4, 1);
     hw::NumaEmulator numa(
-        hw::MachineSpec::Symmetric(2, 4, 2.0, 100, 300, 40, 12), emulate);
-    auto rt = BriskRuntime::Create(app->topology_ptr.get(), *plan,
-                                   EngineConfig::Brisk(), &numa);
+        hw::MachineSpec::Symmetric(2, 4, 2.0, 100, 300, 40, 12));
+    EngineConfig cfg = EngineConfig::Brisk();
+    cfg.numa_emulation = emulate;
+    auto rt = BriskRuntime::Create(app->topology_ptr.get(), *plan, cfg, &numa);
     EXPECT_TRUE(rt.ok());
     auto stats = (*rt)->RunFor(0.2);
     EXPECT_TRUE(stats.ok());

@@ -125,7 +125,6 @@ TEST(ChannelWakeTest, PushIntoEmptyWakesConsumerPopFromFullWakesProducer) {
   ch.SetWakers(&consumer_ref, &producer_ref);
   auto push_one = [&] {
     Envelope env;
-    env.count = 1;
     env.batch = std::make_unique<JumboTuple>();
     return ch.TryPush(std::move(env));
   };

@@ -282,12 +282,12 @@ TEST(FaultInjectionTest, JobSurfacesDrainStatus) {
   EngineConfig config = EngineConfig::Brisk();
   config.spout_rate_tps = 0.0;
   config.queue_capacity = 4;
+  config.drain_timeout_s = 0.0;
+  config.seed = 3;
   auto report = Job::Of(apps::BuildWordCountDsl(telemetry).value())
                     .WithTelemetry(telemetry)
                     .WithProfiles(apps::WordCountProfiles())
                     .WithConfig(config)
-                    .WithDrainTimeout(0.0)
-                    .WithSeed(3)
                     .Run(0.3);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->stats.drain_timed_out);

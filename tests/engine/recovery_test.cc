@@ -401,11 +401,11 @@ TEST(RecoveryTest, JobFacadeSupervisesAndReportsRecovery) {
   EngineConfig config = EngineConfig::Brisk();
   config.spout_rate_tps = 40000;
   config.faults.Crash(kCounter, 0, 2000);
+  config.seed = 5;
   auto report = Job::Of(apps::BuildWordCountDsl(telemetry).value())
                     .WithTelemetry(telemetry)
                     .WithProfiles(apps::WordCountProfiles())
                     .WithConfig(config)
-                    .WithSeed(5)
                     .WithCheckpointing(0.05)
                     .Run(1.5);
   ASSERT_TRUE(report.ok()) << report.status().ToString();

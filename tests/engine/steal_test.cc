@@ -151,7 +151,6 @@ TEST(WorkStealingTest, IdleWorkerStealsBacklogExactlyOnce) {
   for (const int victim_task : {0, 2}) {
     for (uint64_t e = 0; e < kEnvelopes; ++e) {
       Envelope env;
-      env.count = kTuplesPerEnvelope;
       env.batch = std::make_unique<JumboTuple>();
       for (uint64_t t = 0; t < kTuplesPerEnvelope; ++t) {
         Tuple tup;
@@ -220,7 +219,6 @@ TEST(WorkStealingTest, StealsOffKeepsTasksHome) {
   for (const int victim : {0, 2}) {
     for (int e = 0; e < 50; ++e) {
       Envelope env;
-      env.count = 1;
       env.batch = std::make_unique<JumboTuple>();
       Tuple tup;
       tup.fields.emplace_back(static_cast<int64_t>(e));

@@ -157,8 +157,9 @@ TEST(DifferentialTest, SameCellRerunIsBitIdentical) {
   EXPECT_EQ(RunWordCount(cell), RunWordCount(cell));
 }
 
-/// Job::WithSeed carries the determinism through the whole facade:
-/// profile → RLAS plan → engine, twice, same sink multiset.
+/// A Job whose config carries a seed (EngineConfig::seed) keeps the
+/// determinism through the whole facade: profile → RLAS plan → engine,
+/// twice, same sink multiset.
 TEST(DifferentialTest, JobWithSeedIsReproducible) {
   auto run = [] {
     auto telemetry = std::make_shared<SinkTelemetry>();
@@ -173,10 +174,12 @@ TEST(DifferentialTest, JobWithSeedIsReproducible) {
           seen->emplace_back(std::string(in.GetString(0)), in.GetInt(1));
         });
     BRISK_CHECK(topo.ok()) << topo.status().ToString();
+    EngineConfig config = EngineConfig::Brisk();
+    config.seed = kSeed;
     auto report =
         Job::Of(std::make_shared<const api::Topology>(
                     std::move(topo).value()))
-            .WithSeed(kSeed)
+            .WithConfig(config)
             .WithProfiles(apps::WordCountProfiles(params))
             .WithTelemetry(telemetry)
             .Run(1.0);
